@@ -254,6 +254,9 @@ def parse_config(raw: Any) -> ScenarioConfig:
     _positive(l2_max, "geometry.l2_max")
     if l2_min > l2_max:
         raise InvariantError("geometry.l2_max", "must be >= l2_min")
+    for name, length in (("l1", l1), ("l2_min", l2_min), ("l2_max", l2_max)):
+        if not math.isfinite(length / c):
+            raise InvariantError("geometry.c", f"flight time {name} / c is not finite")
     if "n_points" in geometry:
         n_points = _as_int(geometry["n_points"], "geometry.n_points")
     else:

@@ -39,7 +39,6 @@ __all__ = [
     "PlaneWaveModel",
     "Preparation",
     "SweepResult",
-    "SweepRow",
     "counting_rate_d1",
     "counting_rate_d2",
     "derive_plane_wave_model",
@@ -102,15 +101,35 @@ def derive_plane_wave_model(
     )
 
 
-def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
+def _times_phase(a: complex, theta):
+    """Real and imaginary parts of a * exp(i*theta).
+
+    Written as real arithmetic in the operand order of CPython's complex
+    product: numpy's complex multiply differs from it in the last bit,
+    which the 17-digit CSV would show.
+    """
+    cos, sin = np.cos(theta), np.sin(theta)
+    return a.real * cos - a.imag * sin, a.real * sin + a.imag * cos
+
+
+def plane_wave_epsilon(m: PlaneWaveModel, t1, t2):
     """Overlap under the plane-wave shortcut, term-wise at (t1, t2).
 
     Returns a1*exp(i*d_omega*t1) + a2*exp(i*d_omega*t2).  Evaluating the
     two terms at different times is exactly the step the exact treatment
     forbids; the resulting t2 dependence is the artifact under study.
+    Times may be floats, giving a complex, or arrays, giving a complex128
+    array whose elements equal the float calls bit for bit.
     """
     d_omega = m.delta_omega
-    return m.a1 * cmath.exp(1j * d_omega * t1) + m.a2 * cmath.exp(1j * d_omega * t2)
+    re1, im1 = _times_phase(complex(m.a1), d_omega * np.asarray(t1, dtype=float))
+    re2, im2 = _times_phase(complex(m.a2), d_omega * np.asarray(t2, dtype=float))
+    re, im = re1 + re2, im1 + im2
+    if np.ndim(re) == 0:
+        return complex(re, im)
+    eps = np.empty(np.shape(re), dtype=complex)
+    eps.real, eps.imag = re, im
+    return eps
 
 
 def exact_epsilon(alpha: Packet, beta: Packet) -> complex:
@@ -122,31 +141,38 @@ def exact_epsilon(alpha: Packet, beta: Packet) -> complex:
     return overlap_pre(alpha, beta)
 
 
-def _rate(n_a: float, n_b: float, x: complex, eps: complex, phi: float) -> float:
+def _rate(n_a: float, n_b: float, x, eps, phi: float):
+    """The README rate formula; x and eps may be complex arrays."""
     rot = cmath.exp(1j * phi)
-    denom = 2.0 + 2.0 * (rot * complex(eps)).real
-    if denom <= DEGENERACY_TOL:
+    x_re, x_im = np.real(x), np.imag(x)
+    eps_re, eps_im = np.real(eps), np.imag(eps)
+    parts = (n_a, n_b, phi, x_re, x_im, eps_re, eps_im)
+    if not all(np.isfinite(v).all() for v in parts):
+        raise ValueError("counting rate of a non-finite input")
+    denom = 2.0 + 2.0 * (rot.real * eps_re - rot.imag * eps_im)
+    if np.any(denom <= DEGENERACY_TOL):
         raise DegeneratePreparationError("degenerate preparation")
-    raw = (n_a + n_b + 2.0 * (rot * complex(x)).real) / denom
+    raw = (n_a + n_b + 2.0 * (rot.real * x_re - rot.imag * x_im)) / denom
     # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
-    # clamp only the roundoff excursions.
-    return min(1.0, max(0.0, raw))
+    # clamp only the roundoff excursions, as min(1, max(0, raw)) would.
+    rate = np.where(raw > 0.0, raw, 0.0)
+    rate = np.where(rate < 1.0, rate, 1.0)
+    return float(rate) if rate.ndim == 0 else rate
 
 
-def counting_rate_d1(
-    eps: complex, n_a1: float, n_b1: float, x1: complex, prep: Preparation
-) -> float:
+def counting_rate_d1(eps, n_a1: float, n_b1: float, x1, prep: Preparation):
     """Fraction of prepared photons that fire D1.
 
     n_a1 and n_b1 are the squared norms of the two D1-arm packets and x1
-    their overlap; eps normalizes the preparation.
+    their overlap; eps normalizes the preparation.  eps and x1 may be
+    complex arrays, which give an array of rates.  Raises ValueError on a
+    non-finite input and DegeneratePreparationError on a zero-norm
+    preparation.
     """
     return _rate(n_a1, n_b1, x1, eps, prep.phi)
 
 
-def counting_rate_d2(
-    eps: complex, n_a2: float, n_b2: float, x2: complex, prep: Preparation
-) -> float:
+def counting_rate_d2(eps, n_a2: float, n_b2: float, x2, prep: Preparation):
     """D2 mirror of counting_rate_d1; the two rates sum to 1 when the
     plate is lossless."""
     return _rate(n_a2, n_b2, x2, eps, prep.phi)
@@ -163,31 +189,37 @@ def spatial_period(delta_omega: float, c: float = 1.0) -> float:
     return 2.0 * math.pi * c / abs(delta_omega)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Both predictions at one D2 position."""
-
-    l2: float
-    t2: float
-    eps_exact: complex
-    eps_plane_wave: complex
-    rate_exact: float
-    rate_plane_wave: float
+# Complex spread compares row blocks against the whole column; this many
+# differences per block bounds its memory.
+_SPREAD_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sweep rows, ordered as the requested l2 values."""
+    """Both predictions at each D2 position, one array per column, ordered
+    as the requested l2 values."""
 
-    rows: tuple[SweepRow, ...]
-
-    def column(self, field: str) -> np.ndarray:
-        return np.array([getattr(row, field) for row in self.rows])
+    l2: np.ndarray
+    t2: np.ndarray
+    eps_exact: np.ndarray
+    eps_plane_wave: np.ndarray
+    rate_exact: np.ndarray
+    rate_plane_wave: np.ndarray
 
     def spread(self, field: str) -> float:
         """Largest |difference| between any two rows of the column."""
-        values = self.column(field)
-        return float(np.abs(values[:, None] - values[None, :]).max())
+        values = getattr(self, field)
+        if not np.iscomplexobj(values):
+            # Rounded subtraction is monotone, so max - min is the
+            # largest pairwise difference bit for bit.
+            return abs(float(values.max() - values.min()))
+        step = max(1, _SPREAD_BLOCK // values.size)
+        return float(
+            np.max([
+                np.abs(values[i : i + step, None] - values[None, :]).max()
+                for i in range(0, values.size, step)
+            ])
+        )
 
 
 def sweep_d2(
@@ -204,12 +236,12 @@ def sweep_d2(
 
     D1 stays at geom_base.l1.  The exact columns are constant by
     construction; the plane-wave columns pick up the spurious t2 = l2/c
-    dependence.
+    dependence.  All rows are computed in one pass over the array of t2.
     """
-    values = [float(v) for v in l2_values]
-    if not values:
-        raise ValueError("l2_values must be nonempty")
-    if any(v <= 0.0 for v in values):
+    l2 = np.array(l2_values, dtype=float)
+    if l2.ndim != 1 or l2.size == 0:
+        raise ValueError("l2_values must be a nonempty sequence")
+    if np.any(l2 <= 0.0):
         raise ValueError("detector distances must be positive")
 
     sa = split(alpha, bs)
@@ -222,21 +254,14 @@ def sweep_d2(
     rate_exact = counting_rate_d1(eps, n_a1, n_b1, model.a1, prep)
 
     t1 = geom_base.l1 / geom_base.c
+    t2 = l2 / geom_base.c
     x1_pw = model.a1 * cmath.exp(1j * model.delta_omega * t1)
-
-    rows = []
-    for l2 in values:
-        t2 = l2 / geom_base.c
-        eps_pw = plane_wave_epsilon(model, t1, t2)
-        rate_pw = counting_rate_d1(eps_pw, n_a1, n_b1, x1_pw, prep)
-        rows.append(
-            SweepRow(
-                l2=l2,
-                t2=t2,
-                eps_exact=eps,
-                eps_plane_wave=eps_pw,
-                rate_exact=rate_exact,
-                rate_plane_wave=rate_pw,
-            )
-        )
-    return SweepResult(rows=tuple(rows))
+    eps_pw = plane_wave_epsilon(model, t1, t2)
+    return SweepResult(
+        l2=l2,
+        t2=t2,
+        eps_exact=np.full(l2.size, eps),
+        eps_plane_wave=eps_pw,
+        rate_exact=np.full(l2.size, rate_exact),
+        rate_plane_wave=counting_rate_d1(eps_pw, n_a1, n_b1, x1_pw, prep),
+    )

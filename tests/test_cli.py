@@ -112,6 +112,15 @@ def test_invariant_error_exits_4(tmp_path, capsys):
     assert "splitter" in capsys.readouterr().err
 
 
+def test_non_finite_flight_time_exits_4(tmp_path, capsys):
+    # l1 / c overflows: writing rows would put inf and NaN under exit 0
+    cfg = _write(tmp_path, {**GAUSSIAN_SCENARIO, "geometry": {"c": 1e-320}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "geometry.c" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_5(tmp_path, capsys):
     cfg = _write(tmp_path, GAUSSIAN_SCENARIO)
     out = tmp_path / "no_such_dir" / "sweep.csv"

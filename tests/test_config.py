@@ -126,6 +126,20 @@ def test_inverted_sweep_range_rejected():
 
 
 @pytest.mark.parametrize(
+    "geometry, length",
+    [
+        ({"c": 1e-320}, "l1"),
+        ({"c": 1e-300, "l1": 1e10}, "l1"),
+        ({"c": 1e-300, "l1": 1e-10, "l2_min": 1e10, "l2_max": 2e10}, "l2_min"),
+        ({"c": 1e-10, "l2_max": 1e300}, "l2_max"),
+    ],
+)
+def test_non_finite_flight_time_rejected(geometry, length):
+    with pytest.raises(InvariantError, match=f"geometry.c: flight time {length} / c"):
+        parse_config(_scenario(geometry=geometry))
+
+
+@pytest.mark.parametrize(
     "geometry",
     [
         {"l1": 0.0},

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_close_pair, random_gaussian, random_splitter
+from platesim import models
 from platesim import (
     BeamSplitter,
     DegeneratePreparationError,
@@ -175,6 +176,21 @@ def test_degenerate_preparation_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "eps, x1, phi",
+    [
+        (complex(math.nan, 0.0), 0.5, 0.0),
+        (0.5, complex(0.0, math.inf), 0.0),
+        (np.array([0.5, math.nan]), 0.5, 0.0),
+        (0.5, 0.5, math.nan),
+    ],
+)
+def test_rate_rejects_non_finite_input(eps, x1, phi):
+    # min(1, max(0, nan)) would report NaN as a rate of 0
+    with pytest.raises(ValueError, match="non-finite"):
+        counting_rate_d1(eps, 0.5, 0.5, x1, Preparation(phi=phi))
+
+
 def test_spatial_period():
     assert spatial_period(0.8, 1.0) == pytest.approx(2.0 * math.pi / 0.8)
     assert spatial_period(-0.8, 2.0) == pytest.approx(4.0 * math.pi / 0.8)
@@ -198,16 +214,27 @@ def _demo_sweep(l2_values, phi=0.0):
 def test_sweep_rows_follow_l2_order():
     values = [3.0, 1.0, 2.0]
     result = _demo_sweep(values)
-    assert [row.l2 for row in result.rows] == values
-    assert [row.t2 for row in result.rows] == values  # c = 1
+    assert result.l2.tolist() == values
+    assert result.t2.tolist() == values  # c = 1
 
 
 def test_sweep_exact_columns_constant():
     result = _demo_sweep(np.linspace(1.0, 16.7, 50))
     assert result.spread("eps_exact") == 0.0
     assert result.spread("rate_exact") == 0.0
-    for row in result.rows:
-        assert 0.0 <= row.rate_plane_wave <= 1.0
+    assert np.all((0.0 <= result.rate_plane_wave) & (result.rate_plane_wave <= 1.0))
+
+
+@pytest.mark.parametrize("block", [64, models._SPREAD_BLOCK])
+def test_spread_equals_pairwise_maximum(block, monkeypatch):
+    # the n x n difference matrix is the reference; 64 differences per
+    # block makes the complex column take one row per block
+    monkeypatch.setattr(models, "_SPREAD_BLOCK", block)
+    result = _demo_sweep(np.linspace(1.0, 16.7, 50), phi=0.7)
+    for field in ("eps_plane_wave", "rate_plane_wave", "l2"):
+        values = getattr(result, field)
+        pairwise = float(np.abs(values[:, None] - values[None, :]).max())
+        assert result.spread(field) == pairwise
 
 
 def test_sweep_equal_l2_rows_identical():
@@ -229,24 +256,24 @@ def test_sweep_degenerate_frequencies_collapse_to_exact():
         alpha.k0,
         beta.k0,
     )
-    for row in result.rows:
-        assert abs(row.eps_plane_wave - row.eps_exact) < 1e-12
-        assert abs(row.rate_plane_wave - row.rate_exact) < 1e-12
+    assert np.all(np.abs(result.eps_plane_wave - result.eps_exact) < 1e-12)
+    assert np.all(np.abs(result.rate_plane_wave - result.rate_exact) < 1e-12)
 
 
 def test_sweep_plane_wave_period_in_l2():
     alpha, beta = _demo_pair()
     period = spatial_period(alpha.k0 - beta.k0)
     result = _demo_sweep([1.0, 1.0 + 0.5 * period, 1.0 + period])
-    first, half, full = result.rows
-    assert abs(full.eps_plane_wave - first.eps_plane_wave) < 1e-12
-    assert abs(full.rate_plane_wave - first.rate_plane_wave) < 1e-12
+    first, half, full = result.eps_plane_wave
+    rate_first, _, rate_full = result.rate_plane_wave
+    assert abs(full - first) < 1e-12
+    assert abs(rate_full - rate_first) < 1e-12
     # half a period flips the a2 term: the two rows differ by 2 |a2|
     bs = balanced_splitter()
     m = derive_plane_wave_model(
         split(alpha, bs), split(beta, bs), alpha.k0, beta.k0, 1.0
     )
-    assert abs(half.eps_plane_wave - first.eps_plane_wave) == pytest.approx(
+    assert abs(half - first) == pytest.approx(
         2.0 * abs(m.a2), rel=1e-12
     )
 
@@ -261,6 +288,5 @@ def test_sweep_rejects_bad_l2_values():
 def test_sweep_scaled_inputs_keep_rates_bounded():
     # a slightly asymmetric preparation still yields physical rates
     result = _demo_sweep(np.linspace(1.0, 20.0, 40), phi=2.0)
-    for row in result.rows:
-        assert 0.0 <= row.rate_plane_wave <= 1.0
-        assert 0.0 <= row.rate_exact <= 1.0
+    assert np.all((0.0 <= result.rate_plane_wave) & (result.rate_plane_wave <= 1.0))
+    assert np.all((0.0 <= result.rate_exact) & (result.rate_exact <= 1.0))
