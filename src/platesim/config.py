@@ -240,6 +240,12 @@ def parse_config(raw: Any) -> ScenarioConfig:
     geometry = _as_mapping(top.get("geometry", {}), "geometry")
     _check_keys(geometry, "geometry", _GEOMETRY_KEYS)
     c = _positive(_get_float(geometry, "geometry", "c", DEFAULT_C), "geometry.c")
+    # Both carriers are positive, so finite c * k0 also bounds c * (k0_a - k0_b).
+    for name, packet in (("packet_alpha", packet_alpha), ("packet_beta", packet_beta)):
+        if not math.isfinite(c * packet.k0):
+            raise InvariantError(
+                "geometry.c", f"carrier frequency c * {name}.k0 is not finite"
+            )
     l1 = _positive(_get_float(geometry, "geometry", "l1", DEFAULT_L1), "geometry.l1")
     l2_min = _positive(
         _get_float(geometry, "geometry", "l2_min", DEFAULT_L2_MIN), "geometry.l2_min"

@@ -23,12 +23,19 @@ Conventions used throughout:
 
 Packets are treated as one-directional (spectral weight at k > 0 only);
 ``k0 * sigma >= 4`` keeps the negative-k tail of a Gaussian below ~1e-8.
+
+What does not depend on the flight time is computed once and cached: a
+grid's positions and wavenumbers, a grid packet's spectrum, and the phase
+factors of the most recent (grid, c*t).  The cache is safe because its
+owners are frozen, their arrays are read-only, and equal grids have equal
+wavenumbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -72,6 +79,11 @@ class WraparoundError(ValueError):
     """Translation would push probability mass past the window edge."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ..."""
@@ -92,11 +104,20 @@ class SpatialGrid:
         return self.x_min + self.n * self.dx
 
     def positions(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        """Sample positions, ascending (read-only)."""
+        return self._positions
 
     def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        """Angular wavenumbers in FFT ordering (read-only)."""
+        return self._wavenumbers
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        return _read_only(self.x_min + self.dx * np.arange(self.n))
+
+    @cached_property
+    def _wavenumbers(self) -> np.ndarray:
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +133,12 @@ class GridPacket:
             raise ValueError(
                 f"expected {self.grid.n} amplitudes, got shape {amps.shape}"
             )
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _read_only(amps))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Forward FFT of the amplitudes (read-only)."""
+        return _read_only(np.fft.fft(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -260,9 +285,19 @@ def fits_after(p: GridPacket, t: float, c: float, tail_tol: float) -> bool:
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
     cut = p.grid.x_end - c * t
-    mask = p.grid.positions() >= cut
-    mass = float(np.sum(np.abs(p.amplitudes[mask]) ** 2) * p.grid.dx)
+    # positions ascend, so the samples at or past the cut are a suffix
+    start = np.searchsorted(p.grid.positions(), cut, "left")
+    mass = float(np.sum(np.abs(p.amplitudes[start:]) ** 2) * p.grid.dx)
     return mass < tail_tol
+
+
+@lru_cache(maxsize=1)
+def _phases(grid: SpatialGrid, shift: float) -> np.ndarray:
+    """exp(-i k shift) per mode; the arms flown to one time share it.
+
+    Shifts of 0.0 and -0.0 share a key; both give exactly 1 + 0j.
+    """
+    return _read_only(np.exp(-1j * grid.wavenumbers() * shift))
 
 
 def propagate(p: Packet, t: float, c: float = 1.0, wrap_tol: float = DEFAULT_WRAP_TOL) -> Packet:
@@ -286,13 +321,12 @@ def propagate(p: Packet, t: float, c: float = 1.0, wrap_tol: float = DEFAULT_WRA
             raise WraparoundError(
                 f"wraparound: translation by {c * t:g} pushes the packet past the window edge"
             )
-        shift = np.exp(-1j * p.grid.wavenumbers() * (c * t))
-        return GridPacket(p.grid, np.fft.ifft(np.fft.fft(p.amplitudes) * shift))
+        return GridPacket(p.grid, np.fft.ifft(p.spectrum * _phases(p.grid, c * t)))
     raise _not_a_packet(p)
 
 
 def _spectral_power(p: GridPacket) -> np.ndarray:
-    power = np.abs(np.fft.fft(p.amplitudes)) ** 2
+    power = np.abs(p.spectrum) ** 2
     if power.sum() == 0.0:
         raise DegeneratePacketError("degenerate packet")
     return power

@@ -121,6 +121,17 @@ def test_non_finite_flight_time_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_carrier_frequency_exits_4(tmp_path, capsys):
+    # c * k0 overflows: the plane-wave phase would be inf - inf
+    cfg = _write(tmp_path, {**GAUSSIAN_SCENARIO, "geometry": {"c": 1e308}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "geometry.c" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_5(tmp_path, capsys):
     cfg = _write(tmp_path, GAUSSIAN_SCENARIO)
     out = tmp_path / "no_such_dir" / "sweep.csv"

@@ -140,6 +140,25 @@ def test_non_finite_flight_time_rejected(geometry, length):
 
 
 @pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"geometry": {"c": 1e308}}, "packet_alpha"),
+        (
+            {
+                "geometry": {"c": 1e10},
+                "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 1e300},
+            },
+            "packet_beta",
+        ),
+    ],
+)
+def test_non_finite_carrier_frequency_rejected(overrides, name):
+    match = f"geometry.c: carrier frequency c \\* {name}.k0"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(_scenario(**overrides))
+
+
+@pytest.mark.parametrize(
     "geometry",
     [
         {"l1": 0.0},

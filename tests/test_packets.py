@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -74,8 +75,21 @@ def test_grid_rejects_bad_parameters(kwargs):
 
 def test_grid_packet_is_immutable(wide_grid):
     g = sample(GaussianPacket(x0=0.0, sigma=1.0, k0=10.0), wide_grid)
-    with pytest.raises(ValueError):
-        g.amplitudes[0] = 1.0
+    # the cached arrays are shared by every later caller
+    for shared in (g.amplitudes, g.spectrum, wide_grid.positions(), wide_grid.wavenumbers()):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+
+
+def test_replaced_grid_gets_its_own_arrays(wide_grid):
+    positions, wavenumbers = wide_grid.positions(), wide_grid.wavenumbers()
+    finer = dataclasses.replace(wide_grid, dx=wide_grid.dx / 2.0)
+    assert finer.positions() is not positions
+    assert finer.wavenumbers() is not wavenumbers
+    assert np.array_equal(finer.positions(), finer.x_min + finer.dx * np.arange(finer.n))
+    assert np.array_equal(
+        finer.wavenumbers(), 2.0 * np.pi * np.fft.fftfreq(finer.n, d=finer.dx)
+    )
 
 
 def test_grid_packet_shape_check(wide_grid):
