@@ -1,7 +1,8 @@
 """Exact versus plane-wave predictions for the two-detector experiment.
 
-``exact_epsilon`` evaluates the overlap of the two candidate packets once,
-before the plate; unitarity makes every later evaluation agree with it.
+The exact overlap is ``inner_product(alpha, beta)`` of the two candidate
+packets, taken once before the plate; unitarity makes every later
+evaluation agree with it.
 ``plane_wave_epsilon`` deliberately reproduces a tempting shortcut: replace
 each localized packet by an infinite wave at its carrier frequency, which
 tags the two terms of the overlap with phases exp(i*(omega_a - omega_b)*t)
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import BeamSplitter, ExperimentGeometry, TwoArmState, overlap_pre, split
+from .optics import BeamSplitter, ExperimentGeometry, TwoArmState, split
 from .packets import Packet, inner_product, norm2
 
 __all__ = [
@@ -40,9 +41,7 @@ __all__ = [
     "Preparation",
     "SweepResult",
     "counting_rate_d1",
-    "counting_rate_d2",
     "derive_plane_wave_model",
-    "exact_epsilon",
     "plane_wave_epsilon",
     "spatial_period",
     "sweep_d2",
@@ -132,50 +131,32 @@ def plane_wave_epsilon(m: PlaneWaveModel, t1, t2):
     return eps
 
 
-def exact_epsilon(alpha: Packet, beta: Packet) -> complex:
-    """Overlap of the two candidate packets, fixed once they are chosen.
+def counting_rate_d1(eps, n_a1: float, n_b1: float, x1, prep: Preparation):
+    """Fraction of prepared photons that fire D1 (the README rate formula).
 
-    The signature takes no time or geometry on purpose: the value is a
-    property of the initial packets alone.
+    n_a1 and n_b1 are the squared norms of the two D1-arm packets and x1
+    their overlap; eps normalizes the preparation.  Fed the D2-arm norms
+    and overlap instead, it gives the D2 rate; the two sum to 1 when the
+    plate is lossless.  eps and x1 may be complex arrays, which give an
+    array of rates.  Raises ValueError on a non-finite input and
+    DegeneratePreparationError on a zero-norm preparation.
     """
-    return overlap_pre(alpha, beta)
-
-
-def _rate(n_a: float, n_b: float, x, eps, phi: float):
-    """The README rate formula; x and eps may be complex arrays."""
+    phi = prep.phi
     rot = cmath.exp(1j * phi)
-    x_re, x_im = np.real(x), np.imag(x)
+    x_re, x_im = np.real(x1), np.imag(x1)
     eps_re, eps_im = np.real(eps), np.imag(eps)
-    parts = (n_a, n_b, phi, x_re, x_im, eps_re, eps_im)
+    parts = (n_a1, n_b1, phi, x_re, x_im, eps_re, eps_im)
     if not all(np.isfinite(v).all() for v in parts):
         raise ValueError("counting rate of a non-finite input")
     denom = 2.0 + 2.0 * (rot.real * eps_re - rot.imag * eps_im)
     if np.any(denom <= DEGENERACY_TOL):
         raise DegeneratePreparationError("degenerate preparation")
-    raw = (n_a + n_b + 2.0 * (rot.real * x_re - rot.imag * x_im)) / denom
+    raw = (n_a1 + n_b1 + 2.0 * (rot.real * x_re - rot.imag * x_im)) / denom
     # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
     # clamp only the roundoff excursions, as min(1, max(0, raw)) would.
     rate = np.where(raw > 0.0, raw, 0.0)
     rate = np.where(rate < 1.0, rate, 1.0)
     return float(rate) if rate.ndim == 0 else rate
-
-
-def counting_rate_d1(eps, n_a1: float, n_b1: float, x1, prep: Preparation):
-    """Fraction of prepared photons that fire D1.
-
-    n_a1 and n_b1 are the squared norms of the two D1-arm packets and x1
-    their overlap; eps normalizes the preparation.  eps and x1 may be
-    complex arrays, which give an array of rates.  Raises ValueError on a
-    non-finite input and DegeneratePreparationError on a zero-norm
-    preparation.
-    """
-    return _rate(n_a1, n_b1, x1, eps, prep.phi)
-
-
-def counting_rate_d2(eps, n_a2: float, n_b2: float, x2, prep: Preparation):
-    """D2 mirror of counting_rate_d1; the two rates sum to 1 when the
-    plate is lossless."""
-    return _rate(n_a2, n_b2, x2, eps, prep.phi)
 
 
 def spatial_period(delta_omega: float, c: float = 1.0) -> float:
@@ -250,7 +231,7 @@ def sweep_d2(
     n_a1 = norm2(sa.arm1)
     n_b1 = norm2(sb.arm1)
 
-    eps = exact_epsilon(alpha, beta)
+    eps = inner_product(alpha, beta)
     rate_exact = counting_rate_d1(eps, n_a1, n_b1, model.a1, prep)
 
     t1 = geom_base.l1 / geom_base.c

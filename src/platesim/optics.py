@@ -13,23 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .packets import Packet, inner_product, norm2, propagate, scale
+from .packets import Packet, inner_product, propagate, scale
 
 __all__ = [
     "UNITARITY_TOL",
     "BeamSplitter",
-    "Detector",
     "ExperimentGeometry",
     "NonUnitaryPlateError",
     "TwoArmState",
-    "arrival_time",
     "balanced_splitter",
     "overlap_at_time",
     "overlap_post",
-    "overlap_pre",
-    "propagate_state",
     "split",
 ]
 
@@ -40,17 +35,20 @@ class NonUnitaryPlateError(ValueError):
     """|r|^2 + |t|^2 strays too far from 1."""
 
 
-class Detector(Enum):
-    D1 = "D1"
-    D2 = "D2"
-
-
 @dataclass(frozen=True)
 class BeamSplitter:
     """Plate amplitudes: r reflected toward D1, t transmitted toward D2."""
 
     r: complex
     t: complex
+
+    def __post_init__(self) -> None:
+        defect = self.unitarity_defect()
+        # Written so that a NaN defect is refused too.
+        if not defect <= UNITARITY_TOL:
+            raise NonUnitaryPlateError(
+                f"non-unitary plate: |r|^2 + |t|^2 off by {defect:.3g}"
+            )
 
     def unitarity_defect(self) -> float:
         return abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0)
@@ -69,20 +67,10 @@ class TwoArmState:
     arm1: Packet
     arm2: Packet
 
-    def total_norm2(self) -> float:
-        return norm2(self.arm1) + norm2(self.arm2)
-
 
 def split(p: Packet, bs: BeamSplitter) -> TwoArmState:
     """Split a normalized packet on the plate into its two arm packets."""
-    if bs.unitarity_defect() > UNITARITY_TOL:
-        raise NonUnitaryPlateError("non-unitary plate")
     return TwoArmState(arm1=scale(p, bs.r), arm2=scale(p, bs.t))
-
-
-def overlap_pre(alpha: Packet, beta: Packet) -> complex:
-    """Overlap of two packets before they reach the plate."""
-    return inner_product(alpha, beta)
 
 
 def overlap_post(sa: TwoArmState, sb: TwoArmState) -> complex:
@@ -90,18 +78,15 @@ def overlap_post(sa: TwoArmState, sb: TwoArmState) -> complex:
     return inner_product(sa.arm1, sb.arm1) + inner_product(sa.arm2, sb.arm2)
 
 
-def propagate_state(s: TwoArmState, t: float, c: float = 1.0) -> TwoArmState:
-    """Advance both arms by t; each arm flies freely along its own axis."""
-    return TwoArmState(propagate(s.arm1, t, c), propagate(s.arm2, t, c))
-
-
 def overlap_at_time(sa: TwoArmState, sb: TwoArmState, t: float, c: float = 1.0) -> complex:
     """overlap_post after evolving all four arm packets to time t.
 
     Propagation is unitary, so for any admissible t this equals
-    overlap_post(sa, sb) up to roundoff.
+    overlap_post(sa, sb) up to roundoff.  Each arm flies freely along its
+    own axis.
     """
-    return overlap_post(propagate_state(sa, t, c), propagate_state(sb, t, c))
+    a1, a2, b1, b2 = (propagate(p, t, c) for p in (sa.arm1, sa.arm2, sb.arm1, sb.arm2))
+    return overlap_post(TwoArmState(a1, a2), TwoArmState(b1, b2))
 
 
 @dataclass(frozen=True)
@@ -118,8 +103,3 @@ class ExperimentGeometry:
         if self.c <= 0:
             raise ValueError("c must be positive")
 
-
-def arrival_time(geom: ExperimentGeometry, detector: Detector) -> float:
-    """Time of flight from the plate to the chosen detector."""
-    length = geom.l1 if detector is Detector.D1 else geom.l2
-    return length / geom.c

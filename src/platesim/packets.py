@@ -54,7 +54,6 @@ __all__ = [
     "gaussian_amplitude",
     "inner_product",
     "negative_wavenumber_fraction",
-    "norm",
     "norm2",
     "normalize",
     "propagate",
@@ -153,6 +152,10 @@ class GaussianPacket:
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        # The closed forms divide by sigma^2.  `*` gives 0 or inf where
+        # `**` would raise OverflowError, which is not a ValueError.
+        if not 0.0 < self.sigma * self.sigma < math.inf:
+            raise ValueError("sigma * sigma must be a positive finite number")
         if self.k0 <= 0:
             raise ValueError("k0 must be positive (right-moving packet)")
         if self.k0 * self.sigma < 4.0:
@@ -203,13 +206,9 @@ def norm2(p: Packet) -> float:
     raise _not_a_packet(p)
 
 
-def norm(p: Packet) -> float:
-    return math.sqrt(norm2(p))
-
-
 def normalize(p: GridPacket) -> GridPacket:
     """Rescale a grid packet to unit norm."""
-    n = norm(p)
+    n = math.sqrt(norm2(p))
     if n == 0.0 or not math.isfinite(n):
         raise DegeneratePacketError("degenerate packet")
     return GridPacket(p.grid, p.amplitudes / n)

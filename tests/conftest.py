@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from platesim import BeamSplitter, GaussianPacket, SpatialGrid
+from platesim.optics import BeamSplitter
+from platesim.packets import GaussianPacket, SpatialGrid
 
 
 def random_gaussian(rng, centers=(-5.0, 5.0)) -> GaussianPacket:

@@ -18,12 +18,8 @@ from conftest import random_close_pair, random_gaussian, random_splitter
 from platesim import (
     SpatialGrid,
     derive_plane_wave_model,
-    exact_epsilon,
-    gaussian_amplitude,
     inner_product,
     normalize,
-    overlap_post,
-    overlap_pre,
     parse_config,
     plane_wave_epsilon,
     propagate,
@@ -33,6 +29,8 @@ from platesim import (
     Preparation,
     ExperimentGeometry,
 )
+from platesim.optics import overlap_post
+from platesim.packets import gaussian_amplitude
 from platesim.cli import main
 
 WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)
@@ -110,13 +108,13 @@ def test_criterion_2_overlap_unchanged_by_the_plate(capsys):
     for i in range(100):
         a, b = random_gaussian(rng), random_gaussian(rng)
         bs = splitters[i % len(splitters)]
-        pre = overlap_pre(a, b)
+        pre = inner_product(a, b)
         post = overlap_post(split(a, bs), split(b, bs))
         dev_analytic = max(dev_analytic, abs(post - pre))
 
         ga = normalize(sample(a, WIDE_GRID))
         gb = normalize(sample(b, WIDE_GRID))
-        pre_g = overlap_pre(ga, gb)
+        pre_g = inner_product(ga, gb)
         post_g = overlap_post(split(ga, bs), split(gb, bs))
         dev_grid = max(dev_grid, abs(post_g - pre_g))
 
@@ -170,7 +168,7 @@ def test_criterion_4_counting_rate_contrast(capsys):
     start = time.perf_counter()
     cfg, result, model = _default_sweep()
 
-    eps = exact_epsilon(cfg.packet_alpha, cfg.packet_beta)
+    eps = inner_product(cfg.packet_alpha, cfg.packet_beta)
     assert abs(eps) >= 0.1  # the default scenario keeps the packets overlapping
     exact_var = result.spread("rate_exact")
     swing = result.spread("rate_plane_wave")

@@ -132,6 +132,33 @@ def test_non_finite_carrier_frequency_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", ["l1", "l2_max"])
+def test_non_finite_plane_wave_phase_exits_4(tmp_path, capsys, length):
+    # d_omega * l / c overflows: the sweep's phase factor has no value
+    scenario = {
+        "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
+        "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 100.0},
+        "geometry": {length: 1e308},
+    }
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"geometry.{length}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma, k0", [(1e-300, 1e301), (1e200, 12.0)])
+def test_sigma_whose_square_is_not_finite_exits_4(tmp_path, capsys, sigma, k0):
+    scenario = {**GAUSSIAN_SCENARIO, "packet_beta": {"x0": 0.0, "sigma": sigma, "k0": k0}}
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "packet_beta: sigma * sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_5(tmp_path, capsys):
     cfg = _write(tmp_path, GAUSSIAN_SCENARIO)
     out = tmp_path / "no_such_dir" / "sweep.csv"

@@ -113,6 +113,14 @@ def test_nonpositive_sigma_rejected():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("packet", ["packet_alpha", "packet_beta"])
+@pytest.mark.parametrize("sigma, k0", [(1e-300, 1e301), (1e200, 12.0)])
+def test_sigma_whose_square_is_not_finite_rejected(packet, sigma, k0):
+    raw = _scenario(**{packet: {"x0": 0.0, "sigma": sigma, "k0": k0}})
+    with pytest.raises(InvariantError, match=f"{packet}: sigma \\* sigma"):
+        parse_config(raw)
+
+
 def test_slow_carrier_rejected():
     raw = _scenario()
     raw["packet_alpha"]["k0"] = 2.0  # k0 * sigma < 4
@@ -156,6 +164,16 @@ def test_non_finite_carrier_frequency_rejected(overrides, name):
     match = f"geometry.c: carrier frequency c \\* {name}.k0"
     with pytest.raises(InvariantError, match=match):
         parse_config(_scenario(**overrides))
+
+
+@pytest.mark.parametrize("length", ["l1", "l2_max"])
+def test_non_finite_plane_wave_phase_rejected(length):
+    # Every flight time and carrier is finite, but d_omega * l / c is not.
+    raw = _scenario(geometry={length: 1e308})
+    raw["packet_beta"]["k0"] = 100.0
+    match = f"geometry.{length}: plane-wave phase d_omega \\* {length} / c"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(raw)
 
 
 @pytest.mark.parametrize(

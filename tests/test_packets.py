@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_close_pair, random_gaussian
-from platesim import (
+from platesim.packets import (
     DegeneratePacketError,
     GaussianPacket,
     GridPacket,
@@ -22,7 +22,6 @@ from platesim import (
     gaussian_amplitude,
     inner_product,
     negative_wavenumber_fraction,
-    norm,
     norm2,
     normalize,
     propagate,
@@ -41,7 +40,7 @@ def test_gaussian_norm_is_one():
 def test_scaled_norm2():
     g = GaussianPacket(x0=0.0, sigma=1.0, k0=8.0)
     assert norm2(scale(g, 0.5j)) == pytest.approx(0.25, abs=1e-15)
-    assert norm(scale(g, -2.0)) == pytest.approx(2.0, abs=1e-15)
+    assert math.sqrt(norm2(scale(g, -2.0))) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_scale_composes():
@@ -60,6 +59,8 @@ def test_scale_composes():
         dict(x0=0.0, sigma=1.0, k0=0.0),
         dict(x0=0.0, sigma=1.0, k0=-3.0),
         dict(x0=0.0, sigma=1.0, k0=3.9),  # k0 * sigma < 4
+        dict(x0=0.0, sigma=1e-300, k0=1e301),  # sigma * sigma underflows to 0
+        dict(x0=0.0, sigma=1e200, k0=12.0),  # sigma * sigma overflows
     ],
 )
 def test_gaussian_rejects_bad_parameters(kwargs):

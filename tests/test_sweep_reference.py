@@ -19,10 +19,10 @@ from platesim import (
     ExperimentGeometry,
     Preparation,
     inner_product,
-    norm2,
     split,
     sweep_d2,
 )
+from platesim.packets import norm2
 
 
 def _reference_rows(alpha, beta, bs, l1, c, phi, l2_values):
