@@ -29,13 +29,26 @@ def test_balanced_splitter_is_unitary():
     assert abs(bs.r) == pytest.approx(abs(bs.t), abs=1e-15)
 
 
-def test_lossy_plate_rejected():
+def _defect_message(defect: str) -> str:
+    return rf"^non-unitary plate: \|r\|\^2 \+ \|t\|\^2 off by {defect}$"
+
+
+def test_unitarity_defect_value():
+    with pytest.raises(NonUnitaryPlateError, match=_defect_message("0.15")):
+        BeamSplitter(r=0.7, t=0.6)
+
+
+def test_split_rejects_lossy_plate():
+    g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
+    with pytest.raises(NonUnitaryPlateError, match="non-unitary plate"):
+        split(g, BeamSplitter(r=0.7, t=0.6))
+
+
+def test_nan_plate_rejected():
     # A NaN plate has a NaN defect, which no comparison with the
     # tolerance may let through.
-    cases = [(0.7, 0.6, "0.15"), (math.nan, 0.0, "nan"), (1.0, 1j * math.nan, "nan")]
-    for r, t, defect in cases:
-        message = rf"^non-unitary plate: \|r\|\^2 \+ \|t\|\^2 off by {defect}$"
-        with pytest.raises(NonUnitaryPlateError, match=message):
+    for r, t in [(math.nan, 0.0), (1.0, 1j * math.nan)]:
+        with pytest.raises(NonUnitaryPlateError, match=_defect_message("nan")):
             BeamSplitter(r=r, t=t)
 
 
