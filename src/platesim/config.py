@@ -15,17 +15,26 @@ grid window).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .models import spatial_period
 from .optics import BeamSplitter, balanced_splitter
-from .packets import GaussianPacket, SpatialGrid
+from .packets import (
+    GaussianPacket,
+    Packet,
+    SpatialGrid,
+    inner_product,
+    normalize,
+    sample,
+    spectral_centroid,
+)
 
 __all__ = [
     "ConfigError",
@@ -38,12 +47,6 @@ __all__ = [
 
 REPRESENTATIONS = ("gaussian", "grid")
 
-DEFAULT_L1 = 1.0
-DEFAULT_L2_MIN = 1.0
-DEFAULT_N_POINTS = 200
-DEFAULT_C = 1.0
-DEFAULT_ANALYTIC_TOL = 1e-12
-DEFAULT_GRID_TOL = 1e-8
 # Sweep span when the carriers coincide and no period exists to double.
 FALLBACK_L2_SPAN = 10.0
 
@@ -89,27 +92,33 @@ class ScenarioConfig:
         """Deviation budget for the time-invariance report."""
         return self.grid_tol if self.representation == "grid" else self.analytic_tol
 
+    def realize_packets(self) -> tuple[Packet, Packet, float, float]:
+        """Realize the two candidate packets in the configured representation.
+
+        Returns (alpha, beta, k_alpha, k_beta); sampled packets are
+        renormalized on the grid and report their carrier via the spectral
+        centroid.  Loading never calls this, so it pays no grid sampling.
+        """
+        alpha, beta = self.packet_alpha, self.packet_beta
+        if self.representation == "grid":
+            assert self.grid is not None  # parse_config enforces this
+            alpha = normalize(sample(alpha, self.grid))
+            beta = normalize(sample(beta, self.grid))
+            return alpha, beta, spectral_centroid(alpha), spectral_centroid(beta)
+        return alpha, beta, alpha.k0, beta.k0
+
 
 def _join(prefix: str, key: str) -> str:
     return f"{prefix}.{key}" if prefix else key
 
 
-def _as_mapping(value: Any, key_path: str) -> Mapping[str, Any]:
-    if not isinstance(value, dict):
-        raise SchemaError(key_path, "expected an object")
-    return value
-
-
-def _check_keys(m: Mapping[str, Any], key_path: str, allowed: tuple[str, ...]) -> None:
-    for key in m:
-        if key not in allowed:
-            raise SchemaError(_join(key_path, key), "unknown key")
-
-
 def _as_float(value: Any, key_path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(key_path, "expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the double range
+        out = math.inf
     if not math.isfinite(out):
         raise SchemaError(key_path, "expected a finite number")
     return out
@@ -118,66 +127,110 @@ def _as_float(value: Any, key_path: str) -> float:
 def _as_int(value: Any, key_path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(key_path, "expected an integer")
+    _as_float(value, key_path)  # refuses an integer beyond the double range
     return value
 
 
-def _get_float(m: Mapping[str, Any], key_path: str, key: str, default: float) -> float:
-    if key not in m:
-        return default
-    return _as_float(m[key], _join(key_path, key))
+def _positive(read: Callable) -> Callable:
+    """``read``, then refuse a value that is not positive."""
+
+    def read_positive(value: Any, key_path: str) -> Any:
+        out = read(value, key_path)
+        if out <= 0:
+            raise InvariantError(key_path, "must be positive")
+        return out
+
+    return read_positive
 
 
-def _require(m: Mapping[str, Any], key_path: str, key: str) -> Any:
-    if key not in m:
-        raise SchemaError(_join(key_path, key), "missing required key")
-    return m[key]
-
-
-def _positive(value: float, key_path: str) -> float:
-    if value <= 0.0:
-        raise InvariantError(key_path, "must be positive")
+def _as_representation(value: Any, key_path: str) -> str:
+    if value not in REPRESENTATIONS:
+        raise SchemaError(key_path, f"expected one of {REPRESENTATIONS}, got {value!r}")
     return value
 
 
-def _parse_packet(value: Any, key_path: str) -> GaussianPacket:
-    m = _as_mapping(value, key_path)
-    _check_keys(m, key_path, ("x0", "sigma", "k0", "phase"))
-    x0 = _as_float(_require(m, key_path, "x0"), _join(key_path, "x0"))
-    sigma = _as_float(_require(m, key_path, "sigma"), _join(key_path, "sigma"))
-    k0 = _as_float(_require(m, key_path, "k0"), _join(key_path, "k0"))
-    phase = _get_float(m, key_path, "phase", 0.0)
-    try:
-        return GaussianPacket(x0=x0, sigma=sigma, k0=k0, phase=phase)
-    except ValueError as exc:
-        raise InvariantError(key_path, str(exc)) from exc
+_REQUIRED = object()  # the default of a key that must be present
 
 
-def _parse_splitter(value: Any, key_path: str) -> BeamSplitter:
-    m = _as_mapping(value, key_path)
-    _check_keys(m, key_path, ("r_re", "r_im", "t_re", "t_im"))
-    parts = {
-        key: _as_float(_require(m, key_path, key), _join(key_path, key))
-        for key in ("r_re", "r_im", "t_re", "t_im")
+def _section(fields: Mapping[str, tuple], build: Callable = dict) -> Callable:
+    """Reader of an object through a field table ``{key: (reader, default)}``.
+
+    Unknown keys are refused.  A missing key is refused if its default is
+    _REQUIRED, is None if its default is None, and otherwise takes its
+    default, read like a given value.  The values go to ``build`` as
+    keywords; a ValueError from ``build`` becomes InvariantError at the
+    object's key path.
+    """
+
+    def read(value: Any, key_path: str) -> Any:
+        if not isinstance(value, dict):
+            raise SchemaError(key_path, "expected an object")
+        for key in value:
+            if key not in fields:
+                raise SchemaError(_join(key_path, key), "unknown key")
+        kwargs = {}
+        for key, (reader, default) in fields.items():
+            path = _join(key_path, key)
+            if key in value:
+                kwargs[key] = reader(value[key], path)
+            elif default is _REQUIRED:
+                raise SchemaError(path, "missing required key")
+            else:
+                kwargs[key] = None if default is None else reader(default, path)
+        try:
+            return build(**kwargs)
+        except ValueError as exc:
+            raise InvariantError(key_path, str(exc)) from exc
+
+    return read
+
+
+_POSITIVE_FLOAT = _positive(_as_float)
+_PACKET = _section(
+    {
+        "x0": (_as_float, _REQUIRED),
+        "sigma": (_as_float, _REQUIRED),
+        "k0": (_as_float, _REQUIRED),
+        "phase": (_as_float, 0.0),
+    },
+    GaussianPacket,
+)
+_SPLITTER = _section(
+    {key: (_as_float, _REQUIRED) for key in ("r_re", "r_im", "t_re", "t_im")},
+    lambda r_re, r_im, t_re, t_im: BeamSplitter(complex(r_re, r_im), complex(t_re, t_im)),
+)
+_GEOMETRY = _section(
+    {
+        "l1": (_POSITIVE_FLOAT, 1.0),
+        "l2_min": (_POSITIVE_FLOAT, 1.0),
+        "l2_max": (_POSITIVE_FLOAT, None),  # None: derived in parse_config
+        "n_points": (_positive(_as_int), 200),
+        "c": (_POSITIVE_FLOAT, 1.0),
     }
-    try:
-        return BeamSplitter(
-            r=complex(parts["r_re"], parts["r_im"]),
-            t=complex(parts["t_re"], parts["t_im"]),
-        )
-    except ValueError as exc:
-        raise InvariantError(key_path, str(exc)) from exc
-
-
-def _parse_grid(value: Any, key_path: str) -> SpatialGrid:
-    m = _as_mapping(value, key_path)
-    _check_keys(m, key_path, ("x_min", "dx", "n"))
-    x_min = _as_float(_require(m, key_path, "x_min"), _join(key_path, "x_min"))
-    dx = _as_float(_require(m, key_path, "dx"), _join(key_path, "dx"))
-    n = _as_int(_require(m, key_path, "n"), _join(key_path, "n"))
-    try:
-        return SpatialGrid(x_min=x_min, dx=dx, n=n)
-    except ValueError as exc:
-        raise InvariantError(key_path, str(exc)) from exc
+)
+_GRID = _section(
+    {
+        "x_min": (_as_float, _REQUIRED),
+        "dx": (_as_float, _REQUIRED),
+        "n": (_as_int, _REQUIRED),
+    },
+    SpatialGrid,
+)
+_TOLERANCES = _section(
+    {"analytic_tol": (_POSITIVE_FLOAT, 1e-12), "grid_tol": (_POSITIVE_FLOAT, 1e-8)}
+)
+_SCENARIO = _section(
+    {
+        "representation": (_as_representation, "gaussian"),
+        "packet_alpha": (_PACKET, _REQUIRED),
+        "packet_beta": (_PACKET, _REQUIRED),
+        "splitter": (_SPLITTER, None),
+        "geometry": (_GEOMETRY, {}),
+        "preparation_phi": (_as_float, 0.0),
+        "grid": (_GRID, None),
+        "tolerances": (_TOLERANCES, {}),
+    }
+)
 
 
 def _check_grid_fit(grid: SpatialGrid, packet: GaussianPacket, key_path: str) -> None:
@@ -201,115 +254,71 @@ def _check_grid_fit(grid: SpatialGrid, packet: GaussianPacket, key_path: str) ->
         )
 
 
-_TOP_KEYS = (
-    "representation",
-    "packet_alpha",
-    "packet_beta",
-    "splitter",
-    "geometry",
-    "preparation_phi",
-    "grid",
-    "tolerances",
-)
-
-_GEOMETRY_KEYS = ("l1", "l2_min", "l2_max", "n_points", "c")
-
-
 def parse_config(raw: Any) -> ScenarioConfig:
     """Validate an already-parsed scenario object and apply defaults."""
-    top = _as_mapping(raw, "")
-    _check_keys(top, "", _TOP_KEYS)
-
-    representation = top.get("representation", "gaussian")
-    if representation not in REPRESENTATIONS:
-        raise SchemaError(
-            "representation", f"expected one of {REPRESENTATIONS}, got {representation!r}"
-        )
-
-    packet_alpha = _parse_packet(_require(top, "", "packet_alpha"), "packet_alpha")
-    packet_beta = _parse_packet(_require(top, "", "packet_beta"), "packet_beta")
-
-    if "splitter" in top:
-        splitter = _parse_splitter(top["splitter"], "splitter")
-    else:
-        splitter = balanced_splitter()
-
-    geometry = _as_mapping(top.get("geometry", {}), "geometry")
-    _check_keys(geometry, "geometry", _GEOMETRY_KEYS)
-    c = _positive(_get_float(geometry, "geometry", "c", DEFAULT_C), "geometry.c")
-    # Both carriers are positive, so finite c * k0 also bounds c * (k0_a - k0_b).
-    for name, packet in (("packet_alpha", packet_alpha), ("packet_beta", packet_beta)):
-        if not math.isfinite(c * packet.k0):
-            raise InvariantError(
-                "geometry.c", f"carrier frequency c * {name}.k0 is not finite"
-            )
-    l1 = _positive(_get_float(geometry, "geometry", "l1", DEFAULT_L1), "geometry.l1")
-    l2_min = _positive(
-        _get_float(geometry, "geometry", "l2_min", DEFAULT_L2_MIN), "geometry.l2_min"
-    )
-    if "l2_max" in geometry:
-        l2_max = _as_float(geometry["l2_max"], "geometry.l2_max")
-    else:
+    top = _SCENARIO(raw, "")
+    alpha, beta, geometry = top["packet_alpha"], top["packet_beta"], top["geometry"]
+    c, l1, l2_min, l2_max = (geometry[key] for key in ("c", "l1", "l2_min", "l2_max"))
+    default_l2_max = l2_max is None
+    if default_l2_max:
         # Default sweep: two full periods of the plane-wave artifact.
-        period = spatial_period(c * (packet_alpha.k0 - packet_beta.k0), c)
+        period = spatial_period(c * (alpha.k0 - beta.k0), c)
         span = FALLBACK_L2_SPAN if math.isinf(period) else 2.0 * period
-        l2_max = l2_min + span
-    _positive(l2_max, "geometry.l2_max")
-    if l2_min > l2_max:
+        l2_max = geometry["l2_max"] = l2_min + span
+    elif l2_min > l2_max:
         raise InvariantError("geometry.l2_max", "must be >= l2_min")
-    for name, length in (("l1", l1), ("l2_min", l2_min), ("l2_max", l2_max)):
-        if not math.isfinite(length / c):
-            raise InvariantError("geometry.c", f"flight time {name} / c is not finite")
-    # The sweep's plane-wave phases are d_omega * l / c for l in [l1, l2_max].
-    d_omega = c * packet_alpha.k0 - c * packet_beta.k0
-    for name, length in (("l1", l1), ("l2_max", l2_max)):
-        if not math.isfinite(d_omega * (length / c)):
-            raise InvariantError(
-                f"geometry.{name}", f"plane-wave phase d_omega * {name} / c is not finite"
-            )
-    if "n_points" in geometry:
-        n_points = _as_int(geometry["n_points"], "geometry.n_points")
-    else:
-        n_points = DEFAULT_N_POINTS
-    if n_points < 1:
-        raise InvariantError("geometry.n_points", "must be >= 1")
 
-    preparation_phi = _get_float(top, "", "preparation_phi", 0.0)
+    # The derived numbers a run needs, as (key path, message, holds), in
+    # check order.  Both carriers are positive, so finite c * k0 also
+    # bounds c * (k0_alpha - k0_beta).  The sweep's plane-wave phases are
+    # d_omega * l / c for l in [l1, l2_max].
+    ok = cmath.isfinite
+    d_omega = c * alpha.k0 - c * beta.k0
+    t1, t2_max = l1 / c, l2_max / c
+    narrower = "packet_alpha" if alpha.sigma <= beta.sigma else "packet_beta"
+    gaussian = top["representation"] == "gaussian"
+    for key_path, message, holds in (
+        ("geometry.c", "carrier frequency c * packet_alpha.k0 is not finite", ok(c * alpha.k0)),
+        ("geometry.c", "carrier frequency c * packet_beta.k0 is not finite", ok(c * beta.k0)),
+        ("geometry.c", "flight time l1 / c is not finite", ok(t1)),
+        ("geometry.c", "flight time l2_min / c is not finite", ok(l2_min / c)),
+        ("geometry.c", "flight time l2_max / c is not finite", ok(t2_max)),
+        ("geometry.l1", "plane-wave phase d_omega * l1 / c is not finite", ok(d_omega * t1)),
+        (
+            "geometry.l2_max",
+            "plane-wave phase d_omega * l2_max / c is not finite",
+            ok(d_omega * t2_max),
+        ),
+        (
+            narrower,
+            "closed-form overlap <packet_alpha|packet_beta> is not finite",
+            not gaussian or ok(inner_product(alpha, beta)),
+        ),
+        (
+            "geometry.l2_max",
+            "default l2_min + 2 * period rounds to l2_min; set geometry.l2_max",
+            not default_l2_max or l2_max > l2_min,
+        ),
+    ):
+        if not holds:
+            raise InvariantError(key_path, message)
 
-    tolerances = _as_mapping(top.get("tolerances", {}), "tolerances")
-    _check_keys(tolerances, "tolerances", ("analytic_tol", "grid_tol"))
-    analytic_tol = _positive(
-        _get_float(tolerances, "tolerances", "analytic_tol", DEFAULT_ANALYTIC_TOL),
-        "tolerances.analytic_tol",
-    )
-    grid_tol = _positive(
-        _get_float(tolerances, "tolerances", "grid_tol", DEFAULT_GRID_TOL),
-        "tolerances.grid_tol",
-    )
-
-    grid: SpatialGrid | None = None
-    if "grid" in top:
-        grid = _parse_grid(top["grid"], "grid")
-    if representation == "grid":
+    grid = top["grid"]
+    if not gaussian:
         if grid is None:
             raise SchemaError("grid", "required when representation is 'grid'")
-        _check_grid_fit(grid, packet_alpha, "grid")
-        _check_grid_fit(grid, packet_beta, "grid")
+        _check_grid_fit(grid, alpha, "grid")
+        _check_grid_fit(grid, beta, "grid")
 
     return ScenarioConfig(
-        representation=representation,
-        packet_alpha=packet_alpha,
-        packet_beta=packet_beta,
-        splitter=splitter,
-        l1=l1,
-        l2_min=l2_min,
-        l2_max=l2_max,
-        n_points=n_points,
-        c=c,
-        preparation_phi=preparation_phi,
+        representation=top["representation"],
+        packet_alpha=alpha,
+        packet_beta=beta,
+        splitter=top["splitter"] or balanced_splitter(),
+        preparation_phi=top["preparation_phi"],
         grid=grid,
-        analytic_tol=analytic_tol,
-        grid_tol=grid_tol,
+        **geometry,
+        **top["tolerances"],
     )
 
 
@@ -320,9 +329,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     malformed JSON or structure, InvariantError for constraint
     violations.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON, bytes that are not UTF-8, an integer longer than
+        # Python's digit limit, or nesting deeper than the recursion limit.
         raise SchemaError("", f"not valid JSON: {exc}") from exc
     return parse_config(raw)

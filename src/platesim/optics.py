@@ -51,7 +51,11 @@ class BeamSplitter:
             )
 
     def unitarity_defect(self) -> float:
-        return abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0)
+        # Products, not abs(z) ** 2, which raises OverflowError for a huge
+        # amplitude: the defect is then inf and __post_init__ refuses it.
+        r, t = self.r, self.t
+        squares = r.real * r.real + r.imag * r.imag + t.real * t.real + t.imag * t.imag
+        return abs(squares - 1.0)
 
 
 def balanced_splitter() -> BeamSplitter:

@@ -233,6 +233,8 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
     A = 1.0 / (2.0 * a.sigma**2)
     B = 1.0 / (2.0 * b.sigma**2)
     p = A + B
+    if p == 0.0:  # both 2 sigma^2 overflow; the closed form has no value
+        return complex(math.nan, math.nan)
     q = (B - A) * d + 1j * (b.k0 - a.k0)
     c0 = (
         -p * d * d / 4.0
@@ -299,13 +301,13 @@ def _phases(grid: SpatialGrid, shift: float) -> np.ndarray:
     return _read_only(np.exp(-1j * grid.wavenumbers() * shift))
 
 
-def propagate(p: Packet, t: float, c: float = 1.0, wrap_tol: float = DEFAULT_WRAP_TOL) -> Packet:
+def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     """Free flight for a time t: rigid translation by c*t.
 
     Grid packets are translated spectrally (each mode k multiplied by
     exp(-i k c t)), exact for band-limited samples.  Raises
     :class:`WraparoundError` if the shifted packet would cross the window
-    edge, i.e. if more than ``wrap_tol`` of its mass sits within c*t of it.
+    edge, i.e. if more than DEFAULT_WRAP_TOL of its mass sits within c*t of it.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -316,7 +318,7 @@ def propagate(p: Packet, t: float, c: float = 1.0, wrap_tol: float = DEFAULT_WRA
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(p.coef, propagate(p.base, t, c))
     if isinstance(p, GridPacket):
-        if not fits_after(p, t, c, wrap_tol):
+        if not fits_after(p, t, c, DEFAULT_WRAP_TOL):
             raise WraparoundError(
                 f"wraparound: translation by {c * t:g} pushes the packet past the window edge"
             )

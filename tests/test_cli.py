@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from platesim import cli
 from platesim.cli import main
 
 GAUSSIAN_SCENARIO = {
@@ -159,6 +160,67 @@ def test_sigma_whose_square_is_not_finite_exits_4(tmp_path, capsys, sigma, k0):
     assert not out.exists()
 
 
+def test_number_outside_double_range_exits_3(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(GAUSSIAN_SCENARIO).replace('"x0": 0.0', '"x0": 1' + "0" * 400, 1),
+        encoding="utf-8",
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "packet_alpha.x0: expected a finite number" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_oversized_plate_amplitude_exits_4(tmp_path, capsys):
+    splitter = {"r_re": 0.0, "r_im": 0.0, "t_re": 0.0, "t_im": 1e155}
+    cfg = _write(tmp_path, {**GAUSSIAN_SCENARIO, "splitter": splitter})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "splitter: non-unitary plate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Without the loader's refusal, sweep stopped with a traceback and
+# invariance wrote NaN rows under "invariance: ok".
+@pytest.mark.parametrize(
+    "command", [["sweep"], ["invariance", "--times", "0,5"]], ids=["sweep", "invariance"]
+)
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        ({"x0": 0.0, "sigma": 1e-154, "k0": 1e155}, GAUSSIAN_SCENARIO["packet_beta"]),
+        ({"x0": -1e308, "sigma": 1.0, "k0": 12.0}, {"x0": 1e308, "sigma": 1.0, "k0": 12.8}),
+    ],
+    ids=["narrow", "far-apart"],
+)
+def test_non_finite_closed_form_overlap_exits_4(tmp_path, capsys, command, alpha, beta):
+    cfg = _write(tmp_path, {"packet_alpha": alpha, "packet_beta": beta})
+    out = tmp_path / "out.csv"
+    argv = [command[0], "--config", str(cfg), "--out", str(out), *command[1:]]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "packet_alpha: closed-form overlap" in captured.err
+    assert "invariance: ok" not in captured.out
+    assert not out.exists()
+
+
+# Without the loader's refusal, every row had l2 = 1 and the summary
+# printed "max |d rate_wss|: 0" under exit 0.
+@pytest.mark.parametrize(
+    "alpha",
+    [{"x0": 0.0, "sigma": 1e-150, "k0": 1e151}, {"x0": 0.0, "sigma": 1.0, "k0": 1e308}],
+)
+def test_vanishing_default_sweep_span_exits_4(tmp_path, capsys, alpha):
+    cfg = _write(tmp_path, {**GAUSSIAN_SCENARIO, "packet_alpha": alpha})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "set geometry.l2_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_5(tmp_path, capsys):
     cfg = _write(tmp_path, GAUSSIAN_SCENARIO)
     out = tmp_path / "no_such_dir" / "sweep.csv"
@@ -210,6 +272,27 @@ def test_invariance_tolerance_failure_exits_7(tmp_path, capsys):
     assert code == 7
     assert out.exists()  # the report is still written
     assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nan_at", [0.0, 40.0])
+def test_nan_deviation_exits_7(tmp_path, capsys, monkeypatch, nan_at):
+    # A NaN deviation at any time must fail the tolerance test, also when
+    # a finite deviation comes before it.
+    real = cli.overlap_at_time
+
+    def overlap_at_time(sa, sb, t, c):
+        return complex(math.nan, 0.0) if t == nan_at else real(sa, sb, t, c)
+
+    monkeypatch.setattr(cli, "overlap_at_time", overlap_at_time)
+    cfg = _write(tmp_path, GRID_SCENARIO)
+    out = tmp_path / "inv.csv"
+    code = main(
+        ["invariance", "--config", str(cfg), "--times", "0,40,120", "--out", str(out)]
+    )
+    assert code == 7
+    captured = capsys.readouterr()
+    assert "max |dev from t0|: nan" in captured.out
+    assert "FAIL" in captured.err
 
 
 def test_wraparound_exits_8_naming_the_time(tmp_path, capsys):

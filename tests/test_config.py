@@ -176,6 +176,76 @@ def test_non_finite_plane_wave_phase_rejected(length):
         parse_config(raw)
 
 
+# Non-finite closed forms: a packet so narrow that 4 * (1/(2 sigma^2)) is
+# inf, centers so far apart that their separation is inf, and two packets
+# so wide that both 1/(2 sigma^2) are 0.
+NARROW = {"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, narrower",
+    [
+        (NARROW, MINIMAL["packet_beta"], "packet_alpha"),
+        (MINIMAL["packet_alpha"], NARROW, "packet_beta"),
+        (
+            {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
+            {"x0": 1e308, "sigma": 1.0, "k0": 12.8},
+            "packet_alpha",
+        ),
+        (
+            {"x0": 0.0, "sigma": 1e154, "k0": 1.0},
+            {"x0": 0.0, "sigma": 1e154, "k0": 1.1},
+            "packet_alpha",
+        ),
+    ],
+    ids=["narrow-alpha", "narrow-beta", "far-apart", "both-wide"],
+)
+def test_non_finite_closed_form_overlap_rejected(alpha, beta, narrower):
+    match = f"^{narrower}: closed-form overlap <packet_alpha\\|packet_beta> is not finite$"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(_scenario(packet_alpha=alpha, packet_beta=beta))
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [{"x0": 0.0, "sigma": 1e-150, "k0": 1e151}, {"x0": 0.0, "sigma": 1.0, "k0": 1e308}],
+)
+def test_vanishing_default_sweep_span_rejected(alpha):
+    # Two periods of the plane-wave artifact are below the spacing of
+    # doubles at l2_min, so every default sweep row would have l2 = l2_min.
+    with pytest.raises(InvariantError, match="^geometry.l2_max: .*set geometry.l2_max$"):
+        parse_config(_scenario(packet_alpha=alpha))
+    # An explicit single-point range stays valid.
+    geometry = {"l2_min": 1.0, "l2_max": 1.0}
+    cfg = parse_config(_scenario(packet_alpha=alpha, geometry=geometry))
+    assert cfg.l2_max == cfg.l2_min
+
+
+@pytest.mark.parametrize("section, key", [("packet_alpha", "x0"), ("grid", "n")])
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+def test_integer_beyond_double_range_rejected(section, key, value):
+    raw = _scenario(
+        representation="grid", grid={"x_min": -40.0, "dx": 0.0625, "n": 4096}
+    )
+    raw[section][key] = value
+    match = f"^{section}.{key}: expected a finite number$"
+    with pytest.raises(SchemaError, match=match):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "splitter",
+    [
+        {"r_re": 0.0, "r_im": 0.0, "t_re": 0.0, "t_im": 1e155},
+        {"r_re": 1e308, "r_im": 1e308, "t_re": 0.0, "t_im": 0.0},
+    ],
+)
+def test_oversized_plate_amplitude_rejected(splitter):
+    match = "^splitter: non-unitary plate: .* off by inf$"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(_scenario(splitter=splitter))
+
+
 @pytest.mark.parametrize(
     "geometry",
     [
@@ -271,6 +341,22 @@ def test_load_config_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SchemaError, match="JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"packet_alpha": {"x0": 1' + b"0" * 5000 + b"}}",  # past int's digit limit
+        b"[" * 100_000,  # nested past the recursion limit
+        b'{"representation": "\xff"}',  # not UTF-8
+    ],
+    ids=["long-integer", "deep-nesting", "not-utf8"],
+)
+def test_load_config_unreadable_json(tmp_path, data):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match="^not valid JSON: "):
         load_config(path)
 
 

@@ -52,6 +52,14 @@ def test_nan_plate_rejected():
             BeamSplitter(r=r, t=t)
 
 
+def test_oversized_amplitude_plate_rejected():
+    # |t|^2 or |r|^2 past the double range: the defect is inf, not an
+    # OverflowError from squaring.
+    for r, t in [(0.0, 1e155j), (complex(1e308, 1e308), 0.0)]:
+        with pytest.raises(NonUnitaryPlateError, match=_defect_message("inf")):
+            BeamSplitter(r=r, t=t)
+
+
 def test_split_preserves_total_norm():
     rng = np.random.default_rng(21)
     for _ in range(10):
