@@ -7,7 +7,7 @@ overlap at user-chosen times and reports the deviation from its value at
 the moment of the split.  All numbers are written with 17 significant
 digits so the CSV round-trips doubles exactly; summaries use 6.
 
-Exit codes: 0 success; 2 missing config file; 3 schema error; 4
+Exit codes: 0 success; 2 missing or unreadable config file; 3 schema error; 4
 invariant violation; 5 unwritable output; 6 degenerate preparation; 7
 invariance deviation above tolerance; 8 grid wraparound.
 """
@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from . import __version__
 from .config import InvariantError, ScenarioConfig, SchemaError, load_config
@@ -100,17 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(out: Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write the header, then one LF-terminated row per index of the
-    equal-length real columns.  Values carry 17 significant digits, so
-    every double round-trips exactly, and are locale independent."""
-    columns = [np.asarray(col, dtype=float) for col in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+def _write_csv(out: Path, header: Sequence[str], rows: Iterable[tuple[float, ...]]) -> None:
+    """Write the header, then one LF-terminated line per row of floats.
+    Values carry 17 significant digits, so every double round-trips
+    exactly, and are locale independent."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = iter(rows)
     with out.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-            block = [col[start : start + WRITE_BLOCK_ROWS].tolist() for col in columns]
-            fh.write("".join(row % values for values in zip(*block)))
+        while block := list(islice(rows, WRITE_BLOCK_ROWS)):
+            fh.write("".join(line % row for row in block))
 
 
 def run_sweep(cfg: ScenarioConfig, out: Path) -> int:
@@ -121,20 +119,15 @@ def run_sweep(cfg: ScenarioConfig, out: Path) -> int:
     result = sweep_d2(
         alpha, beta, cfg.splitter, geom, cfg.l2_values(), prep, k_alpha, k_beta
     )
-    _write_csv(
-        out,
-        SWEEP_HEADER,
-        [
-            result.l2,
-            result.t2,
-            result.eps_exact.real,
-            result.eps_exact.imag,
-            result.eps_plane_wave.real,
-            result.eps_plane_wave.imag,
-            result.rate_exact,
-            result.rate_plane_wave,
-        ],
+    columns = zip(
+        result.l2, result.t2, result.eps_exact, result.eps_plane_wave,
+        result.rate_exact, result.rate_plane_wave,
     )
+    rows = (
+        (l2, t2, eps.real, eps.imag, eps_pw.real, eps_pw.imag, rate, rate_pw)
+        for l2, t2, eps, eps_pw, rate, rate_pw in columns
+    )
+    _write_csv(out, SWEEP_HEADER, rows)
     _print_sweep_summary(cfg, result, k_alpha, k_beta)
     return 0
 
@@ -171,12 +164,12 @@ def run_invariance_report(
     _write_csv(
         out,
         INVARIANCE_HEADER,
-        [times, [e.real for e in eps], [e.imag for e in eps], devs],
+        ((t, e.real, e.imag, dev) for t, e, dev in zip(times, eps, devs)),
     )
 
-    # np.max, unlike max, returns NaN if any deviation is NaN; the test
-    # is written so that a NaN fails it.
-    max_dev = np.max(devs)
+    # The largest deviation, or NaN if any is NaN (max alone drops a NaN
+    # that follows a finite value); the test is written so that NaN fails.
+    max_dev = max(devs, key=lambda dev: (math.isnan(dev), dev))
     tol = cfg.invariance_tol()
     print(f"max |dev from t0|: {max_dev:.6g}")
     print(f"tolerance: {tol:.6g}")
@@ -194,6 +187,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory, or a file we may not read
+        print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return 2
     except SchemaError as exc:
         print(f"error: schema: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ dotted key path (``geometry.l2_max``) of the offending entry.
 Two failure flavors map to distinct exit codes downstream: SchemaError
 for structural problems (wrong type, missing or unknown key) and
 InvariantError for well-formed values that violate a physical constraint
-(non-unitary plate, inverted sweep range, packet that does not fit the
-grid window).
+(non-unitary plate, inverted sweep range, a size above its memory ceiling,
+packet that does not fit the grid window).  Only a scenario with a grid
+imports numpy, through :mod:`platesim.sampled`.
 """
 
 from __future__ import annotations
@@ -18,30 +19,20 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .models import spatial_period
 from .optics import BeamSplitter, balanced_splitter
-from .packets import (
-    GaussianPacket,
-    Packet,
-    SpatialGrid,
-    inner_product,
-    normalize,
-    sample,
-    spectral_centroid,
-)
+from .packets import GaussianPacket, Packet, inner_product
+
+if TYPE_CHECKING:
+    from .sampled import SpatialGrid
 
 __all__ = [
-    "ConfigError",
-    "InvariantError",
-    "ScenarioConfig",
-    "SchemaError",
-    "load_config",
+    "ConfigError", "InvariantError", "ScenarioConfig", "SchemaError", "load_config",
     "parse_config",
 ]
 
@@ -49,6 +40,16 @@ REPRESENTATIONS = ("gaussian", "grid")
 
 # Sweep span when the carriers coincide and no period exists to double.
 FALLBACK_L2_SPAN = 10.0
+
+# Size ceilings: each size may take half of a 1 GiB peak, so a grid sweep
+# at both stays under it.  Per-unit costs are twice what test_memory.py
+# measures, rounded up to a power of 2: about 95 bytes a sweep row (it
+# bounds run_sweep at 147 at 200k rows) and about 340 bytes a grid sample
+# (it bounds runs on the committed grid at GRID_SAMPLE_BYTES / 2).
+SWEEP_ROW_BYTES = 256
+GRID_SAMPLE_BYTES = 1024
+MAX_N_POINTS = 2**29 // SWEEP_ROW_BYTES  # 2,097,152 rows
+MAX_GRID_N = 2**29 // GRID_SAMPLE_BYTES  # 524,288 samples
 
 
 class ConfigError(ValueError):
@@ -85,8 +86,17 @@ class ScenarioConfig:
     analytic_tol: float
     grid_tol: float
 
-    def l2_values(self) -> np.ndarray:
-        return np.linspace(self.l2_min, self.l2_max, self.n_points)
+    def l2_values(self) -> array:
+        """``numpy.linspace(l2_min, l2_max, n_points)``, bit for bit."""
+        start, stop, n = self.l2_min, self.l2_max, self.n_points
+        div, delta = n - 1, stop - start
+        if div <= 0:  # no step: n is 0 or 1
+            return array("d", [0.0 * delta + start]) * n
+        step = delta / div
+        # Where the step underflows to 0, numpy divides before multiplying.
+        values = array("d", ((i * step if step else i / div * delta) + start for i in range(n)))
+        values[-1] = stop
+        return values
 
     def invariance_tol(self) -> float:
         """Deviation budget for the time-invariance report."""
@@ -102,6 +112,8 @@ class ScenarioConfig:
         alpha, beta = self.packet_alpha, self.packet_beta
         if self.representation == "grid":
             assert self.grid is not None  # parse_config enforces this
+            from .sampled import normalize, sample, spectral_centroid
+
             alpha = normalize(sample(alpha, self.grid))
             beta = normalize(sample(beta, self.grid))
             return alpha, beta, spectral_centroid(alpha), spectral_centroid(beta)
@@ -131,13 +143,15 @@ def _as_int(value: Any, key_path: str) -> int:
     return value
 
 
-def _positive(read: Callable) -> Callable:
-    """``read``, then refuse a value that is not positive."""
+def _positive(read: Callable, ceiling: float = math.inf) -> Callable:
+    """``read``, then refuse a value that is not positive or above ``ceiling``."""
 
     def read_positive(value: Any, key_path: str) -> Any:
         out = read(value, key_path)
         if out <= 0:
             raise InvariantError(key_path, "must be positive")
+        if out > ceiling:
+            raise InvariantError(key_path, f"must be at most {ceiling} (1 GiB memory budget)")
         return out
 
     return read_positive
@@ -147,6 +161,12 @@ def _as_representation(value: Any, key_path: str) -> str:
     if value not in REPRESENTATIONS:
         raise SchemaError(key_path, f"expected one of {REPRESENTATIONS}, got {value!r}")
     return value
+
+
+def _spatial_grid(**fields: Any) -> SpatialGrid:
+    from .sampled import SpatialGrid  # numpy, for scenarios with a grid only
+
+    return SpatialGrid(**fields)
 
 
 _REQUIRED = object()  # the default of a key that must be present
@@ -204,7 +224,7 @@ _GEOMETRY = _section(
         "l1": (_POSITIVE_FLOAT, 1.0),
         "l2_min": (_POSITIVE_FLOAT, 1.0),
         "l2_max": (_POSITIVE_FLOAT, None),  # None: derived in parse_config
-        "n_points": (_positive(_as_int), 200),
+        "n_points": (_positive(_as_int, MAX_N_POINTS), 200),
         "c": (_POSITIVE_FLOAT, 1.0),
     }
 )
@@ -212,9 +232,9 @@ _GRID = _section(
     {
         "x_min": (_as_float, _REQUIRED),
         "dx": (_as_float, _REQUIRED),
-        "n": (_as_int, _REQUIRED),
+        "n": (_positive(_as_int, MAX_GRID_N), _REQUIRED),
     },
-    SpatialGrid,
+    _spatial_grid,
 )
 _TOLERANCES = _section(
     {"analytic_tol": (_POSITIVE_FLOAT, 1e-12), "grid_tol": (_POSITIVE_FLOAT, 1e-8)}
@@ -290,6 +310,11 @@ def parse_config(raw: Any) -> ScenarioConfig:
             ok(d_omega * t2_max),
         ),
         (
+            "packet_beta.phase",
+            "phase difference packet_beta.phase - packet_alpha.phase is not finite",
+            not gaussian or ok(beta.phase - alpha.phase),
+        ),
+        (
             narrower,
             "closed-form overlap <packet_alpha|packet_beta> is not finite",
             not gaussian or ok(inner_product(alpha, beta)),
@@ -325,9 +350,9 @@ def parse_config(raw: Any) -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario file.
 
-    Raises FileNotFoundError for a missing file, SchemaError for
-    malformed JSON or structure, InvariantError for constraint
-    violations.
+    Raises OSError for a file that cannot be read (FileNotFoundError
+    if missing), SchemaError for malformed JSON or structure,
+    InvariantError for constraint violations.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))

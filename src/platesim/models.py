@@ -21,30 +21,26 @@ norm of the prepared state's D1-arm component,
 the minimal standard-quantum-mechanics functional through which eps enters
 a measurable number.  In the plane-wave variant the same formula is fed
 the phase-tagged cross terms instead of the true ones.
+
+Only the standard library is used: every function takes scalars, and
+``sweep_d2`` calls them row by row to fill ``array('d')`` columns (real)
+and lists of ``complex``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .optics import BeamSplitter, ExperimentGeometry, TwoArmState, split
 from .packets import Packet, inner_product, norm2
 
 __all__ = [
-    "DEGENERACY_TOL",
-    "DegeneratePreparationError",
-    "PlaneWaveModel",
-    "Preparation",
-    "SweepResult",
-    "counting_rate_d1",
-    "derive_plane_wave_model",
-    "plane_wave_epsilon",
-    "spatial_period",
-    "sweep_d2",
+    "DEGENERACY_TOL", "DegeneratePreparationError", "PlaneWaveModel", "Preparation",
+    "SweepResult", "counting_rate_d1", "derive_plane_wave_model", "plane_wave_epsilon",
+    "spatial_period", "sweep_d2",
 ]
 
 DEGENERACY_TOL = 1e-9
@@ -100,63 +96,48 @@ def derive_plane_wave_model(
     )
 
 
-def _times_phase(a: complex, theta):
-    """Real and imaginary parts of a * exp(i*theta).
-
-    Written as real arithmetic in the operand order of CPython's complex
-    product: numpy's complex multiply differs from it in the last bit,
-    which the 17-digit CSV would show.
-    """
-    cos, sin = np.cos(theta), np.sin(theta)
+def _times_phase(a: complex, theta: float) -> tuple[float, float]:
+    """Real and imaginary parts of a * exp(i*theta), in the operand order
+    of CPython's complex product, which the golden CSVs were written with."""
+    cos, sin = math.cos(theta), math.sin(theta)
     return a.real * cos - a.imag * sin, a.real * sin + a.imag * cos
 
 
-def plane_wave_epsilon(m: PlaneWaveModel, t1, t2):
+def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
     """Overlap under the plane-wave shortcut, term-wise at (t1, t2).
 
     Returns a1*exp(i*d_omega*t1) + a2*exp(i*d_omega*t2).  Evaluating the
     two terms at different times is exactly the step the exact treatment
     forbids; the resulting t2 dependence is the artifact under study.
-    Times may be floats, giving a complex, or arrays, giving a complex128
-    array whose elements equal the float calls bit for bit.
     """
     d_omega = m.delta_omega
-    re1, im1 = _times_phase(complex(m.a1), d_omega * np.asarray(t1, dtype=float))
-    re2, im2 = _times_phase(complex(m.a2), d_omega * np.asarray(t2, dtype=float))
-    re, im = re1 + re2, im1 + im2
-    if np.ndim(re) == 0:
-        return complex(re, im)
-    eps = np.empty(np.shape(re), dtype=complex)
-    eps.real, eps.imag = re, im
-    return eps
+    re1, im1 = _times_phase(m.a1, d_omega * t1)
+    re2, im2 = _times_phase(m.a2, d_omega * t2)
+    return complex(re1 + re2, im1 + im2)
 
 
-def counting_rate_d1(eps, n_a1: float, n_b1: float, x1, prep: Preparation):
+def counting_rate_d1(
+    eps: complex, n_a1: float, n_b1: float, x1: complex, prep: Preparation
+) -> float:
     """Fraction of prepared photons that fire D1 (the README rate formula).
 
     n_a1 and n_b1 are the squared norms of the two D1-arm packets and x1
     their overlap; eps normalizes the preparation.  Fed the D2-arm norms
     and overlap instead, it gives the D2 rate; the two sum to 1 when the
-    plate is lossless.  eps and x1 may be complex arrays, which give an
-    array of rates.  Raises ValueError on a non-finite input and
+    plate is lossless.  Raises ValueError on a non-finite input and
     DegeneratePreparationError on a zero-norm preparation.
     """
     phi = prep.phi
-    rot = cmath.exp(1j * phi)
-    x_re, x_im = np.real(x1), np.imag(x1)
-    eps_re, eps_im = np.real(eps), np.imag(eps)
-    parts = (n_a1, n_b1, phi, x_re, x_im, eps_re, eps_im)
-    if not all(np.isfinite(v).all() for v in parts):
+    if not all(map(cmath.isfinite, (eps, n_a1, n_b1, x1, phi))):
         raise ValueError("counting rate of a non-finite input")
-    denom = 2.0 + 2.0 * (rot.real * eps_re - rot.imag * eps_im)
-    if np.any(denom <= DEGENERACY_TOL):
+    rot = cmath.exp(1j * phi)
+    denom = 2.0 + 2.0 * (rot.real * eps.real - rot.imag * eps.imag)
+    if denom <= DEGENERACY_TOL:
         raise DegeneratePreparationError("degenerate preparation")
-    raw = (n_a1 + n_b1 + 2.0 * (rot.real * x_re - rot.imag * x_im)) / denom
+    raw = (n_a1 + n_b1 + 2.0 * (rot.real * x1.real - rot.imag * x1.imag)) / denom
     # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
-    # clamp only the roundoff excursions, as min(1, max(0, raw)) would.
-    rate = np.where(raw > 0.0, raw, 0.0)
-    rate = np.where(rate < 1.0, rate, 1.0)
-    return float(rate) if rate.ndim == 0 else rate
+    # clamp only the roundoff excursions.
+    return min(1.0, max(0.0, raw))
 
 
 def spatial_period(delta_omega: float, c: float = 1.0) -> float:
@@ -170,37 +151,27 @@ def spatial_period(delta_omega: float, c: float = 1.0) -> float:
     return 2.0 * math.pi * c / abs(delta_omega)
 
 
-# Complex spread compares row blocks against the whole column; this many
-# differences per block bounds its memory.
-_SPREAD_BLOCK = 1 << 20
-
-
 @dataclass(frozen=True)
 class SweepResult:
-    """Both predictions at each D2 position, one array per column, ordered
-    as the requested l2 values."""
+    """Both predictions at each D2 position, one column per field, ordered
+    as the requested l2 values.  Real columns are ``array('d')``, complex
+    ones lists of ``complex``."""
 
-    l2: np.ndarray
-    t2: np.ndarray
-    eps_exact: np.ndarray
-    eps_plane_wave: np.ndarray
-    rate_exact: np.ndarray
-    rate_plane_wave: np.ndarray
+    l2: array
+    t2: array
+    eps_exact: list
+    eps_plane_wave: list
+    rate_exact: array
+    rate_plane_wave: array
 
     def spread(self, field: str) -> float:
         """Largest |difference| between any two rows of the column."""
         values = getattr(self, field)
-        if not np.iscomplexobj(values):
+        if isinstance(values, array):
             # Rounded subtraction is monotone, so max - min is the
             # largest pairwise difference bit for bit.
-            return abs(float(values.max() - values.min()))
-        step = max(1, _SPREAD_BLOCK // values.size)
-        return float(
-            np.max([
-                np.abs(values[i : i + step, None] - values[None, :]).max()
-                for i in range(0, values.size, step)
-            ])
-        )
+            return abs(max(values) - min(values))
+        return max(abs(a - b) for a in values for b in values)
 
 
 def sweep_d2(
@@ -217,32 +188,34 @@ def sweep_d2(
 
     D1 stays at geom_base.l1.  The exact columns are constant by
     construction; the plane-wave columns pick up the spurious t2 = l2/c
-    dependence.  All rows are computed in one pass over the array of t2.
+    dependence.
     """
-    l2 = np.array(l2_values, dtype=float)
-    if l2.ndim != 1 or l2.size == 0:
+    l2 = array("d", l2_values)
+    if not l2:
         raise ValueError("l2_values must be a nonempty sequence")
-    if np.any(l2 <= 0.0):
+    if any(value <= 0.0 for value in l2):
         raise ValueError("detector distances must be positive")
 
     sa = split(alpha, bs)
     sb = split(beta, bs)
-    model = derive_plane_wave_model(sa, sb, k_alpha, k_beta, geom_base.c)
+    c = geom_base.c
+    model = derive_plane_wave_model(sa, sb, k_alpha, k_beta, c)
     n_a1 = norm2(sa.arm1)
     n_b1 = norm2(sb.arm1)
 
     eps = inner_product(alpha, beta)
     rate_exact = counting_rate_d1(eps, n_a1, n_b1, model.a1, prep)
 
-    t1 = geom_base.l1 / geom_base.c
-    t2 = l2 / geom_base.c
+    t1 = geom_base.l1 / c
     x1_pw = model.a1 * cmath.exp(1j * model.delta_omega * t1)
-    eps_pw = plane_wave_epsilon(model, t1, t2)
+    t2 = array("d", (value / c for value in l2))
+    eps_pw = [plane_wave_epsilon(model, t1, t) for t in t2]
+    rate_pw = array("d", (counting_rate_d1(e, n_a1, n_b1, x1_pw, prep) for e in eps_pw))
     return SweepResult(
         l2=l2,
         t2=t2,
-        eps_exact=np.full(l2.size, eps),
+        eps_exact=[eps] * len(l2),
         eps_plane_wave=eps_pw,
-        rate_exact=np.full(l2.size, rate_exact),
-        rate_plane_wave=counting_rate_d1(eps_pw, n_a1, n_b1, x1_pw, prep),
+        rate_exact=array("d", [rate_exact]) * len(l2),
+        rate_plane_wave=rate_pw,
     )

@@ -1,4 +1,4 @@
-"""Wave packets on a 1D beam axis: representations, overlaps, free flight.
+"""Wave packets on a 1D beam axis: the Gaussian representation, overlaps, free flight.
 
 Conventions used throughout:
 
@@ -13,53 +13,31 @@ Conventions used throughout:
   equal-width packets a distance d apart overlap with magnitude
   exp(-d^2 / (4 sigma^2)).
 
-* Grid packets hold complex samples (units length^-1/2) on a uniform grid;
-  inner products are the Riemann sum sum(conj(a) * b) * dx, spectrally
-  accurate for packets that vanish at the window edges.
-
-* Propagation is dispersionless at speed c: a rigid translation by c*t,
-  applied to grids as a Fourier phase shift.  Every mode picks up a unit
-  modulus factor, so propagation is unitary to machine precision.
+* Propagation is dispersionless at speed c: a rigid translation by c*t.
 
 Packets are treated as one-directional (spectral weight at k > 0 only);
 ``k0 * sigma >= 4`` keeps the negative-k tail of a Gaussian below ~1e-8.
 
-What does not depend on the flight time is computed once and cached: a
-grid's positions and wavenumbers, a grid packet's spectrum, and the phase
-factors of the most recent (grid, c*t).  The cache is safe because its
-owners are frozen, their arrays are read-only, and equal grids have equal
-wavenumbers.
+This module needs only the standard library.  Grid packets live in
+:mod:`platesim.sampled` (numpy); the functions here hand them to their
+methods.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    from .sampled import GridPacket
 
 __all__ = [
-    "DEFAULT_WRAP_TOL",
-    "DegeneratePacketError",
-    "GaussianPacket",
-    "GridPacket",
-    "IncompatibleGridsError",
-    "Packet",
-    "ScaledGaussian",
-    "SpatialGrid",
-    "WraparoundError",
-    "fits_after",
-    "gaussian_amplitude",
-    "inner_product",
-    "negative_wavenumber_fraction",
-    "norm2",
-    "normalize",
-    "propagate",
-    "sample",
+    "DEFAULT_WRAP_TOL", "DegeneratePacketError", "GaussianPacket", "IncompatibleGridsError",
+    "Packet", "ScaledGaussian", "WraparoundError", "inner_product", "norm2", "propagate",
     "scale",
-    "spectral_centroid",
 ]
 
 # mass allowed to spill past the window edge before propagate refuses
@@ -76,68 +54,6 @@ class IncompatibleGridsError(ValueError):
 
 class WraparoundError(ValueError):
     """Translation would push probability mass past the window edge."""
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ..."""
-
-    x_min: float
-    dx: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.dx <= 0:
-            raise ValueError("grid spacing dx must be positive")
-        if self.n < 2:
-            raise ValueError("grid needs at least 2 samples")
-
-    @property
-    def x_end(self) -> float:
-        """Periodic wrap point, one spacing past the last sample."""
-        return self.x_min + self.n * self.dx
-
-    def positions(self) -> np.ndarray:
-        """Sample positions, ascending (read-only)."""
-        return self._positions
-
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers in FFT ordering (read-only)."""
-        return self._wavenumbers
-
-    @cached_property
-    def _positions(self) -> np.ndarray:
-        return _read_only(self.x_min + self.dx * np.arange(self.n))
-
-    @cached_property
-    def _wavenumbers(self) -> np.ndarray:
-        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
-
-
-@dataclass(frozen=True, eq=False)
-class GridPacket:
-    """Complex amplitudes sampled on a :class:`SpatialGrid`."""
-
-    grid: SpatialGrid
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} amplitudes, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", _read_only(amps))
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Forward FFT of the amplitudes (read-only)."""
-        return _read_only(np.fft.fft(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -172,57 +88,36 @@ class ScaledGaussian:
     base: GaussianPacket
 
 
-Packet = Union[GridPacket, GaussianPacket, ScaledGaussian]
+Packet = Union["GridPacket", GaussianPacket, ScaledGaussian]
 
 
-def _not_a_packet(p: object) -> TypeError:
-    return TypeError(f"not a packet: {type(p).__name__}")
+def _grid_packet(p: object) -> GridPacket:
+    """p itself if it is a grid packet, else TypeError.
 
-
-def gaussian_amplitude(g: Union[GaussianPacket, ScaledGaussian], x) -> np.ndarray:
-    """Pointwise amplitude of a (scaled) Gaussian packet."""
-    if isinstance(g, ScaledGaussian):
-        return g.coef * gaussian_amplitude(g.base, x)
-    x = np.asarray(x, dtype=float)
-    envelope = (np.pi * g.sigma**2) ** -0.25 * np.exp(
-        -((x - g.x0) ** 2) / (2.0 * g.sigma**2)
-    )
-    return envelope * np.exp(1j * (g.k0 * (x - g.x0) + g.phase))
-
-
-def sample(g: Union[GaussianPacket, ScaledGaussian], grid: SpatialGrid) -> GridPacket:
-    """Sample a (scaled) Gaussian onto a grid."""
-    return GridPacket(grid, gaussian_amplitude(g, grid.positions()))
+    Grid packets exist only once ``sampled`` is imported; this never imports it.
+    """
+    sampled = sys.modules.get(f"{__package__}.sampled")
+    if sampled is None or not isinstance(p, sampled.GridPacket):
+        raise TypeError(f"not a packet: {type(p).__name__}")
+    return p
 
 
 def norm2(p: Packet) -> float:
     """Squared norm <p|p>."""
-    if isinstance(p, GridPacket):
-        return float(np.sum(np.abs(p.amplitudes) ** 2) * p.grid.dx)
     if isinstance(p, GaussianPacket):
         return 1.0
     if isinstance(p, ScaledGaussian):
         return abs(p.coef) ** 2
-    raise _not_a_packet(p)
-
-
-def normalize(p: GridPacket) -> GridPacket:
-    """Rescale a grid packet to unit norm."""
-    n = math.sqrt(norm2(p))
-    if n == 0.0 or not math.isfinite(n):
-        raise DegeneratePacketError("degenerate packet")
-    return GridPacket(p.grid, p.amplitudes / n)
+    return _grid_packet(p).norm2()
 
 
 def scale(p: Packet, coef: complex) -> Packet:
     """Multiply a packet by a complex coefficient."""
-    if isinstance(p, GridPacket):
-        return GridPacket(p.grid, coef * p.amplitudes)
     if isinstance(p, GaussianPacket):
         return ScaledGaussian(complex(coef), p)
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(complex(coef) * p.coef, p.base)
-    raise _not_a_packet(p)
+    return _grid_packet(p).scaled(coef)
 
 
 def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
@@ -242,11 +137,15 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
         + 1j * (b.phase - a.phase)
     )
     pref = (
-        (np.pi * a.sigma**2) ** -0.25
-        * (np.pi * b.sigma**2) ** -0.25
-        * math.sqrt(np.pi / p)
+        (math.pi * a.sigma**2) ** -0.25
+        * (math.pi * b.sigma**2) ** -0.25
+        * math.sqrt(math.pi / p)
     )
-    return complex(pref * np.exp(q * q / (4.0 * p) + c0))
+    try:
+        return pref * cmath.exp(q * q / (4.0 * p) + c0)
+    except (OverflowError, ValueError):
+        # An exponent too large or not finite: no value, like an overflow.
+        return complex(math.nan, math.nan)
 
 
 def _as_gaussian(p: Packet):
@@ -262,43 +161,15 @@ def inner_product(a: Packet, b: Packet) -> complex:
 
     Grid packets must share a grid; Gaussians use the closed form.
     """
-    if isinstance(a, GridPacket) and isinstance(b, GridPacket):
-        if a.grid != b.grid:
-            raise IncompatibleGridsError("incompatible grids")
-        return complex(np.vdot(a.amplitudes, b.amplitudes) * a.grid.dx)
     ga = _as_gaussian(a)
     gb = _as_gaussian(b)
+    if ga is None and gb is None:
+        return _grid_packet(a).inner(_grid_packet(b))
     if ga is None or gb is None:
-        if ga is None and not isinstance(a, GridPacket):
-            raise _not_a_packet(a)
-        if gb is None and not isinstance(b, GridPacket):
-            raise _not_a_packet(b)
+        _grid_packet(a if ga is None else b)
         raise TypeError("cannot mix grid and analytic packets in an inner product")
     (ca, base_a), (cb, base_b) = ga, gb
-    return complex(np.conj(ca) * cb * _gaussian_overlap(base_a, base_b))
-
-
-def fits_after(p: GridPacket, t: float, c: float, tail_tol: float) -> bool:
-    """True if the mass within c*t of the window's right edge is below tail_tol.
-
-    That is exactly the mass a translation by c*t would wrap around.
-    """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError("tail_tol must lie in (0, 1)")
-    cut = p.grid.x_end - c * t
-    # positions ascend, so the samples at or past the cut are a suffix
-    start = np.searchsorted(p.grid.positions(), cut, "left")
-    mass = float(np.sum(np.abs(p.amplitudes[start:]) ** 2) * p.grid.dx)
-    return mass < tail_tol
-
-
-@lru_cache(maxsize=1)
-def _phases(grid: SpatialGrid, shift: float) -> np.ndarray:
-    """exp(-i k shift) per mode; the arms flown to one time share it.
-
-    Shifts of 0.0 and -0.0 share a key; both give exactly 1 + 0j.
-    """
-    return _read_only(np.exp(-1j * grid.wavenumbers() * shift))
+    return ca.conjugate() * cb * _gaussian_overlap(base_a, base_b)
 
 
 def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
@@ -317,29 +188,4 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
         return replace(p, x0=p.x0 + c * t)
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(p.coef, propagate(p.base, t, c))
-    if isinstance(p, GridPacket):
-        if not fits_after(p, t, c, DEFAULT_WRAP_TOL):
-            raise WraparoundError(
-                f"wraparound: translation by {c * t:g} pushes the packet past the window edge"
-            )
-        return GridPacket(p.grid, np.fft.ifft(p.spectrum * _phases(p.grid, c * t)))
-    raise _not_a_packet(p)
-
-
-def _spectral_power(p: GridPacket) -> np.ndarray:
-    power = np.abs(p.spectrum) ** 2
-    if power.sum() == 0.0:
-        raise DegeneratePacketError("degenerate packet")
-    return power
-
-
-def spectral_centroid(p: GridPacket) -> float:
-    """Mean angular wavenumber of the packet's power spectrum (its carrier)."""
-    power = _spectral_power(p)
-    return float((p.grid.wavenumbers() * power).sum() / power.sum())
-
-
-def negative_wavenumber_fraction(p: GridPacket) -> float:
-    """Spectral weight at k < 0; negligible for a right-moving packet."""
-    power = _spectral_power(p)
-    return float(power[p.grid.wavenumbers() < 0.0].sum() / power.sum())
+    return _grid_packet(p).flown(t, c)

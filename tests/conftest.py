@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from platesim.optics import BeamSplitter
-from platesim.packets import GaussianPacket, SpatialGrid
+from platesim.packets import GaussianPacket
+from platesim.sampled import SpatialGrid
 
 
 def random_gaussian(rng, centers=(-5.0, 5.0)) -> GaussianPacket:

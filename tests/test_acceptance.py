@@ -30,7 +30,7 @@ from platesim import (
     ExperimentGeometry,
 )
 from platesim.optics import overlap_post
-from platesim.packets import gaussian_amplitude
+from platesim.sampled import gaussian_amplitude
 from platesim.cli import main
 
 WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)

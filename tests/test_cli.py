@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 
 import pytest
 
 from platesim import cli
 from platesim.cli import main
+from platesim.config import MAX_GRID_N, MAX_N_POINTS
 
 GAUSSIAN_SCENARIO = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -99,6 +101,23 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_config_directory_exits_2(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads any file"
+)
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, GAUSSIAN_SCENARIO)
+    cfg.chmod(0)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+
+
 def test_schema_error_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, {**GAUSSIAN_SCENARIO, "bogus": 1})
     assert main(["sweep", "--config", str(cfg), "--out", "x"]) == 3
@@ -180,6 +199,33 @@ def test_oversized_plate_amplitude_exits_4(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
     assert "splitter: non-unitary plate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_phase_difference_beyond_double_range_exits_4(tmp_path, capsys):
+    alpha = dict(GAUSSIAN_SCENARIO["packet_alpha"], phase=1e308)
+    beta = dict(GAUSSIAN_SCENARIO["packet_beta"], phase=-1e308)
+    cfg = _write(tmp_path, {"packet_alpha": alpha, "packet_beta": beta})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: invariant: packet_beta.phase: phase difference "
+        "packet_beta.phase - packet_alpha.phase is not finite\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, ceiling", [("geometry", "n_points", MAX_N_POINTS), ("grid", "n", MAX_GRID_N)]
+)
+def test_size_above_ceiling_exits_4(tmp_path, capsys, section, key, ceiling):
+    scenario = json.loads(json.dumps(GRID_SCENARIO))
+    scenario.setdefault(section, {})[key] = ceiling + 1
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+    assert f"error: invariant: {section}.{key}: must be at most {ceiling}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from platesim import (
     load_config,
     parse_config,
 )
+from platesim.config import MAX_GRID_N, MAX_N_POINTS
 
 MINIMAL = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -204,6 +205,35 @@ def test_non_finite_closed_form_overlap_rejected(alpha, beta, narrower):
     match = f"^{narrower}: closed-form overlap <packet_alpha\\|packet_beta> is not finite$"
     with pytest.raises(InvariantError, match=match):
         parse_config(_scenario(packet_alpha=alpha, packet_beta=beta))
+
+
+def test_phase_difference_beyond_double_range_rejected():
+    # Each phase is finite, their difference is not: the closed form's
+    # exponent has no value.
+    raw = _scenario()
+    raw["packet_alpha"]["phase"] = 1e308
+    raw["packet_beta"]["phase"] = -1e308
+    match = "^packet_beta.phase: phase difference .* is not finite$"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(raw)
+
+
+def _sized(section: str, key: str, value: int) -> dict:
+    grid = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
+    raw = _scenario(representation="grid", grid=grid, geometry={})
+    raw[section][key] = value
+    return raw
+
+
+SIZES = [("geometry", "n_points", MAX_N_POINTS), ("grid", "n", MAX_GRID_N)]
+
+
+@pytest.mark.parametrize("section, key, ceiling", SIZES)
+def test_size_ceiling_is_refused_just_above(section, key, ceiling):
+    assert parse_config(_sized(section, key, ceiling))  # nothing is allocated
+    for value in (ceiling + 1, 10**12, 2**40):
+        with pytest.raises(InvariantError, match=f"^{section}.{key}: must be at most {ceiling} "):
+            parse_config(_sized(section, key, value))
 
 
 @pytest.mark.parametrize(

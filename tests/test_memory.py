@@ -17,6 +17,7 @@ import numpy as np
 
 from platesim import ExperimentGeometry, Preparation, load_config, parse_config, sweep_d2
 from platesim.cli import run_invariance_report, run_sweep
+from platesim.config import GRID_SAMPLE_BYTES
 
 GRID_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "grid.json"
 
@@ -59,10 +60,10 @@ def test_sweep_and_summary_spreads_at_a_million_rows():
 
 
 def test_run_sweep_peak_at_200k_rows(tmp_path):
-    # Measured 18.5 MB (x86-64 Linux, Python 3.11.7, numpy 2.4.6): the
-    # sweep's columns and temporaries, about 92 bytes a row.  The CSV
-    # writer adds a fixed 2.5 MB, one block of WRITE_BLOCK_ROWS rows,
-    # whatever the row count.  The bound leaves 50% headroom.
+    # Measured 18.2 MB (x86-64 Linux, Python 3.11.7): l2_values() and the
+    # sweep's array('d') and complex-list columns, about 89 bytes a row.
+    # The CSV writer adds at most 1.1 MB, one block of WRITE_BLOCK_ROWS
+    # rows, whatever the row count.  The bound leaves 50% headroom.
     cfg = _config(200_000)
     out = tmp_path / "sweep.csv"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -85,3 +86,20 @@ def test_run_invariance_peak_grows_only_with_the_output(tmp_path):
             return _traced_peak(lambda: run_invariance_report(cfg, times, out))
 
     assert peak(2000) - peak(200) < 2 * MB
+
+
+def test_grid_runs_fit_the_loader_budget_per_sample(tmp_path):
+    # config.MAX_GRID_N allows GRID_SAMPLE_BYTES a sample, twice this
+    # bound.  Measured about 340 bytes for invariance and 160 for a sweep
+    # (x86-64 Linux, Python 3.11.7, numpy 2.4.6); fixed costs are counted
+    # too, so larger grids cost less a sample.
+    runs = {
+        "invariance": lambda cfg, out: run_invariance_report(cfg, [0.0, 30.0, 60.0], out),
+        "sweep": run_sweep,
+    }
+    for name, run in runs.items():
+        cfg = load_config(GRID_SCENARIO)
+        out = tmp_path / f"{name}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            peak = _traced_peak(lambda: run(cfg, out))
+        assert peak / cfg.grid.n < GRID_SAMPLE_BYTES / 2, name

@@ -13,20 +13,22 @@ from conftest import random_close_pair, random_gaussian
 from platesim.packets import (
     DegeneratePacketError,
     GaussianPacket,
-    GridPacket,
     IncompatibleGridsError,
     ScaledGaussian,
-    SpatialGrid,
     WraparoundError,
+    inner_product,
+    norm2,
+    propagate,
+    scale,
+)
+from platesim.sampled import (
+    GridPacket,
+    SpatialGrid,
     fits_after,
     gaussian_amplitude,
-    inner_product,
     negative_wavenumber_fraction,
-    norm2,
     normalize,
-    propagate,
     sample,
-    scale,
     spectral_centroid,
 )
 

@@ -1,9 +1,9 @@
-"""The columnar sweep equals a row-by-row evaluation of the README formula, bit for bit.
+"""The sweep's columns equal a row-by-row evaluation of the README formula, bit for bit.
 
 The reference below uses only Python ``complex`` and ``cmath``, one row at a
-time.  ``sweep_d2`` computes the same numbers over arrays; the comparison
-is ``==``, not a tolerance, because the CSV prints 17 significant digits
-and any last-bit drift (numpy's complex multiply has some) would change it.
+time.  ``sweep_d2`` computes the same numbers with the real arithmetic of
+``models._times_phase``; the comparison is ``==``, not a tolerance, because
+the CSV prints 17 significant digits and any last-bit drift would change it.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ def test_sweep_columns_equal_the_row_by_row_formula(seed):
     )
     want = _reference_rows(alpha, beta, bs, l1, c, phi, l2_values)
     got = zip(
-        result.l2.tolist(),
-        result.t2.tolist(),
-        result.eps_exact.tolist(),
-        result.eps_plane_wave.tolist(),
-        result.rate_exact.tolist(),
-        result.rate_plane_wave.tolist(),
+        result.l2,
+        result.t2,
+        result.eps_exact,
+        result.eps_plane_wave,
+        result.rate_exact,
+        result.rate_plane_wave,
     )
     for row, (got_row, want_row) in enumerate(zip(got, want, strict=True)):
         assert got_row == want_row, f"row {row}"
