@@ -221,12 +221,19 @@ def test_sweep_exact_columns_constant():
     assert np.all((0.0 <= rate_plane_wave) & (rate_plane_wave <= 1.0))
 
 
-def test_spread_equals_pairwise_maximum():
-    # the n x n difference matrix is the reference
+@pytest.mark.parametrize("block", [64, 1 << 20])
+def test_spread_equals_pairwise_maximum(block):
+    # the n x n difference matrix is the reference, reduced `block`
+    # entries at a time: 64 takes one row per block (n = 50), 2**20 the
+    # whole matrix at once
     result = _demo_sweep(np.linspace(1.0, 16.7, 50), phi=0.7)
     for field in ("eps_plane_wave", "rate_plane_wave", "l2"):
         values = np.array(getattr(result, field))
-        pairwise = float(np.abs(values[:, None] - values[None, :]).max())
+        rows = max(1, block // values.size)
+        pairwise = max(
+            float(np.abs(values[i : i + rows, None] - values[None, :]).max())
+            for i in range(0, values.size, rows)
+        )
         assert result.spread(field) == pairwise
 
 
