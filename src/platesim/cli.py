@@ -19,7 +19,7 @@ import math
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .config import InvariantError, ScenarioConfig, SchemaError, load_config
@@ -28,7 +28,6 @@ from .models import (
     Preparation,
     spatial_period,
     sweep_d2,
-    SweepResult,
 )
 from .optics import ExperimentGeometry, overlap_post, overlap_at_time, split
 from .packets import WraparoundError
@@ -99,11 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(out: Path, header: Sequence[str], rows: Iterable[tuple[float, ...]]) -> None:
+def _write_csv(
+    out: Path, header: Sequence[str], fixed: Mapping[str, float], rows: Iterable[tuple]
+) -> None:
     """Write the header, then one LF-terminated line per row of floats.
     Values carry 17 significant digits, so every double round-trips
-    exactly, and are locale independent."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    exactly, and are locale independent.  The columns named in ``fixed``
+    hold one value on every line, formatted once into the line template;
+    ``rows`` carry the other columns, in header order."""
+    line = ",".join("%.17g" % fixed[name] if name in fixed else "%.17g" for name in header) + "\n"
     rows = iter(rows)
     with out.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -119,29 +122,23 @@ def run_sweep(cfg: ScenarioConfig, out: Path) -> int:
     result = sweep_d2(
         alpha, beta, cfg.splitter, geom, cfg.l2_values(), prep, k_alpha, k_beta
     )
-    columns = zip(
-        result.l2, result.t2, result.eps_exact, result.eps_plane_wave,
-        result.rate_exact, result.rate_plane_wave,
-    )
+    eps = result.eps_exact[0]
+    fixed = {"eps_exact_re": eps.real, "eps_exact_im": eps.imag, "rate_exact": result.rate_exact[0]}
     rows = (
-        (l2, t2, eps.real, eps.imag, eps_pw.real, eps_pw.imag, rate, rate_pw)
-        for l2, t2, eps, eps_pw, rate, rate_pw in columns
+        (l2, t2, eps_pw.real, eps_pw.imag, rate_pw)
+        for l2, t2, eps_pw, rate_pw in zip(
+            result.l2, result.t2, result.eps_plane_wave, result.rate_plane_wave
+        )
     )
-    _write_csv(out, SWEEP_HEADER, rows)
-    _print_sweep_summary(cfg, result, k_alpha, k_beta)
-    return 0
+    _write_csv(out, SWEEP_HEADER, fixed, rows)
 
-
-def _print_sweep_summary(
-    cfg: ScenarioConfig, result: SweepResult, k_alpha: float, k_beta: float
-) -> None:
-    eps = complex(result.eps_exact[0])
     period = spatial_period(cfg.c * (k_alpha - k_beta), cfg.c)
     print(f"eps_exact_re: {eps.real:.6g}")
     print(f"eps_exact_im: {eps.imag:.6g}")
     print(f"max |d rate_exact|: {result.spread('rate_exact'):.6g}")
     print(f"max |d rate_wss|: {result.spread('rate_plane_wave'):.6g}")
     print(f"spatial period: {period:.6g}")
+    return 0
 
 
 def run_invariance_report(
@@ -161,11 +158,8 @@ def run_invariance_report(
         except WraparoundError as exc:
             raise WraparoundError(f"t = {t:g}: {exc}") from exc
     devs = [abs(eps_t - baseline) for eps_t in eps]
-    _write_csv(
-        out,
-        INVARIANCE_HEADER,
-        ((t, e.real, e.imag, dev) for t, e, dev in zip(times, eps, devs)),
-    )
+    rows = ((t, e.real, e.imag, dev) for t, e, dev in zip(times, eps, devs))
+    _write_csv(out, INVARIANCE_HEADER, {}, rows)
 
     # The largest deviation, or NaN if any is NaN (max alone drops a NaN
     # that follows a finite value); the test is written so that NaN fails.

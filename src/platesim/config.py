@@ -20,13 +20,12 @@ import cmath
 import json
 import math
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .models import spatial_period
 from .optics import BeamSplitter, balanced_splitter
-from .packets import GaussianPacket, Packet, inner_product
+from .packets import GaussianPacket, Packet, _Record, inner_product
 
 if TYPE_CHECKING:
     from .sampled import SpatialGrid
@@ -51,6 +50,11 @@ GRID_SAMPLE_BYTES = 1024
 MAX_N_POINTS = 2**29 // SWEEP_ROW_BYTES  # 2,097,152 rows
 MAX_GRID_N = 2**29 // GRID_SAMPLE_BYTES  # 524,288 samples
 
+# A grid samples k0 * (x - x0) + phase, which keeps the carrier to 2**-32
+# rad up to this |phase| and loses it far above.  A larger phase is refused:
+# reduced modulo 2 pi it would give another overlap than the closed form.
+MAX_GRID_PHASE = 2**20
+
 
 class ConfigError(ValueError):
     """Invalid scenario file; ``key_path`` names the offending entry."""
@@ -68,23 +72,21 @@ class InvariantError(ConfigError):
     """Well-formed value that violates a physical constraint."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """A fully validated scenario, defaults applied."""
 
-    representation: str
-    packet_alpha: GaussianPacket
-    packet_beta: GaussianPacket
-    splitter: BeamSplitter
-    l1: float
-    l2_min: float
-    l2_max: float
-    n_points: int
-    c: float
-    preparation_phi: float
-    grid: SpatialGrid | None
-    analytic_tol: float
-    grid_tol: float
+    def __init__(
+        self, representation: str, packet_alpha: GaussianPacket, packet_beta: GaussianPacket,
+        splitter: BeamSplitter, l1: float, l2_min: float, l2_max: float, n_points: int,
+        c: float, preparation_phi: float, grid: SpatialGrid | None, analytic_tol: float,
+        grid_tol: float,
+    ) -> None:
+        self.__dict__.update(
+            representation=representation, packet_alpha=packet_alpha, packet_beta=packet_beta,
+            splitter=splitter, l1=l1, l2_min=l2_min, l2_max=l2_max, n_points=n_points, c=c,
+            preparation_phi=preparation_phi, grid=grid, analytic_tol=analytic_tol,
+            grid_tol=grid_tol,
+        )
 
     def l2_values(self) -> array:
         """``numpy.linspace(l2_min, l2_max, n_points)``, bit for bit."""
@@ -313,6 +315,11 @@ def parse_config(raw: Any) -> ScenarioConfig:
             "packet_beta.phase",
             "phase difference packet_beta.phase - packet_alpha.phase is not finite",
             not gaussian or ok(beta.phase - alpha.phase),
+        ),
+        *(
+            (f"{key}.phase", f"must be at most {MAX_GRID_PHASE} in magnitude on a grid",
+             gaussian or abs(packet.phase) <= MAX_GRID_PHASE)
+            for key, packet in (("packet_alpha", alpha), ("packet_beta", beta))
         ),
         (
             narrower,

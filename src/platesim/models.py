@@ -22,9 +22,13 @@ the minimal standard-quantum-mechanics functional through which eps enters
 a measurable number.  In the plane-wave variant the same formula is fed
 the phase-tagged cross terms instead of the true ones.
 
-Only the standard library is used: every function takes scalars, and
-``sweep_d2`` calls them row by row to fill ``array('d')`` columns (real)
-and lists of ``complex``.
+Only the standard library is used.  The scalar functions and
+``sweep_d2`` share one implementation of each formula.  The sweep
+computes and checks what no row changes once (the arm-1 term at t1,
+e^{i phi}, the rate numerator); each row then costs one cos/sin pair,
+one denominator, the degeneracy test and the clamp.  Real columns are
+``array('d')``, complex ones lists of ``complex``.  The value types are
+frozen records (see :mod:`platesim.packets`).
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from dataclasses import dataclass
 
 from .optics import BeamSplitter, ExperimentGeometry, TwoArmState, split
-from .packets import Packet, inner_product, norm2
+from .packets import Packet, _Record, inner_product, norm2
 
 __all__ = [
     "DEGENERACY_TOL", "DegeneratePreparationError", "PlaneWaveModel", "Preparation",
@@ -50,8 +53,7 @@ class DegeneratePreparationError(ValueError):
     """The prepared superposition has (near-)zero norm."""
 
 
-@dataclass(frozen=True)
-class PlaneWaveModel:
+class PlaneWaveModel(_Record):
     """Carrier frequencies and t = 0 term amplitudes of the shortcut.
 
     a1 and a2 are the arm-1 and arm-2 overlap terms at the moment of the
@@ -59,21 +61,19 @@ class PlaneWaveModel:
     keeping their sum fixed.
     """
 
-    omega_alpha: float
-    omega_beta: float
-    a1: complex
-    a2: complex
+    def __init__(self, omega_alpha: float, omega_beta: float, a1: complex, a2: complex) -> None:
+        self.__dict__.update(omega_alpha=omega_alpha, omega_beta=omega_beta, a1=a1, a2=a2)
 
     @property
     def delta_omega(self) -> float:
         return self.omega_alpha - self.omega_beta
 
 
-@dataclass(frozen=True)
-class Preparation:
+class Preparation(_Record):
     """Relative phase of the prepared superposition (|a> + e^{i phi} |b>)/N."""
 
-    phi: float = 0.0
+    def __init__(self, phi: float = 0.0) -> None:
+        self.__dict__.update(phi=phi)
 
 
 def derive_plane_wave_model(
@@ -96,11 +96,13 @@ def derive_plane_wave_model(
     )
 
 
-def _times_phase(a: complex, theta: float) -> tuple[float, float]:
-    """Real and imaginary parts of a * exp(i*theta), in the operand order
-    of CPython's complex product, which the golden CSVs were written with."""
-    cos, sin = math.cos(theta), math.sin(theta)
-    return a.real * cos - a.imag * sin, a.real * sin + a.imag * cos
+def _arm_term(a: complex, theta: float) -> complex:
+    """One term of the shortcut's overlap, a * exp(i*theta).
+
+    ValueError if theta is infinite.  The complex product keeps the
+    operand order the golden CSVs were written with.
+    """
+    return a * cmath.rect(1.0, theta)
 
 
 def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
@@ -111,9 +113,31 @@ def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
     forbids; the resulting t2 dependence is the artifact under study.
     """
     d_omega = m.delta_omega
-    re1, im1 = _times_phase(m.a1, d_omega * t1)
-    re2, im2 = _times_phase(m.a2, d_omega * t2)
-    return complex(re1 + re2, im1 + im2)
+    return _arm_term(m.a1, d_omega * t1) + _arm_term(m.a2, d_omega * t2)
+
+
+def _require_finite(*values: complex) -> None:
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("counting rate of a non-finite input")
+
+
+def _rate_constants(n_a1: float, n_b1: float, x1: complex, phi: float) -> tuple[float, complex]:
+    """The part of the rate that does not depend on eps: the numerator
+    n_a1 + n_b1 + 2 Re(e^{i phi} x1) and e^{i phi}, from finite inputs."""
+    _require_finite(n_a1, n_b1, x1, phi)
+    rot = cmath.exp(1j * phi)
+    return n_a1 + n_b1 + 2.0 * (rot * x1).real, rot
+
+
+def _rate(numerator: float, rot: complex, eps: complex) -> float:
+    """numerator / (2 + 2 Re(rot * eps)), clamped to [0, 1]."""
+    denom = 2.0 + 2.0 * (rot * eps).real
+    if not denom > DEGENERACY_TOL:
+        _require_finite(denom)  # NaN or -inf: eps is not finite
+        raise DegeneratePreparationError("degenerate preparation")
+    # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
+    # clamp only the roundoff excursions.
+    return min(1.0, max(0.0, numerator / denom))
 
 
 def counting_rate_d1(
@@ -127,17 +151,8 @@ def counting_rate_d1(
     plate is lossless.  Raises ValueError on a non-finite input and
     DegeneratePreparationError on a zero-norm preparation.
     """
-    phi = prep.phi
-    if not all(map(cmath.isfinite, (eps, n_a1, n_b1, x1, phi))):
-        raise ValueError("counting rate of a non-finite input")
-    rot = cmath.exp(1j * phi)
-    denom = 2.0 + 2.0 * (rot.real * eps.real - rot.imag * eps.imag)
-    if denom <= DEGENERACY_TOL:
-        raise DegeneratePreparationError("degenerate preparation")
-    raw = (n_a1 + n_b1 + 2.0 * (rot.real * x1.real - rot.imag * x1.imag)) / denom
-    # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
-    # clamp only the roundoff excursions.
-    return min(1.0, max(0.0, raw))
+    _require_finite(eps)
+    return _rate(*_rate_constants(n_a1, n_b1, x1, prep.phi), eps)
 
 
 def spatial_period(delta_omega: float, c: float = 1.0) -> float:
@@ -151,18 +166,19 @@ def spatial_period(delta_omega: float, c: float = 1.0) -> float:
     return 2.0 * math.pi * c / abs(delta_omega)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """Both predictions at each D2 position, one column per field, ordered
     as the requested l2 values.  Real columns are ``array('d')``, complex
     ones lists of ``complex``."""
 
-    l2: array
-    t2: array
-    eps_exact: list
-    eps_plane_wave: list
-    rate_exact: array
-    rate_plane_wave: array
+    def __init__(
+        self, l2: array, t2: array, eps_exact: list, eps_plane_wave: list,
+        rate_exact: array, rate_plane_wave: array,
+    ) -> None:
+        self.__dict__.update(
+            l2=l2, t2=t2, eps_exact=eps_exact, eps_plane_wave=eps_plane_wave,
+            rate_exact=rate_exact, rate_plane_wave=rate_plane_wave,
+        )
 
     def spread(self, field: str) -> float:
         """Largest |difference| between any two rows of the column."""
@@ -175,14 +191,8 @@ class SweepResult:
 
 
 def sweep_d2(
-    alpha: Packet,
-    beta: Packet,
-    bs: BeamSplitter,
-    geom_base: ExperimentGeometry,
-    l2_values,
-    prep: Preparation,
-    k_alpha: float,
-    k_beta: float,
+    alpha: Packet, beta: Packet, bs: BeamSplitter, geom_base: ExperimentGeometry, l2_values,
+    prep: Preparation, k_alpha: float, k_beta: float,
 ) -> SweepResult:
     """Tabulate both predictions while the D2 distance walks l2_values.
 
@@ -206,16 +216,16 @@ def sweep_d2(
     eps = inner_product(alpha, beta)
     rate_exact = counting_rate_d1(eps, n_a1, n_b1, model.a1, prep)
 
-    t1 = geom_base.l1 / c
-    x1_pw = model.a1 * cmath.exp(1j * model.delta_omega * t1)
-    t2 = array("d", (value / c for value in l2))
-    eps_pw = [plane_wave_epsilon(model, t1, t) for t in t2]
-    rate_pw = array("d", (counting_rate_d1(e, n_a1, n_b1, x1_pw, prep) for e in eps_pw))
-    return SweepResult(
-        l2=l2,
-        t2=t2,
-        eps_exact=[eps] * len(l2),
-        eps_plane_wave=eps_pw,
-        rate_exact=array("d", [rate_exact]) * len(l2),
-        rate_plane_wave=rate_pw,
-    )
+    # The row-invariant terms, computed and checked once: the arm-1 term
+    # at t1, which is also the plane-wave rate's x1, and that rate's
+    # numerator and e^{i phi}.  A row whose eps is not finite still
+    # raises, in _arm_term or in _rate.
+    d_omega, a2 = model.delta_omega, model.a2
+    x1_pw = _arm_term(model.a1, d_omega * (geom_base.l1 / c))
+    numerator_pw, rot = _rate_constants(n_a1, n_b1, x1_pw, prep.phi)
+    _require_finite(a2)
+    t2 = array("d", [value / c for value in l2])
+    eps_pw = [x1_pw + _arm_term(a2, d_omega * t) for t in t2]
+    rate_pw = array("d", [_rate(numerator_pw, rot, e) for e in eps_pw])
+    n = len(l2)
+    return SweepResult(l2, t2, [eps] * n, eps_pw, array("d", [rate_exact]) * n, rate_pw)

@@ -12,9 +12,8 @@ with time; the operations here expose that identity directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .packets import Packet, inner_product, propagate, scale
+from .packets import Packet, _Record, inner_product, propagate, scale
 
 __all__ = [
     "UNITARITY_TOL",
@@ -35,14 +34,11 @@ class NonUnitaryPlateError(ValueError):
     """|r|^2 + |t|^2 strays too far from 1."""
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(_Record):
     """Plate amplitudes: r reflected toward D1, t transmitted toward D2."""
 
-    r: complex
-    t: complex
-
-    def __post_init__(self) -> None:
+    def __init__(self, r: complex, t: complex) -> None:
+        self.__dict__.update(r=r, t=t)
         defect = self.unitarity_defect()
         # Written so that a NaN defect is refused too.
         if not defect <= UNITARITY_TOL:
@@ -52,7 +48,7 @@ class BeamSplitter:
 
     def unitarity_defect(self) -> float:
         # Products, not abs(z) ** 2, which raises OverflowError for a huge
-        # amplitude: the defect is then inf and __post_init__ refuses it.
+        # amplitude: the defect is then inf and __init__ refuses it.
         r, t = self.r, self.t
         squares = r.real * r.real + r.imag * r.imag + t.real * t.real + t.imag * t.imag
         return abs(squares - 1.0)
@@ -64,12 +60,11 @@ def balanced_splitter() -> BeamSplitter:
     return BeamSplitter(complex(s), 1j * s)
 
 
-@dataclass(frozen=True)
-class TwoArmState:
+class TwoArmState(_Record):
     """Packets on the plate->D1 and plate->D2 axes right after the split."""
 
-    arm1: Packet
-    arm2: Packet
+    def __init__(self, arm1: Packet, arm2: Packet) -> None:
+        self.__dict__.update(arm1=arm1, arm2=arm2)
 
 
 def split(p: Packet, bs: BeamSplitter) -> TwoArmState:
@@ -93,17 +88,13 @@ def overlap_at_time(sa: TwoArmState, sb: TwoArmState, t: float, c: float = 1.0) 
     return overlap_post(TwoArmState(a1, a2), TwoArmState(b1, b2))
 
 
-@dataclass(frozen=True)
-class ExperimentGeometry:
+class ExperimentGeometry(_Record):
     """Plate-to-detector distances and the propagation speed."""
 
-    l1: float
-    l2: float
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.l1 <= 0 or self.l2 <= 0:
+    def __init__(self, l1: float, l2: float, c: float = 1.0) -> None:
+        if l1 <= 0 or l2 <= 0:
             raise ValueError("detector distances must be positive")
-        if self.c <= 0:
+        if c <= 0:
             raise ValueError("c must be positive")
+        self.__dict__.update(l1=l1, l2=l2, c=c)
 

@@ -18,6 +18,9 @@ Conventions used throughout:
 Packets are treated as one-directional (spectral weight at k > 0 only);
 ``k0 * sigma >= 4`` keeps the negative-k tail of a Gaussian below ~1e-8.
 
+Packets, like the package's other value types, are frozen records: classes
+on the private base ``_Record``, which needs no ``dataclasses`` import.
+
 This module needs only the standard library.  Grid packets live in
 :mod:`platesim.sampled` (numpy); the functions here hand them to their
 methods.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -56,36 +59,64 @@ class WraparoundError(ValueError):
     """Translation would push probability mass past the window edge."""
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
+class _Record:
+    """Frozen value record whose fields are the parameters of its ``__init__``.
+
+    A subclass's ``__init__`` validates its arguments and stores each field
+    under its parameter name with ``self.__dict__.update``, past the
+    refusing ``__setattr__``.  Records of one class compare and hash by
+    their field values and print as ``Name(field=value, ...)``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        # Fields and class in one C call: a tuple even for one field.
+        cls._key = staticmethod(attrgetter(*cls._fields, "__class__"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GaussianPacket(_Record):
     """Analytically normalized Gaussian packet (see module docstring)."""
 
-    x0: float
-    sigma: float
-    k0: float
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
+    def __init__(self, x0: float, sigma: float, k0: float, phase: float = 0.0) -> None:
+        if sigma <= 0:
             raise ValueError("sigma must be positive")
         # The closed forms divide by sigma^2.  `*` gives 0 or inf where
         # `**` would raise OverflowError, which is not a ValueError.
-        if not 0.0 < self.sigma * self.sigma < math.inf:
+        if not 0.0 < sigma * sigma < math.inf:
             raise ValueError("sigma * sigma must be a positive finite number")
-        if self.k0 <= 0:
+        if k0 <= 0:
             raise ValueError("k0 must be positive (right-moving packet)")
-        if self.k0 * self.sigma < 4.0:
+        if k0 * sigma < 4.0:
             raise ValueError(
                 "k0 * sigma must be >= 4 so the negative-wavenumber tail is negligible"
             )
+        self.__dict__.update(x0=x0, sigma=sigma, k0=k0, phase=phase)
 
 
-@dataclass(frozen=True)
-class ScaledGaussian:
+class ScaledGaussian(_Record):
     """A Gaussian packet times a complex coefficient; norm^2 = |coef|^2."""
 
-    coef: complex
-    base: GaussianPacket
+    def __init__(self, coef: complex, base: GaussianPacket) -> None:
+        self.__dict__.update(coef=coef, base=base)
 
 
 Packet = Union["GridPacket", GaussianPacket, ScaledGaussian]
@@ -185,7 +216,7 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     if c <= 0:
         raise ValueError("c must be positive")
     if isinstance(p, GaussianPacket):
-        return replace(p, x0=p.x0 + c * t)
+        return GaussianPacket(p.x0 + c * t, p.sigma, p.k0, p.phase)
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(p.coef, propagate(p.base, t, c))
     return _grid_packet(p).flown(t, c)

@@ -12,14 +12,13 @@ is safe because their owners are frozen and the arrays read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
 
 from .packets import DEFAULT_WRAP_TOL, DegeneratePacketError, GaussianPacket
-from .packets import IncompatibleGridsError, ScaledGaussian, WraparoundError
+from .packets import IncompatibleGridsError, ScaledGaussian, WraparoundError, _Record
 
 __all__ = [
     "GridPacket", "SpatialGrid", "fits_after", "gaussian_amplitude",
@@ -32,19 +31,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpatialGrid:
+class SpatialGrid(_Record):
     """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ..."""
 
-    x_min: float
-    dx: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.dx <= 0:
+    def __init__(self, x_min: float, dx: float, n: int) -> None:
+        if dx <= 0:
             raise ValueError("grid spacing dx must be positive")
-        if self.n < 2:
+        if n < 2:
             raise ValueError("grid needs at least 2 samples")
+        self.__dict__.update(x_min=x_min, dx=dx, n=n)
 
     @property
     def x_end(self) -> float:
@@ -68,21 +63,19 @@ class SpatialGrid:
         return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
 
-@dataclass(frozen=True, eq=False)
-class GridPacket:
+class GridPacket(_Record):
     """Complex amplitudes on a :class:`SpatialGrid`; the methods are the
-    grid cases of ``packets.norm2``, ``scale``, ``inner_product`` and ``propagate``."""
+    grid cases of ``packets.norm2``, ``scale``, ``inner_product`` and ``propagate``.
+    Two grid packets are equal only if they are the same object."""
 
-    grid: SpatialGrid
-    amplitudes: np.ndarray
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} amplitudes, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", _read_only(amps))
+    def __init__(self, grid: SpatialGrid, amplitudes: np.ndarray) -> None:
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.shape != (grid.n,):
+            raise ValueError(f"expected {grid.n} amplitudes, got shape {amps.shape}")
+        self.__dict__.update(grid=grid, amplitudes=_read_only(amps))
 
     @cached_property
     def spectrum(self) -> np.ndarray:

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +201,43 @@ def test_oversized_plate_amplitude_exits_4(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
     assert "splitter: non-unitary plate" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _committed_grid_scenario() -> dict:
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "grid.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+# Without the loader's refusal, the sampled beta lost its carrier, the
+# spectral centroid moved, and sweep stopped with "ValueError: math
+# domain error" under exit 1.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command", [["sweep"], ["invariance", "--times", "0,5"]], ids=["sweep", "invariance"]
+)
+def test_grid_phase_above_two_to_the_twenty_exits_4(tmp_path, capsys, command):
+    scenario = _committed_grid_scenario()
+    scenario["packet_beta"]["phase"] = -1.5e308
+    scenario["geometry"]["l2_max"] = 1e308
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "out.csv"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: invariant: packet_beta.phase: must be at most 1048576 in magnitude on a grid"
+    ]
+    assert not out.exists()
+
+
+def test_grid_phase_of_two_to_the_twenty_runs(tmp_path, capsys):
+    scenario = _committed_grid_scenario()
+    scenario["packet_beta"]["phase"] = 2**20
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+    assert len(rows) == 200
+    assert all(math.isfinite(float(value)) for row in rows for value in row)
 
 
 @pytest.mark.filterwarnings("error")

@@ -218,6 +218,29 @@ def test_phase_difference_beyond_double_range_rejected():
         parse_config(raw)
 
 
+GRID = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
+
+
+# A grid samples k0 * (x - x0) + phase, so a huge phase rounds the carrier
+# away; the Gaussian closed form takes any finite phase.
+@pytest.mark.parametrize("packet", ["packet_alpha", "packet_beta"])
+@pytest.mark.parametrize("phase", [2.0**20 + 1.0, -1.5e308])
+def test_grid_phase_above_two_to_the_twenty_rejected(packet, phase):
+    raw = _scenario(representation="grid", grid=GRID)
+    raw[packet]["phase"] = phase
+    with pytest.raises(InvariantError, match=f"^{packet}.phase: must be at most 1048576 "):
+        parse_config(raw)
+    raw["representation"] = "gaussian"
+    assert parse_config(raw).representation == "gaussian"
+
+
+@pytest.mark.parametrize("phase", [2**20, -(2**20)])
+def test_grid_phase_of_two_to_the_twenty_loads(phase):
+    raw = _scenario(representation="grid", grid=GRID)
+    raw["packet_beta"]["phase"] = phase
+    assert parse_config(raw).packet_beta.phase == phase
+
+
 def _sized(section: str, key: str, value: int) -> dict:
     grid = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
     raw = _scenario(representation="grid", grid=grid, geometry={})

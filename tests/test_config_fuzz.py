@@ -1,27 +1,32 @@
-"""Loader fuzzing: whatever JSON value arrives, ``parse_config`` either
-returns a ScenarioConfig or raises ConfigError (exit 3 or 4 in the CLI),
-never another exception."""
+"""Loader and command-line fuzzing: whatever JSON value arrives,
+``parse_config`` either returns a ScenarioConfig or raises ConfigError
+(exit 3 or 4 in the CLI), never another exception; and ``simulate`` run
+on a perturbed committed scenario exits with a documented code, writing
+only finite numbers when it exits 0."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from platesim import ConfigError, parse_config  # noqa: E402
+from platesim import ConfigError, cli, parse_config  # noqa: E402
 from platesim.config import ScenarioConfig  # noqa: E402
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
-SCENARIOS = [
-    json.loads(path.read_text(encoding="utf-8"))
+SCENARIOS = {
+    path.name: json.loads(path.read_text(encoding="utf-8"))
     for path in sorted(SCENARIO_DIR.glob("*.json"))
-]
+}
 
 # Every scalar the loader reads, as (section, key); section "" is the top level.
 PACKET_KEYS = ("x0", "sigma", "k0", "phase")
@@ -56,13 +61,18 @@ json_values = st.recursive(
 )
 
 
+SIZES = {("geometry", "n_points"), ("grid", "n")}
+
+
 @st.composite
-def perturbed_scenarios(draw):
-    """A committed scenario with 1 to 3 of its scalars set to drawn numbers."""
-    raw = copy.deepcopy(draw(st.sampled_from(SCENARIOS)))
+def perturbed_scenarios(draw, sizes=numbers):
+    """A committed scenario with 1 to 3 of its scalars set to drawn numbers,
+    the two sizes to numbers drawn from ``sizes``."""
+    raw = copy.deepcopy(draw(st.sampled_from(list(SCENARIOS.values()))))
     fields = draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3, unique=True))
     for section, key in fields:
-        (raw.setdefault(section, {}) if section else raw)[key] = draw(numbers)
+        value = draw(sizes if (section, key) in SIZES else numbers)
+        (raw.setdefault(section, {}) if section else raw)[key] = value
     return raw
 
 
@@ -84,3 +94,34 @@ def test_any_json_value_parses_or_is_refused(raw):
 @given(perturbed_scenarios())
 def test_perturbed_committed_scenarios_parse_or_are_refused(raw):
     _parses_or_refuses(raw)
+
+
+# A run's cost grows with the sizes, so they are drawn small here: any
+# accepted size runs the same code.
+SMALL_SIZES = st.one_of(st.integers(-2, 40), st.sampled_from(EDGES))
+COMMANDS = (["sweep"], ["invariance", "--times", "0,5,25"])
+# The sampled carrier of a phase this large rounds away; the loader refuses it.
+HUGE_GRID_PHASE = copy.deepcopy(SCENARIOS["grid.json"])
+HUGE_GRID_PHASE["packet_beta"]["phase"] = -1.5e308
+HUGE_GRID_PHASE["geometry"]["l2_max"] = 1e308
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(perturbed_scenarios(sizes=SMALL_SIZES))
+@example(HUGE_GRID_PHASE)
+def test_perturbed_committed_scenarios_run_or_exit_documented(tmp_path, raw):
+    config, out = tmp_path / "scenario.json", tmp_path / "out.csv"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    for command in COMMANDS:
+        out.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command[0], "--config", str(config), "--out", str(out), *command[1:]])
+        assert code == 0 or 2 <= code <= 8, (command, code)
+        if code == 0:
+            rows = out.read_text(encoding="utf-8").splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), command

@@ -186,6 +186,18 @@ def test_rate_rejects_non_finite_input(eps, x1, phi):
         counting_rate_d1(eps, 0.5, 0.5, x1, Preparation(phi=phi))
 
 
+@pytest.mark.parametrize(
+    "k_beta, match", [(12.0, "non-finite"), (12.8, "math domain")], ids=["nan", "inf"]
+)
+def test_sweep_row_with_non_finite_phase_raises(k_beta, match):
+    # l2 / c overflows, so the row's phase d_omega * t2 is NaN (equal
+    # carriers) or infinite; its rate must not be clamped to 0 and written.
+    alpha, beta = _demo_pair()
+    geom = ExperimentGeometry(l1=1.0, l2=1.0, c=1e-300)
+    with pytest.raises(ValueError, match=match):
+        sweep_d2(alpha, beta, balanced_splitter(), geom, [1.0, 1e10], Preparation(), 12.0, k_beta)
+
+
 def test_spatial_period():
     assert spatial_period(0.8, 1.0) == pytest.approx(2.0 * math.pi / 0.8)
     assert spatial_period(-0.8, 2.0) == pytest.approx(4.0 * math.pi / 0.8)
