@@ -9,24 +9,21 @@ The top level holds the names of the README example, the scenario
 loader, the building blocks of a run, and the errors the command line
 maps to exit codes.  Everything else lives in its submodule:
 ``packets``, ``sampled``, ``optics``, ``models``, ``config`` and ``cli``.
-Only ``sampled`` (the grid representation) imports numpy, and its five
-names here load it on first use.
+Only ``sampled`` (the grid representation) imports numpy, and its four
+names here load it on first use; so do a ``SpatialGrid``'s positions and
+wavenumbers.
 """
 
 __version__ = "0.1.0"
 
 from .config import ConfigError, InvariantError, SchemaError, load_config, parse_config
 from .models import (
-    DegeneratePreparationError,
-    Preparation,
-    derive_plane_wave_model,
-    plane_wave_epsilon,
-    sweep_d2,
+    DegeneratePreparationError, Preparation, derive_plane_wave_model, plane_wave_epsilon, sweep_d2,
 )
 from .optics import ExperimentGeometry, balanced_splitter, overlap_at_time, split
-from .packets import GaussianPacket, WraparoundError, inner_product, propagate
+from .packets import GaussianPacket, SpatialGrid, WraparoundError, inner_product, propagate
 
-_SAMPLED = ("SpatialGrid", "fits_after", "normalize", "sample", "spectral_centroid")
+_SAMPLED = ("fits_after", "normalize", "sample", "spectral_centroid")
 
 
 def __getattr__(name: str):

@@ -23,25 +23,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .config import InvariantError, ScenarioConfig, SchemaError, load_config
-from .models import (
-    DegeneratePreparationError,
-    Preparation,
-    spatial_period,
-    sweep_d2,
-)
+from .models import DegeneratePreparationError, Preparation, spatial_period, sweep_d2
 from .optics import ExperimentGeometry, overlap_post, overlap_at_time, split
 from .packets import WraparoundError
 
 __all__ = ["build_parser", "main", "run_invariance_report", "run_sweep"]
 
 SWEEP_HEADER = (
-    "l2",
-    "t2",
-    "eps_exact_re",
-    "eps_exact_im",
-    "eps_wss_re",
-    "eps_wss_im",
-    "rate_exact",
+    "l2", "t2", "eps_exact_re", "eps_exact_im", "eps_wss_re", "eps_wss_im", "rate_exact",
     "rate_wss",
 )
 
@@ -72,9 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
             "packet-overlap prediction with the plane-wave shortcut."
         ),
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser(
@@ -119,9 +106,7 @@ def run_sweep(cfg: ScenarioConfig, out: Path) -> int:
     alpha, beta, k_alpha, k_beta = cfg.realize_packets()
     geom = ExperimentGeometry(l1=cfg.l1, l2=cfg.l2_min, c=cfg.c)
     prep = Preparation(phi=cfg.preparation_phi)
-    result = sweep_d2(
-        alpha, beta, cfg.splitter, geom, cfg.l2_values(), prep, k_alpha, k_beta
-    )
+    result = sweep_d2(alpha, beta, cfg.splitter, geom, cfg.l2_values(), prep, k_alpha, k_beta)
     eps = result.eps_exact[0]
     fixed = {"eps_exact_re": eps.real, "eps_exact_im": eps.imag, "rate_exact": result.rate_exact[0]}
     rows = (
@@ -141,9 +126,7 @@ def run_sweep(cfg: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def run_invariance_report(
-    cfg: ScenarioConfig, times: Sequence[float], out: Path
-) -> int:
+def run_invariance_report(cfg: ScenarioConfig, times: Sequence[float], out: Path) -> int:
     """Write the per-time overlap CSV; 0 if every deviation fits the
     configured tolerance, 7 otherwise."""
     alpha, beta, _, _ = cfg.realize_packets()

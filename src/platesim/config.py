@@ -10,8 +10,9 @@ Two failure flavors map to distinct exit codes downstream: SchemaError
 for structural problems (wrong type, missing or unknown key) and
 InvariantError for well-formed values that violate a physical constraint
 (non-unitary plate, inverted sweep range, a size above its memory ceiling,
-packet that does not fit the grid window).  Only a scenario with a grid
-imports numpy, through :mod:`platesim.sampled`.
+packet that does not fit the grid window).  Loading needs only the
+standard library, also for a grid scenario: numpy is first imported when
+``ScenarioConfig.realize_packets`` samples the packets onto the grid.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ import json
 import math
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from .models import spatial_period
 from .optics import BeamSplitter, balanced_splitter
-from .packets import GaussianPacket, Packet, _Record, inner_product
-
-if TYPE_CHECKING:
-    from .sampled import SpatialGrid
+from .packets import GaussianPacket, Packet, SpatialGrid, _Record, inner_product
 
 __all__ = [
     "ConfigError", "InvariantError", "ScenarioConfig", "SchemaError", "load_config",
@@ -165,12 +163,6 @@ def _as_representation(value: Any, key_path: str) -> str:
     return value
 
 
-def _spatial_grid(**fields: Any) -> SpatialGrid:
-    from .sampled import SpatialGrid  # numpy, for scenarios with a grid only
-
-    return SpatialGrid(**fields)
-
-
 _REQUIRED = object()  # the default of a key that must be present
 
 
@@ -236,7 +228,7 @@ _GRID = _section(
         "dx": (_as_float, _REQUIRED),
         "n": (_positive(_as_int, MAX_GRID_N), _REQUIRED),
     },
-    _spatial_grid,
+    SpatialGrid,
 )
 _TOLERANCES = _section(
     {"analytic_tol": (_POSITIVE_FLOAT, 1e-12), "grid_tol": (_POSITIVE_FLOAT, 1e-8)}
@@ -343,14 +335,9 @@ def parse_config(raw: Any) -> ScenarioConfig:
         _check_grid_fit(grid, beta, "grid")
 
     return ScenarioConfig(
-        representation=top["representation"],
-        packet_alpha=alpha,
-        packet_beta=beta,
-        splitter=top["splitter"] or balanced_splitter(),
-        preparation_phi=top["preparation_phi"],
-        grid=grid,
-        **geometry,
-        **top["tolerances"],
+        representation=top["representation"], packet_alpha=alpha, packet_beta=beta,
+        splitter=top["splitter"] or balanced_splitter(), preparation_phi=top["preparation_phi"],
+        grid=grid, **geometry, **top["tolerances"],
     )
 
 

@@ -77,11 +77,7 @@ class Preparation(_Record):
 
 
 def derive_plane_wave_model(
-    sa: TwoArmState,
-    sb: TwoArmState,
-    k_alpha: float,
-    k_beta: float,
-    c: float = 1.0,
+    sa: TwoArmState, sb: TwoArmState, k_alpha: float, k_beta: float, c: float = 1.0
 ) -> PlaneWaveModel:
     """Read the shortcut's ingredients off two freshly split states.
 
@@ -187,7 +183,54 @@ class SweepResult(_Record):
             # Rounded subtraction is monotone, so max - min is the
             # largest pairwise difference bit for bit.
             return abs(max(values) - min(values))
+        return _complex_spread(values)
+
+
+# Rows per block of _complex_spread, and the factor by which a computed
+# |a - b| may exceed its exact bound through rounding.
+_SPREAD_BLOCK_ROWS = 32
+_SPREAD_SLACK = 1.0 + 2.0**-40
+
+
+def _reach(a: tuple, b: tuple) -> float:
+    """Largest distance between points of boxes (min re, max re, min im, max im)."""
+    (x0, x1, y0, y1), (u0, u1, v0, v1) = a, b
+    return math.hypot(max(u1 - x0, x1 - u0), max(v1 - y0, y1 - v0))
+
+
+def _complex_spread(values: list) -> float:
+    """``max(abs(a - b) for a in values for b in values)``, bit for bit.
+
+    The rows, sorted by angle around their centroid, are cut into blocks.
+    Block pairs, and rows against a block, are searched only while the
+    largest distance between their boxes, times the rounding slack, can
+    beat the best pair so far.  That starts from a real pair: the row
+    farthest from row 0 and the row farthest from it.
+    """
+    if len(values) <= _SPREAD_BLOCK_ROWS or not all(map(cmath.isfinite, values)):
+        # one block, or no finite box to bound a pair by
         return max(abs(a - b) for a in values for b in values)
+    values = [complex(v) for v in values]
+    first = values[0]
+    far = max(values, key=lambda v: abs(v - first))
+    best = abs(max(values, key=lambda v: abs(v - far)) - far)
+    center = sum(values) / len(values)
+    cx, cy = center.real, center.imag
+    values.sort(key=lambda v: math.atan2(v.imag - cy, v.real - cx))
+    size = _SPREAD_BLOCK_ROWS
+    blocks = [values[i : i + size] for i in range(0, len(values), size)]
+    boxes = []
+    for block in blocks:
+        re, im = [v.real for v in block], [v.imag for v in block]
+        boxes.append((min(re), max(re), min(im), max(im)))
+    pairs = [(_reach(boxes[i], boxes[j]), i, j) for i in range(len(boxes)) for j in range(i + 1)]
+    for reach, i, j in sorted(pairs, reverse=True):
+        if reach * _SPREAD_SLACK <= best:
+            break
+        for a in blocks[i]:
+            if _reach((a.real, a.real, a.imag, a.imag), boxes[j]) * _SPREAD_SLACK > best:
+                best = max(best, max(map(abs, map(a.__sub__, blocks[j]))))
+    return best
 
 
 def sweep_d2(

@@ -16,15 +16,8 @@ import math
 from .packets import Packet, _Record, inner_product, propagate, scale
 
 __all__ = [
-    "UNITARITY_TOL",
-    "BeamSplitter",
-    "ExperimentGeometry",
-    "NonUnitaryPlateError",
-    "TwoArmState",
-    "balanced_splitter",
-    "overlap_at_time",
-    "overlap_post",
-    "split",
+    "UNITARITY_TOL", "BeamSplitter", "ExperimentGeometry", "NonUnitaryPlateError",
+    "TwoArmState", "balanced_splitter", "overlap_at_time", "overlap_post", "split",
 ]
 
 UNITARITY_TOL = 1e-9

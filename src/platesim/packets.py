@@ -21,9 +21,9 @@ Packets are treated as one-directional (spectral weight at k > 0 only);
 Packets, like the package's other value types, are frozen records: classes
 on the private base ``_Record``, which needs no ``dataclasses`` import.
 
-This module needs only the standard library.  Grid packets live in
-:mod:`platesim.sampled` (numpy); the functions here hand them to their
-methods.
+The grid record :class:`SpatialGrid` lives here, so a grid scenario loads
+without numpy.  Grid packets live in :mod:`platesim.sampled` (numpy);
+the functions here hand them to their methods.
 """
 
 from __future__ import annotations
@@ -31,16 +31,19 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .sampled import GridPacket
 
 __all__ = [
-    "DEFAULT_WRAP_TOL", "DegeneratePacketError", "GaussianPacket", "IncompatibleGridsError",
-    "Packet", "ScaledGaussian", "WraparoundError", "inner_product", "norm2", "propagate",
-    "scale",
+    "DEFAULT_WRAP_TOL", "DegeneratePacketError", "FlownGaussian", "GaussianPacket",
+    "IncompatibleGridsError", "Packet", "ScaledGaussian", "SpatialGrid", "WraparoundError",
+    "inner_product", "norm2", "propagate", "scale",
 ]
 
 # mass allowed to spill past the window edge before propagate refuses
@@ -112,14 +115,64 @@ class GaussianPacket(_Record):
         self.__dict__.update(x0=x0, sigma=sigma, k0=k0, phase=phase)
 
 
-class ScaledGaussian(_Record):
-    """A Gaussian packet times a complex coefficient; norm^2 = |coef|^2."""
+class FlownGaussian(_Record):
+    """A Gaussian packet translated by ``offset``; ``x0`` is the center after the flight."""
 
-    def __init__(self, coef: complex, base: GaussianPacket) -> None:
+    def __init__(self, base: GaussianPacket, offset: float) -> None:
+        self.__dict__.update(base=base, offset=offset)
+
+    @property
+    def x0(self) -> float:
+        return self.base.x0 + self.offset
+
+
+class ScaledGaussian(_Record):
+    """A (flown) Gaussian packet times a complex coefficient; norm^2 = |coef|^2."""
+
+    def __init__(self, coef: complex, base: GaussianPacket | FlownGaussian) -> None:
         self.__dict__.update(coef=coef, base=base)
 
 
-Packet = Union["GridPacket", GaussianPacket, ScaledGaussian]
+Packet = Union["GridPacket", GaussianPacket, FlownGaussian, ScaledGaussian]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class SpatialGrid(_Record):
+    """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; its arrays import numpy."""
+
+    def __init__(self, x_min: float, dx: float, n: int) -> None:
+        if dx <= 0:
+            raise ValueError("grid spacing dx must be positive")
+        if n < 2:
+            raise ValueError("grid needs at least 2 samples")
+        self.__dict__.update(x_min=x_min, dx=dx, n=n)
+
+    @property
+    def x_end(self) -> float:
+        """Periodic wrap point, one spacing past the last sample."""
+        return self.x_min + self.n * self.dx
+
+    def positions(self) -> np.ndarray:
+        """Sample positions, ascending (read-only)."""
+        return self._positions
+
+    def wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers in FFT ordering (read-only)."""
+        return self._wavenumbers
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        import numpy as np  # the grid's first array loads numpy
+        return _read_only(self.x_min + self.dx * np.arange(self.n))
+
+    @cached_property
+    def _wavenumbers(self) -> np.ndarray:
+        import numpy as np
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
 
 def _grid_packet(p: object) -> GridPacket:
@@ -135,7 +188,7 @@ def _grid_packet(p: object) -> GridPacket:
 
 def norm2(p: Packet) -> float:
     """Squared norm <p|p>."""
-    if isinstance(p, GaussianPacket):
+    if isinstance(p, (GaussianPacket, FlownGaussian)):
         return 1.0
     if isinstance(p, ScaledGaussian):
         return abs(p.coef) ** 2
@@ -144,18 +197,19 @@ def norm2(p: Packet) -> float:
 
 def scale(p: Packet, coef: complex) -> Packet:
     """Multiply a packet by a complex coefficient."""
-    if isinstance(p, GaussianPacket):
+    if isinstance(p, (GaussianPacket, FlownGaussian)):
         return ScaledGaussian(complex(coef), p)
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(complex(coef) * p.coef, p.base)
     return _grid_packet(p).scaled(coef)
 
 
-def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
+def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> complex:
     # Standard Gaussian integral, evaluated in the frame centered between
-    # the packets: only the separation d enters, so a common translation
-    # leaves the value bit-identical (the carriers are center-anchored).
-    d = b.x0 - a.x0
+    # the packets: only the separation d enters (the carriers are
+    # center-anchored).  b has flown ``flight`` farther than a; equal
+    # flights leave d, and so the value, bit-identical.
+    d = b.x0 - a.x0 + flight if flight else b.x0 - a.x0
     A = 1.0 / (2.0 * a.sigma**2)
     B = 1.0 / (2.0 * b.sigma**2)
     p = A + B
@@ -180,10 +234,14 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
 
 
 def _as_gaussian(p: Packet):
-    if isinstance(p, GaussianPacket):
-        return 1.0 + 0.0j, p
+    """(coef, unflown packet, flight offset), or None for a grid packet."""
+    coef = 1.0 + 0.0j
     if isinstance(p, ScaledGaussian):
-        return p.coef, p.base
+        coef, p = p.coef, p.base
+    if isinstance(p, GaussianPacket):
+        return coef, p, 0.0
+    if isinstance(p, FlownGaussian):
+        return coef, p.base, p.offset
     return None
 
 
@@ -199,13 +257,14 @@ def inner_product(a: Packet, b: Packet) -> complex:
     if ga is None or gb is None:
         _grid_packet(a if ga is None else b)
         raise TypeError("cannot mix grid and analytic packets in an inner product")
-    (ca, base_a), (cb, base_b) = ga, gb
-    return ca.conjugate() * cb * _gaussian_overlap(base_a, base_b)
+    (ca, base_a, offset_a), (cb, base_b, offset_b) = ga, gb
+    return ca.conjugate() * cb * _gaussian_overlap(base_a, base_b, offset_b - offset_a)
 
 
 def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     """Free flight for a time t: rigid translation by c*t.
 
+    A Gaussian becomes a :class:`FlownGaussian` whose offset grows by c*t.
     Grid packets are translated spectrally (each mode k multiplied by
     exp(-i k c t)), exact for band-limited samples.  Raises
     :class:`WraparoundError` if the shifted packet would cross the window
@@ -216,7 +275,9 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     if c <= 0:
         raise ValueError("c must be positive")
     if isinstance(p, GaussianPacket):
-        return GaussianPacket(p.x0 + c * t, p.sigma, p.k0, p.phase)
+        return FlownGaussian(p, c * t)
+    if isinstance(p, FlownGaussian):
+        return FlownGaussian(p.base, p.offset + c * t)
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(p.coef, propagate(p.base, t, c))
     return _grid_packet(p).flown(t, c)

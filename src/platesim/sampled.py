@@ -1,12 +1,13 @@
 """Sampled wave packets: the grid representation, the one module that needs numpy.
 
-Grid packets hold complex samples (units length^-1/2) on a uniform grid;
-inner products are the Riemann sum sum(conj(a) * b) * dx, spectrally
-accurate for packets that vanish at the window edges.  Free flight
-multiplies each Fourier mode by a unit-modulus phase, so it is unitary to
-machine precision.  A grid's positions and wavenumbers, a packet's
-spectrum and the phases of the most recent (grid, c*t) are cached, which
-is safe because their owners are frozen and the arrays read-only.
+Grid packets hold complex samples (units length^-1/2) on a uniform
+:class:`SpatialGrid` (from :mod:`platesim.packets`); inner products are the
+Riemann sum sum(conj(a) * b) * dx, spectrally accurate for packets that
+vanish at the window edges.  Free flight multiplies each Fourier mode by a
+unit-modulus phase, evaluated for modes 0..n//2 and conjugated for the
+rest, so it is unitary to machine precision.  A grid's positions and
+wavenumbers, a packet's spectrum and sample power, and the phases of the
+most recent (grid, c*t) are cached: their owners are frozen, the arrays read-only.
 """
 
 from __future__ import annotations
@@ -17,50 +18,16 @@ from typing import Union
 
 import numpy as np
 
-from .packets import DEFAULT_WRAP_TOL, DegeneratePacketError, GaussianPacket
-from .packets import IncompatibleGridsError, ScaledGaussian, WraparoundError, _Record
+from .packets import DEFAULT_WRAP_TOL, DegeneratePacketError, FlownGaussian, GaussianPacket
+from .packets import IncompatibleGridsError, ScaledGaussian, SpatialGrid, WraparoundError
+from .packets import _Record, _read_only
+
+Gaussian = Union[GaussianPacket, FlownGaussian, ScaledGaussian]
 
 __all__ = [
     "GridPacket", "SpatialGrid", "fits_after", "gaussian_amplitude",
     "negative_wavenumber_fraction", "normalize", "sample", "spectral_centroid",
 ]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-class SpatialGrid(_Record):
-    """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ..."""
-
-    def __init__(self, x_min: float, dx: float, n: int) -> None:
-        if dx <= 0:
-            raise ValueError("grid spacing dx must be positive")
-        if n < 2:
-            raise ValueError("grid needs at least 2 samples")
-        self.__dict__.update(x_min=x_min, dx=dx, n=n)
-
-    @property
-    def x_end(self) -> float:
-        """Periodic wrap point, one spacing past the last sample."""
-        return self.x_min + self.n * self.dx
-
-    def positions(self) -> np.ndarray:
-        """Sample positions, ascending (read-only)."""
-        return self._positions
-
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers in FFT ordering (read-only)."""
-        return self._wavenumbers
-
-    @cached_property
-    def _positions(self) -> np.ndarray:
-        return _read_only(self.x_min + self.dx * np.arange(self.n))
-
-    @cached_property
-    def _wavenumbers(self) -> np.ndarray:
-        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
 
 class GridPacket(_Record):
@@ -82,8 +49,13 @@ class GridPacket(_Record):
         """Forward FFT of the amplitudes (read-only)."""
         return _read_only(np.fft.fft(self.amplitudes))
 
+    @cached_property
+    def sample_power(self) -> np.ndarray:
+        """|amplitudes|^2 per sample (read-only)."""
+        return _read_only(np.abs(self.amplitudes) ** 2)
+
     def norm2(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
+        return float(self.sample_power.sum() * self.grid.dx)
 
     def scaled(self, coef: complex) -> GridPacket:
         return GridPacket(self.grid, coef * self.amplitudes)
@@ -98,13 +70,18 @@ class GridPacket(_Record):
             raise WraparoundError(
                 f"wraparound: translation by {c * t:g} pushes the packet past the window edge"
             )
-        return GridPacket(self.grid, np.fft.ifft(self.spectrum * _phases(self.grid, c * t)))
+        amps = np.fft.ifft(self.spectrum * _phases(self.grid, c * t))
+        flown = object.__new__(GridPacket)  # owns the fresh ifft output, so no copy
+        flown.__dict__.update(grid=self.grid, amplitudes=_read_only(amps))
+        return flown
 
 
-def gaussian_amplitude(g: Union[GaussianPacket, ScaledGaussian], x) -> np.ndarray:
-    """Pointwise amplitude of a (scaled) Gaussian packet."""
+def gaussian_amplitude(g: Gaussian, x) -> np.ndarray:
+    """Pointwise amplitude of a (scaled, flown) Gaussian packet."""
     if isinstance(g, ScaledGaussian):
         return g.coef * gaussian_amplitude(g.base, x)
+    if isinstance(g, FlownGaussian):  # the base, centered where it has flown to
+        g = GaussianPacket(g.x0, g.base.sigma, g.base.k0, g.base.phase)
     x = np.asarray(x, dtype=float)
     envelope = (np.pi * g.sigma**2) ** -0.25 * np.exp(
         -((x - g.x0) ** 2) / (2.0 * g.sigma**2)
@@ -112,8 +89,8 @@ def gaussian_amplitude(g: Union[GaussianPacket, ScaledGaussian], x) -> np.ndarra
     return envelope * np.exp(1j * (g.k0 * (x - g.x0) + g.phase))
 
 
-def sample(g: Union[GaussianPacket, ScaledGaussian], grid: SpatialGrid) -> GridPacket:
-    """Sample a (scaled) Gaussian onto a grid."""
+def sample(g: Gaussian, grid: SpatialGrid) -> GridPacket:
+    """Sample a (scaled, flown) Gaussian onto a grid."""
     return GridPacket(grid, gaussian_amplitude(g, grid.positions()))
 
 
@@ -134,18 +111,27 @@ def fits_after(p: GridPacket, t: float, c: float, tail_tol: float) -> bool:
         raise ValueError("tail_tol must lie in (0, 1)")
     cut = p.grid.x_end - c * t
     # positions ascend, so the samples at or past the cut are a suffix
-    start = np.searchsorted(p.grid.positions(), cut, "left")
-    mass = float(np.sum(np.abs(p.amplitudes[start:]) ** 2) * p.grid.dx)
+    start = p.grid.positions().searchsorted(cut, "left")
+    mass = float(p.sample_power[start:].sum() * p.grid.dx)
     return mass < tail_tol
 
 
 @lru_cache(maxsize=1)
 def _phases(grid: SpatialGrid, shift: float) -> np.ndarray:
-    """exp(-i k shift) per mode; the arms flown to one time share it.
+    """exp(-i k shift) per mode, bit for bit; the arms flown to one time share it.
 
-    Shifts of 0.0 and -0.0 share a key; both give exactly 1 + 0j.
+    Modes 0..n//2 are evaluated.  Mode -m has k[-m] == -k[m], so its phase
+    is the conjugate of mode m's, unless k * shift is 0 (for shifts 0.0,
+    -0.0 or small enough to underflow), where both are 1 + 0j.
     """
-    return _read_only(np.exp(-1j * grid.wavenumbers() * shift))
+    k = grid.wavenumbers()
+    if k[1] * shift == 0.0:  # k[1] has the smallest nonzero |k|
+        return _read_only(np.exp(-1j * k * shift))
+    n, half = grid.n, grid.n // 2 + 1
+    phases = np.empty(n, dtype=complex)
+    np.exp(-1j * k[:half] * shift, out=phases[:half])
+    np.conjugate(phases[n - half : 0 : -1], out=phases[half:])
+    return _read_only(phases)
 
 
 def _spectral_power(p: GridPacket) -> np.ndarray:

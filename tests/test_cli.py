@@ -333,6 +333,25 @@ def test_invariance_analytic_exits_zero(tmp_path, capsys):
     assert "invariance: ok" in capsys.readouterr().out
 
 
+def test_invariance_analytic_keeps_the_overlap_exactly_in_long_flights(tmp_path, capsys):
+    # Distinct centers: a flight folded into each center would round the
+    # separation (4.9e-07 off at t = 1e9).
+    scenario = {
+        "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
+        "packet_beta": {"x0": 0.3, "sigma": 1.0, "k0": 12.8},
+    }
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "inv.csv"
+    times = "0,100,1e4,1e6,1e9,1e12"
+    code = main(["invariance", "--config", str(cfg), "--times", times, "--out", str(out)])
+    assert code == 0
+    with out.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    assert [float(row["abs_dev_from_t0"]) for row in rows] == [0.0] * 6
+    assert "max |dev from t0|: 0\n" in capsys.readouterr().out
+
+
 def test_invariance_grid_exits_zero(tmp_path):
     cfg = _write(tmp_path, GRID_SCENARIO)
     out = tmp_path / "inv.csv"

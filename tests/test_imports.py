@@ -1,4 +1,5 @@
-"""The Gaussian path runs on the standard library; numpy loads only for a grid.
+"""The Gaussian path runs on the standard library; numpy loads only to
+sample and fly a grid, not to load or refuse a grid scenario.
 
 No path loads ``dataclasses`` (with ``inspect``, ``ast`` and ``tokenize``
 behind it), which every ``simulate`` process would pay for at start-up.
@@ -29,6 +30,20 @@ for argv in (["sweep"], ["invariance", "--times", "0,5,25"]):
     seen["cli.main " + argv[0]] = loaded()
 platesim.load_config("scenarios/grid.json")
 seen["load_config grid.json"] = loaded()
+with open("scenarios/grid.json") as fh:
+    refused = json.load(fh)
+refused["grid"]["n"] = platesim.config.MAX_GRID_N + 1
+with open(out + ".json", "w") as fh:
+    json.dump(refused, fh)
+with contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["invariance", "--config", out + ".json", "--out", out, "--times", "0"])
+assert code == 4, code
+seen["cli.main invariance, grid.n above MAX_GRID_N"] = loaded()
+argv = ["invariance", "--config", "scenarios/grid.json", "--out", out, "--times", "0,5"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+assert code == 0, code
+seen["cli.main invariance grid.json"] = loaded()
 print(json.dumps(seen))
 """
 
@@ -48,5 +63,7 @@ def test_numpy_is_imported_only_for_a_grid(tmp_path):
         "import platesim": [],
         "cli.main sweep": [],
         "cli.main invariance": [],
-        "load_config grid.json": ["numpy"],
+        "load_config grid.json": [],
+        "cli.main invariance, grid.n above MAX_GRID_N": [],
+        "cli.main invariance grid.json": ["numpy"],
     }

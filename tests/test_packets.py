@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from conftest import random_close_pair, random_gaussian
 from platesim.packets import (
     DegeneratePacketError,
+    FlownGaussian,
     GaussianPacket,
     IncompatibleGridsError,
     ScaledGaussian,
@@ -81,6 +82,20 @@ def test_grid_packet_is_immutable(wide_grid):
     for shared in (g.amplitudes, g.spectrum, wide_grid.positions(), wide_grid.wavenumbers()):
         with pytest.raises(ValueError):
             shared[0] = 1.0
+
+
+def test_flown_packet_and_sample_power_are_read_only(wide_grid):
+    g = normalize(sample(GaussianPacket(x0=0.0, sigma=1.0, k0=10.0), wide_grid))
+    for shared in (propagate(g, 2.0).amplitudes, g.sample_power):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+
+
+def test_sampling_a_flown_gaussian_samples_its_moved_center(wide_grid):
+    g = GaussianPacket(x0=0.5, sigma=1.0, k0=10.0, phase=0.2)
+    moved = GaussianPacket(x0=3.5, sigma=1.0, k0=10.0, phase=0.2)
+    flown = sample(scale(propagate(g, 3.0), 0.5j), wide_grid).amplitudes
+    assert np.array_equal(flown, sample(scale(moved, 0.5j), wide_grid).amplitudes)
 
 
 def test_replaced_grid_gets_its_own_arrays(wide_grid):
@@ -214,12 +229,17 @@ def test_inner_product_rejects_non_packets():
 
 
 def test_propagate_gaussian_moves_center_only():
+    # The flight is kept as an offset beside the unchanged packet.
     g = GaussianPacket(x0=1.0, sigma=0.9, k0=8.0, phase=0.3)
     moved = propagate(g, 4.0, c=2.0)
-    assert moved == GaussianPacket(x0=9.0, sigma=0.9, k0=8.0, phase=0.3)
+    assert moved == FlownGaussian(g, offset=8.0)
+    assert moved.x0 == 9.0
+    assert propagate(moved, 1.0, c=2.0) == FlownGaussian(g, offset=10.0)
     scaled_moved = propagate(scale(g, 0.5j), 4.0, c=2.0)
     assert scaled_moved.coef == 0.5j
-    assert scaled_moved.base.x0 == 9.0
+    assert scaled_moved.base == moved
+    assert norm2(moved) == 1.0
+    assert scale(moved, 0.5j) == ScaledGaussian(0.5j, moved)
 
 
 def test_propagate_grid_matches_resampled_gaussian(wide_grid):
