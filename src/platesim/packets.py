@@ -21,27 +21,27 @@ Packets are treated as one-directional (spectral weight at k > 0 only);
 Packets, like the package's other value types, are frozen records: classes
 on the private base ``_Record``, which needs no ``dataclasses`` import.
 
-The grid record :class:`SpatialGrid` lives here, so a grid scenario loads
-without numpy.  Grid packets live in :mod:`platesim.sampled` (numpy);
-the functions here hand them to their methods.
+Every packet inherits :class:`Packet`.  The two Gaussian kinds,
+:class:`GaussianPacket` and :class:`ScaledGaussian` (one of those times a
+coefficient, flown ``offset``), take the closed forms here; any other packet,
+such as a grid packet of :mod:`platesim.sampled` (numpy), is handed to its
+own methods.  Nothing here imports ``sampled``, and the grid record
+:class:`SpatialGrid` lives here, so a grid scenario loads without numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .sampled import GridPacket
-
 __all__ = [
-    "DEFAULT_WRAP_TOL", "DegeneratePacketError", "FlownGaussian", "GaussianPacket",
+    "DEFAULT_WRAP_TOL", "DegeneratePacketError", "GaussianPacket",
     "IncompatibleGridsError", "Packet", "ScaledGaussian", "SpatialGrid", "WraparoundError",
     "inner_product", "norm2", "propagate", "scale",
 ]
@@ -96,7 +96,11 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class GaussianPacket(_Record):
+class Packet:
+    """Base of every packet record: the Gaussian kinds here, ``sampled.GridPacket``."""
+
+
+class GaussianPacket(_Record, Packet):
     """Analytically normalized Gaussian packet (see module docstring)."""
 
     def __init__(self, x0: float, sigma: float, k0: float, phase: float = 0.0) -> None:
@@ -115,25 +119,16 @@ class GaussianPacket(_Record):
         self.__dict__.update(x0=x0, sigma=sigma, k0=k0, phase=phase)
 
 
-class FlownGaussian(_Record):
-    """A Gaussian packet translated by ``offset``; ``x0`` is the center after the flight."""
+class ScaledGaussian(_Record, Packet):
+    """A Gaussian packet times a complex coefficient, flown ``offset``; norm^2 = |coef|^2."""
 
-    def __init__(self, base: GaussianPacket, offset: float) -> None:
-        self.__dict__.update(base=base, offset=offset)
+    def __init__(self, coef: complex, base: GaussianPacket, offset: float = 0.0) -> None:
+        self.__dict__.update(coef=coef, base=base, offset=offset)
 
     @property
     def x0(self) -> float:
+        """Center after the flight."""
         return self.base.x0 + self.offset
-
-
-class ScaledGaussian(_Record):
-    """A (flown) Gaussian packet times a complex coefficient; norm^2 = |coef|^2."""
-
-    def __init__(self, coef: complex, base: GaussianPacket | FlownGaussian) -> None:
-        self.__dict__.update(coef=coef, base=base)
-
-
-Packet = Union["GridPacket", GaussianPacket, FlownGaussian, ScaledGaussian]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -175,33 +170,32 @@ class SpatialGrid(_Record):
         return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
 
-def _grid_packet(p: object) -> GridPacket:
-    """p itself if it is a grid packet, else TypeError.
-
-    Grid packets exist only once ``sampled`` is imported; this never imports it.
-    """
-    sampled = sys.modules.get(f"{__package__}.sampled")
-    if sampled is None or not isinstance(p, sampled.GridPacket):
+def _packet(p: object) -> Packet:
+    """p itself if it is a packet, else TypeError."""
+    if not isinstance(p, Packet):
         raise TypeError(f"not a packet: {type(p).__name__}")
     return p
 
 
 def norm2(p: Packet) -> float:
-    """Squared norm <p|p>."""
-    if isinstance(p, (GaussianPacket, FlownGaussian)):
+    """Squared norm <p|p>; inf where it overflows."""
+    if isinstance(p, GaussianPacket):
         return 1.0
     if isinstance(p, ScaledGaussian):
-        return abs(p.coef) ** 2
-    return _grid_packet(p).norm2()
+        try:
+            return abs(p.coef) ** 2
+        except OverflowError:
+            return math.inf
+    return _packet(p).norm2()
 
 
 def scale(p: Packet, coef: complex) -> Packet:
     """Multiply a packet by a complex coefficient."""
-    if isinstance(p, (GaussianPacket, FlownGaussian)):
+    if isinstance(p, GaussianPacket):
         return ScaledGaussian(complex(coef), p)
     if isinstance(p, ScaledGaussian):
-        return ScaledGaussian(complex(coef) * p.coef, p.base)
-    return _grid_packet(p).scaled(coef)
+        return ScaledGaussian(complex(coef) * p.coef, p.base, p.offset)
+    return _packet(p).scaled(coef)
 
 
 def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> complex:
@@ -234,14 +228,11 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> co
 
 
 def _as_gaussian(p: Packet):
-    """(coef, unflown packet, flight offset), or None for a grid packet."""
-    coef = 1.0 + 0.0j
+    """(coef, unflown packet, flight offset), or None for any other packet."""
     if isinstance(p, ScaledGaussian):
-        coef, p = p.coef, p.base
+        return p.coef, p.base, p.offset
     if isinstance(p, GaussianPacket):
-        return coef, p, 0.0
-    if isinstance(p, FlownGaussian):
-        return coef, p.base, p.offset
+        return 1.0 + 0.0j, p, 0.0
     return None
 
 
@@ -253,9 +244,9 @@ def inner_product(a: Packet, b: Packet) -> complex:
     ga = _as_gaussian(a)
     gb = _as_gaussian(b)
     if ga is None and gb is None:
-        return _grid_packet(a).inner(_grid_packet(b))
+        return _packet(a).inner(_packet(b))
     if ga is None or gb is None:
-        _grid_packet(a if ga is None else b)
+        _packet(a if ga is None else b)
         raise TypeError("cannot mix grid and analytic packets in an inner product")
     (ca, base_a, offset_a), (cb, base_b, offset_b) = ga, gb
     return ca.conjugate() * cb * _gaussian_overlap(base_a, base_b, offset_b - offset_a)
@@ -264,7 +255,7 @@ def inner_product(a: Packet, b: Packet) -> complex:
 def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     """Free flight for a time t: rigid translation by c*t.
 
-    A Gaussian becomes a :class:`FlownGaussian` whose offset grows by c*t.
+    A Gaussian becomes a :class:`ScaledGaussian` whose offset grows by c*t.
     Grid packets are translated spectrally (each mode k multiplied by
     exp(-i k c t)), exact for band-limited samples.  Raises
     :class:`WraparoundError` if the shifted packet would cross the window
@@ -275,9 +266,7 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     if c <= 0:
         raise ValueError("c must be positive")
     if isinstance(p, GaussianPacket):
-        return FlownGaussian(p, c * t)
-    if isinstance(p, FlownGaussian):
-        return FlownGaussian(p.base, p.offset + c * t)
+        return ScaledGaussian(1.0 + 0.0j, p, c * t)
     if isinstance(p, ScaledGaussian):
-        return ScaledGaussian(p.coef, propagate(p.base, t, c))
-    return _grid_packet(p).flown(t, c)
+        return ScaledGaussian(p.coef, p.base, p.offset + c * t)
+    return _packet(p).flown(t, c)

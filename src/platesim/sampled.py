@@ -18,11 +18,11 @@ from typing import Union
 
 import numpy as np
 
-from .packets import DEFAULT_WRAP_TOL, DegeneratePacketError, FlownGaussian, GaussianPacket
-from .packets import IncompatibleGridsError, ScaledGaussian, SpatialGrid, WraparoundError
+from .packets import DEFAULT_WRAP_TOL, DegeneratePacketError, GaussianPacket
+from .packets import IncompatibleGridsError, Packet, ScaledGaussian, SpatialGrid, WraparoundError
 from .packets import _Record, _read_only
 
-Gaussian = Union[GaussianPacket, FlownGaussian, ScaledGaussian]
+Gaussian = Union[GaussianPacket, ScaledGaussian]
 
 __all__ = [
     "GridPacket", "SpatialGrid", "fits_after", "gaussian_amplitude",
@@ -30,10 +30,10 @@ __all__ = [
 ]
 
 
-class GridPacket(_Record):
-    """Complex amplitudes on a :class:`SpatialGrid`; the methods are the
-    grid cases of ``packets.norm2``, ``scale``, ``inner_product`` and ``propagate``.
-    Two grid packets are equal only if they are the same object."""
+class GridPacket(_Record, Packet):
+    """A :class:`~platesim.packets.Packet` of complex amplitudes on a :class:`SpatialGrid`;
+    its methods are the grid cases of ``packets.norm2``, ``scale``, ``inner_product`` and
+    ``propagate``.  Two grid packets are equal only if they are the same object."""
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -78,10 +78,9 @@ class GridPacket(_Record):
 
 def gaussian_amplitude(g: Gaussian, x) -> np.ndarray:
     """Pointwise amplitude of a (scaled, flown) Gaussian packet."""
-    if isinstance(g, ScaledGaussian):
-        return g.coef * gaussian_amplitude(g.base, x)
-    if isinstance(g, FlownGaussian):  # the base, centered where it has flown to
-        g = GaussianPacket(g.x0, g.base.sigma, g.base.k0, g.base.phase)
+    if isinstance(g, ScaledGaussian):  # the base, centered where it has flown to
+        base = GaussianPacket(g.x0, g.base.sigma, g.base.k0, g.base.phase)
+        return g.coef * gaussian_amplitude(base, x)
     x = np.asarray(x, dtype=float)
     envelope = (np.pi * g.sigma**2) ** -0.25 * np.exp(
         -((x - g.x0) ** 2) / (2.0 * g.sigma**2)

@@ -1,7 +1,8 @@
 """Free flight, bit for bit, over drawn inputs.
 
 A Gaussian keeps its flight apart from its center, so two packets flown
-alike keep their closed-form overlap in every bit.  Grid flight evaluates
+alike keep their closed-form overlap in every bit, and scaling one after
+the flight equals scaling it before, by value.  Grid flight evaluates
 half of the phase vector and conjugates the rest, and its wraparound
 check sums a cached |amplitudes|^2; both must give exactly what the direct
 expressions give.  ``test_propagation_reference.py`` checks whole flights
@@ -20,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from platesim.packets import GaussianPacket, inner_product, propagate, scale  # noqa: E402
+from platesim.packets import GaussianPacket, inner_product, norm2, propagate, scale  # noqa: E402
 from platesim.sampled import GridPacket, SpatialGrid, _phases, fits_after  # noqa: E402
 
 TINY = 5e-324  # the smallest subnormal
@@ -74,6 +75,25 @@ def test_gaussian_flight_keeps_the_overlap_bit_for_bit(a, b, coef_a, coef_b, fli
     assert _bits(inner_product(flown_a, flown_b)) == _bits(inner_product(a, b))
 
 
+# coefficients with zero and signed-zero parts among the drawn ones
+scalings = st.one_of(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    st.builds(complex, st.sampled_from([0.0, -0.0, 0.5, -2.0]), st.sampled_from([0.0, -0.0, 3.0])),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(gaussians(), gaussians(), scalings, flights)
+def test_scaling_after_flight_equals_scaling_before(a, b, k, flight):
+    # Equal by value: k * (1+0j) may turn the sign of a zero part of k.
+    c, times = flight
+    flown_a, flown_b = a, b
+    for t in times:
+        flown_a, flown_b = propagate(flown_a, t, c), propagate(flown_b, t, c)
+    assert inner_product(scale(flown_a, k), flown_b) == inner_product(scale(a, k), b)
+    assert norm2(scale(flown_a, k)) == norm2(scale(a, k))
+
+
 grids = st.builds(
     SpatialGrid,
     x_min=st.floats(-1e3, 1e3),
@@ -101,6 +121,7 @@ def test_half_spectrum_phases_equal_the_direct_exponential(grid, shift):
     st.sampled_from(["drawn", "at the mass", "above the mass"]),
     st.floats(1e-12, 1.0 - 1e-12),
 )
+@example(SpatialGrid(x_min=0.0, dx=1.0, n=3), 4, 1.0, "above the mass", 0.5)  # mass 1 - ulp
 def test_fits_after_sums_the_suffix_of_the_sample_power(grid, seed, cut_at, tol_kind, tol):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
@@ -109,6 +130,7 @@ def test_fits_after_sums_the_suffix_of_the_sample_power(grid, seed, cut_at, tol_
     c, t = 1.0, cut_at * grid.n * grid.dx
     start = np.searchsorted(grid.positions(), grid.x_end - c * t, "left")
     mass = np.sum(np.abs(p.amplitudes[start:]) ** 2) * grid.dx
-    if tol_kind != "drawn" and 0.0 < mass < 1.0:
+    # below 1 - ulp, so that the tolerance just above the mass is still < 1
+    if tol_kind != "drawn" and 0.0 < mass < np.nextafter(1.0, 0.0):
         tol = mass if tol_kind == "at the mass" else np.nextafter(mass, 1.0)
     assert fits_after(p, t, c, tol) == (mass < tol)

@@ -238,15 +238,11 @@ def test_sweep_exact_columns_constant():
 def test_spread_equals_pairwise_maximum(block):
     # the n x n difference matrix is the reference, reduced `block`
     # entries at a time: 64 takes one row per block (n = 50), 2**20 the
-    # whole matrix at once
-    result = _demo_sweep(np.linspace(1.0, 16.7, 50), phi=0.7)
+    # whole matrix at once; hypot of the parts is exact for real columns too
+    n = 50
+    result = _demo_sweep(np.linspace(1.0, 16.7, n), phi=0.7)
     for field in ("eps_plane_wave", "rate_plane_wave", "l2"):
-        values = np.array(getattr(result, field))
-        rows = max(1, block // values.size)
-        pairwise = max(
-            float(np.abs(values[i : i + rows, None] - values[None, :]).max())
-            for i in range(0, values.size, rows)
-        )
+        pairwise = _pairwise_max_abs(getattr(result, field), rows=max(1, block // n))
         assert result.spread(field) == pairwise
 
 

@@ -108,8 +108,8 @@ def test_propagate_moves_both_arms():
     g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
     state = split(g, balanced_splitter())
     arm1, arm2 = (propagate(arm, 5.0, c=2.0) for arm in (state.arm1, state.arm2))
-    assert arm1.base.x0 == 10.0
-    assert arm2.base.x0 == 10.0
+    assert arm1.x0 == 10.0
+    assert arm2.x0 == 10.0
     assert norm2(arm1) + norm2(arm2) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -9,9 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_close_pair, random_gaussian
+from platesim.optics import TwoArmState
 from platesim.packets import (
     DegeneratePacketError,
-    FlownGaussian,
     GaussianPacket,
     IncompatibleGridsError,
     ScaledGaussian,
@@ -43,6 +43,10 @@ def test_scaled_norm2():
     g = GaussianPacket(x0=0.0, sigma=1.0, k0=8.0)
     assert norm2(scale(g, 0.5j)) == pytest.approx(0.25, abs=1e-15)
     assert math.sqrt(norm2(scale(g, -2.0))) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_scaled_norm2_overflows_to_inf_like_a_grid_packet():
+    assert norm2(scale(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), 1e200)) == math.inf
 
 
 def test_scale_composes():
@@ -228,18 +232,37 @@ def test_inner_product_rejects_non_packets():
         inner_product(1.0, GaussianPacket(x0=0.0, sigma=1.0, k0=10.0))
 
 
+G = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
+
+
+@pytest.mark.parametrize(
+    "thing", [1.0, 0.5 - 2j, TwoArmState(G, G)], ids=["float", "complex", "two-arm state"]
+)
+def test_packet_functions_refuse_non_packets(thing, wide_grid):
+    # a two-arm state is a record, but not a packet
+    grid_packet = sample(G, wide_grid)
+    calls = [norm2, lambda p: scale(p, 0.5j), lambda p: propagate(p, 1.0)]
+    for other in (G, grid_packet):
+        calls += [lambda p, q=other: inner_product(p, q), lambda p, q=other: inner_product(q, p)]
+    for call in calls:
+        with pytest.raises(TypeError, match="not a packet"):
+            call(thing)
+    for a, b in ((G, grid_packet), (grid_packet, G)):
+        with pytest.raises(TypeError, match="cannot mix"):
+            inner_product(a, b)
+
+
 def test_propagate_gaussian_moves_center_only():
     # The flight is kept as an offset beside the unchanged packet.
     g = GaussianPacket(x0=1.0, sigma=0.9, k0=8.0, phase=0.3)
     moved = propagate(g, 4.0, c=2.0)
-    assert moved == FlownGaussian(g, offset=8.0)
+    assert moved == ScaledGaussian(1.0 + 0.0j, g, offset=8.0)
     assert moved.x0 == 9.0
-    assert propagate(moved, 1.0, c=2.0) == FlownGaussian(g, offset=10.0)
+    assert propagate(moved, 1.0, c=2.0) == ScaledGaussian(1.0 + 0.0j, g, offset=10.0)
     scaled_moved = propagate(scale(g, 0.5j), 4.0, c=2.0)
-    assert scaled_moved.coef == 0.5j
-    assert scaled_moved.base == moved
+    assert scaled_moved == ScaledGaussian(0.5j, g, offset=8.0)
     assert norm2(moved) == 1.0
-    assert scale(moved, 0.5j) == ScaledGaussian(0.5j, moved)
+    assert scale(moved, 0.5j) == ScaledGaussian(0.5j, g, offset=8.0)
 
 
 def test_propagate_grid_matches_resampled_gaussian(wide_grid):

@@ -4,8 +4,9 @@ over drawn inputs.
 ``ScenarioConfig.l2_values`` must reproduce ``numpy.linspace`` bit for bit
 (the golden CSVs were written with it); the D1 and D2 rates of a lossless
 plate sum to 1; the plane-wave overlap repeats in t2 with period
-``2*pi/|d_omega|``; ``run_sweep`` writes every value of ``sweep_d2`` with
-``%.17g``, its constant columns included.
+``2*pi/|d_omega|``; splitting on a unitary plate keeps the overlap of two
+packets, Gaussian or sampled; ``run_sweep`` writes every value of
+``sweep_d2`` with ``%.17g``, its constant columns included.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from platesim import (  # noqa: E402
 from platesim.cli import SWEEP_HEADER, run_sweep  # noqa: E402
 from platesim.models import PlaneWaveModel, counting_rate_d1, plane_wave_epsilon  # noqa: E402
 from platesim.config import ScenarioConfig  # noqa: E402
-from platesim.optics import BeamSplitter  # noqa: E402
+from platesim.optics import BeamSplitter, overlap_post  # noqa: E402
 from platesim.packets import norm2  # noqa: E402
+from platesim.sampled import SpatialGrid, normalize, sample  # noqa: E402
 
 EPS = sys.float_info.epsilon
 BASE = parse_config(
@@ -103,6 +105,25 @@ def test_d1_and_d2_rates_sum_to_one(alpha, beta, bs, phi):
         eps, norm2(sa.arm2), norm2(sb.arm2), inner_product(sa.arm2, sb.arm2), prep
     )
     assert abs(r1 + r2 - 1.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(packets(), packets(), unitary_splitters())
+def test_split_keeps_the_gaussian_overlap(alpha, beta, bs):
+    eps = inner_product(alpha, beta)
+    # |r|^2 + |t|^2 is 1 within the defect; the products and the sum add a few ulps.
+    bound = (2.0 * bs.unitarity_defect() + 8.0 * EPS) * abs(eps)
+    assert abs(overlap_post(split(alpha, bs), split(beta, bs)) - eps) <= bound
+
+
+WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)  # acceptance criterion 2's window
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(packets(), packets(), unitary_splitters())
+def test_split_keeps_the_grid_overlap(alpha, beta, bs):
+    a, b = (normalize(sample(p, WIDE_GRID)) for p in (alpha, beta))
+    assert abs(overlap_post(split(a, bs), split(b, bs)) - inner_product(a, b)) <= 1e-12
 
 
 parts = st.floats(-1.0, 1.0, allow_subnormal=False)  # else the bound underflows to 0

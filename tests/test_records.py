@@ -12,7 +12,7 @@ import pytest
 from platesim.config import ScenarioConfig
 from platesim.models import PlaneWaveModel, Preparation, SweepResult
 from platesim.optics import BeamSplitter, ExperimentGeometry, TwoArmState
-from platesim.packets import FlownGaussian, GaussianPacket, ScaledGaussian
+from platesim.packets import GaussianPacket, ScaledGaussian
 from platesim.sampled import GridPacket, SpatialGrid
 
 G = GaussianPacket(0.5, 1.0, 12.0)
@@ -30,12 +30,8 @@ def _column(*values):
 CASES = [
     (GaussianPacket, ("x0", "sigma", "k0", "phase"), (0.5, 1.0, 12.0, 0.0), 1, G_REPR),
     (
-        ScaledGaussian, ("coef", "base"), (0.5j, G), 0,
-        f"ScaledGaussian(coef=0.5j, base={G_REPR})",
-    ),
-    (
-        FlownGaussian, ("base", "offset"), (G, 2.5), 0,
-        f"FlownGaussian(base={G_REPR}, offset=2.5)",
+        ScaledGaussian, ("coef", "base", "offset"), (0.5j, G, 0.0), 1,
+        f"ScaledGaussian(coef=0.5j, base={G_REPR}, offset=0.0)",
     ),
     (BeamSplitter, ("r", "t"), (1.0, 0j), 0, "BeamSplitter(r=1.0, t=0j)"),
     (TwoArmState, ("arm1", "arm2"), (G, G), 0, f"TwoArmState(arm1={G_REPR}, arm2={G_REPR})"),
