@@ -21,12 +21,13 @@ Packets are treated as one-directional (spectral weight at k > 0 only);
 Packets, like the package's other value types, are frozen records: classes
 on the private base ``_Record``, which needs no ``dataclasses`` import.
 
-Every packet inherits :class:`Packet`.  The two Gaussian kinds,
-:class:`GaussianPacket` and :class:`ScaledGaussian` (one of those times a
-coefficient, flown ``offset``), take the closed forms here; any other packet,
-such as a grid packet of :mod:`platesim.sampled` (numpy), is handed to its
-own methods.  Nothing here imports ``sampled``, and the grid record
-:class:`SpatialGrid` lives here, so a grid scenario loads without numpy.
+Every packet inherits :class:`Packet`.  The two Gaussian kinds read alike as
+``(coef, base, offset)``: a :class:`ScaledGaussian` is its ``base`` times a
+coefficient, flown ``offset``, and a bare :class:`GaussianPacket` is
+coefficient 1, base itself, offset 0.  They take the closed forms here; any
+other packet, such as a grid packet of :mod:`platesim.sampled` (numpy), is
+handed to its own methods.  Nothing here imports ``sampled``, and the grid
+record :class:`SpatialGrid` lives here, so a grid scenario loads without numpy.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ class Packet:
 
 class GaussianPacket(_Record, Packet):
     """Analytically normalized Gaussian packet (see module docstring)."""
+
+    # The arm reading; class attributes, so equality, hashing and repr ignore them.
+    coef = 1.0 + 0.0j
+    offset = 0.0
+
+    @property
+    def base(self) -> GaussianPacket:
+        return self
 
     def __init__(self, x0: float, sigma: float, k0: float, phase: float = 0.0) -> None:
         if sigma <= 0:
@@ -179,9 +188,7 @@ def _packet(p: object) -> Packet:
 
 def norm2(p: Packet) -> float:
     """Squared norm <p|p>; inf where it overflows."""
-    if isinstance(p, GaussianPacket):
-        return 1.0
-    if isinstance(p, ScaledGaussian):
+    if isinstance(p, (GaussianPacket, ScaledGaussian)):
         try:
             return abs(p.coef) ** 2
         except OverflowError:
@@ -192,7 +199,7 @@ def norm2(p: Packet) -> float:
 def scale(p: Packet, coef: complex) -> Packet:
     """Multiply a packet by a complex coefficient."""
     if isinstance(p, GaussianPacket):
-        return ScaledGaussian(complex(coef), p)
+        return ScaledGaussian(complex(coef), p)  # not coef * (1+0j): a zero part keeps its sign
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(complex(coef) * p.coef, p.base, p.offset)
     return _packet(p).scaled(coef)
@@ -202,7 +209,7 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> co
     # Standard Gaussian integral, evaluated in the frame centered between
     # the packets: only the separation d enters (the carriers are
     # center-anchored).  b has flown ``flight`` farther than a; equal
-    # flights leave d, and so the value, bit-identical.
+    # flights, even infinite ones, pass 0.0, which leaves d bit-identical.
     d = b.x0 - a.x0 + flight if flight else b.x0 - a.x0
     A = 1.0 / (2.0 * a.sigma**2)
     B = 1.0 / (2.0 * b.sigma**2)
@@ -227,29 +234,20 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> co
         return complex(math.nan, math.nan)
 
 
-def _as_gaussian(p: Packet):
-    """(coef, unflown packet, flight offset), or None for any other packet."""
-    if isinstance(p, ScaledGaussian):
-        return p.coef, p.base, p.offset
-    if isinstance(p, GaussianPacket):
-        return 1.0 + 0.0j, p, 0.0
-    return None
-
-
 def inner_product(a: Packet, b: Packet) -> complex:
     """<a|b>, conjugate-linear in the first argument.
 
     Grid packets must share a grid; Gaussians use the closed form.
     """
-    ga = _as_gaussian(a)
-    gb = _as_gaussian(b)
-    if ga is None and gb is None:
+    ga = isinstance(a, (GaussianPacket, ScaledGaussian))
+    gb = isinstance(b, (GaussianPacket, ScaledGaussian))
+    if not ga and not gb:
         return _packet(a).inner(_packet(b))
-    if ga is None or gb is None:
-        _packet(a if ga is None else b)
+    if not ga or not gb:
+        _packet(b if ga else a)
         raise TypeError("cannot mix grid and analytic packets in an inner product")
-    (ca, base_a, offset_a), (cb, base_b, offset_b) = ga, gb
-    return ca.conjugate() * cb * _gaussian_overlap(base_a, base_b, offset_b - offset_a)
+    flight = 0.0 if b.offset == a.offset else b.offset - a.offset
+    return a.coef.conjugate() * b.coef * _gaussian_overlap(a.base, b.base, flight)
 
 
 def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
@@ -265,8 +263,6 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
         raise ValueError("t must be nonnegative")
     if c <= 0:
         raise ValueError("c must be positive")
-    if isinstance(p, GaussianPacket):
-        return ScaledGaussian(1.0 + 0.0j, p, c * t)
-    if isinstance(p, ScaledGaussian):
+    if isinstance(p, (GaussianPacket, ScaledGaussian)):
         return ScaledGaussian(p.coef, p.base, p.offset + c * t)
     return _packet(p).flown(t, c)

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from typing import Union
 
 import numpy as np
 
 from .packets import DEFAULT_WRAP_TOL, DegeneratePacketError, GaussianPacket
 from .packets import IncompatibleGridsError, Packet, ScaledGaussian, SpatialGrid, WraparoundError
 from .packets import _Record, _read_only
-
-Gaussian = Union[GaussianPacket, ScaledGaussian]
 
 __all__ = [
     "GridPacket", "SpatialGrid", "fits_after", "gaussian_amplitude",
@@ -68,7 +65,8 @@ class GridPacket(_Record, Packet):
     def flown(self, t: float, c: float) -> GridPacket:
         if not fits_after(self, t, c, DEFAULT_WRAP_TOL):
             raise WraparoundError(
-                f"wraparound: translation by {c * t:g} pushes the packet past the window edge"
+                f"t = {t:g}: wraparound: translation by {c * t:g} pushes the packet past"
+                " the window edge"
             )
         amps = np.fft.ifft(self.spectrum * _phases(self.grid, c * t))
         flown = object.__new__(GridPacket)  # owns the fresh ifft output, so no copy
@@ -76,19 +74,16 @@ class GridPacket(_Record, Packet):
         return flown
 
 
-def gaussian_amplitude(g: Gaussian, x) -> np.ndarray:
+def gaussian_amplitude(g: GaussianPacket | ScaledGaussian, x) -> np.ndarray:
     """Pointwise amplitude of a (scaled, flown) Gaussian packet."""
-    if isinstance(g, ScaledGaussian):  # the base, centered where it has flown to
-        base = GaussianPacket(g.x0, g.base.sigma, g.base.k0, g.base.phase)
-        return g.coef * gaussian_amplitude(base, x)
-    x = np.asarray(x, dtype=float)
-    envelope = (np.pi * g.sigma**2) ** -0.25 * np.exp(
-        -((x - g.x0) ** 2) / (2.0 * g.sigma**2)
-    )
-    return envelope * np.exp(1j * (g.k0 * (x - g.x0) + g.phase))
+    base = g.base
+    u = np.asarray(x, dtype=float) - g.x0  # from the center the base has flown to
+    envelope = (np.pi * base.sigma**2) ** -0.25 * np.exp(-(u**2) / (2.0 * base.sigma**2))
+    amps = envelope * np.exp(1j * (base.k0 * u + base.phase))
+    return amps if g is base else g.coef * amps  # times 1+0j could flip a zero's sign
 
 
-def sample(g: Gaussian, grid: SpatialGrid) -> GridPacket:
+def sample(g: GaussianPacket | ScaledGaussian, grid: SpatialGrid) -> GridPacket:
     """Sample a (scaled, flown) Gaussian onto a grid."""
     return GridPacket(grid, gaussian_amplitude(g, grid.positions()))
 

@@ -352,6 +352,23 @@ def test_invariance_analytic_keeps_the_overlap_exactly_in_long_flights(tmp_path,
     assert "max |dev from t0|: 0\n" in capsys.readouterr().out
 
 
+def test_invariance_analytic_at_overflowing_flights_repeats_the_t0_row(tmp_path, capsys):
+    # c * t is inf for every arm; equal infinite flights are no relative flight.
+    scenario = {
+        "packet_alpha": {"x0": 0, "sigma": 1, "k0": 12},
+        "packet_beta": {"x0": 0.5, "sigma": 1.2, "k0": 12.8},
+        "geometry": {"c": 2},
+    }
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "inv.csv"
+    times = "0,1e308,1.7e308"
+    code = main(["invariance", "--config", str(cfg), "--times", times, "--out", str(out)])
+    assert code == 0
+    rows = [line.partition(b",")[2] for line in out.read_bytes().split(b"\n")[1:-1]]
+    assert rows == [rows[0]] * 3
+    assert "invariance: ok" in capsys.readouterr().out
+
+
 def test_invariance_grid_exits_zero(tmp_path):
     cfg = _write(tmp_path, GRID_SCENARIO)
     out = tmp_path / "inv.csv"

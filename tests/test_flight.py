@@ -63,6 +63,14 @@ flights = st.tuples(
     GaussianPacket(0.0, 1.0, 12.0), GaussianPacket(-0.0, 1.0, 12.8), 0.5j, None,
     (1e3, [1e12]),
 )
+@example(  # c * t overflows to inf for both packets
+    GaussianPacket(0.0, 1.0, 12.0), GaussianPacket(0.5, 1.2, 12.8), None, None,
+    (2.0, [1e308]),
+)
+@example(  # the second flight's sum overflows
+    GaussianPacket(0.0, 1.0, 12.0), GaussianPacket(0.3, 1.0, 12.8), 0.5j, -2.0,
+    (1.0, [1e308, 1.7e308]),
+)
 def test_gaussian_flight_keeps_the_overlap_bit_for_bit(a, b, coef_a, coef_b, flight):
     c, times = flight
     if coef_a is not None:

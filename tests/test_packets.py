@@ -49,6 +49,13 @@ def test_scaled_norm2_overflows_to_inf_like_a_grid_packet():
     assert norm2(scale(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), 1e200)) == math.inf
 
 
+def test_gaussian_packet_reads_as_an_unflown_arm_of_coefficient_one():
+    g = GaussianPacket(x0=1.3, sigma=0.7, k0=9.0, phase=0.4)
+    assert g.coef == 1.0 + 0.0j
+    assert g.offset == 0.0
+    assert g.base is g
+
+
 def test_scale_composes():
     g = GaussianPacket(x0=0.0, sigma=1.0, k0=8.0)
     twice = scale(scale(g, 2.0), 0.5j)
@@ -293,6 +300,16 @@ def test_propagate_wraparound_guard():
         propagate(g, 30.0)
     # same flight on a long enough window is fine
     assert norm2(propagate(g, 2.0)) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_propagate_wraparound_names_the_time():
+    small = SpatialGrid(x_min=-12.0, dx=1.0 / 16.0, n=384)  # window [-12, 12]
+    g = normalize(sample(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), small))
+    with pytest.raises(WraparoundError) as info:
+        propagate(g, 15.0, c=2.0)
+    assert str(info.value) == (
+        "t = 15: wraparound: translation by 30 pushes the packet past the window edge"
+    )
 
 
 def test_fits_after(wide_grid):
