@@ -152,37 +152,36 @@ def run_invariance_report(cfg: ScenarioConfig, times: Sequence[float], out: Path
     return 0
 
 
+def _fail(code: int, message: str) -> int:
+    """Print ``error: message`` to stderr and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
+    # A scenario exits 3 or 4 whether loading or realizing its packets refuses it.
     try:
-        cfg = load_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a directory, or a file we may not read
-        print(f"error: cannot read config file: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"error: schema: {exc}", file=sys.stderr)
-        return 3
-    except InvariantError as exc:
-        print(f"error: invariant: {exc}", file=sys.stderr)
-        return 4
-
-    try:
+        try:
+            cfg = load_config(args.config)
+        except FileNotFoundError:
+            return _fail(2, f"config file not found: {args.config}")
+        except OSError as exc:  # a directory, or a file we may not read
+            return _fail(2, f"cannot read config file: {exc}")
         if args.command == "sweep":
             return run_sweep(cfg, Path(args.out))
         return run_invariance_report(cfg, args.times, Path(args.out))
+    except SchemaError as exc:
+        return _fail(3, f"schema: {exc}")
+    except InvariantError as exc:
+        return _fail(4, f"invariant: {exc}")
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 5
+        return _fail(5, f"cannot write output: {exc}")
     except DegeneratePreparationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return _fail(6, str(exc))
     except WraparoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 8
+        return _fail(8, str(exc))
 
 
 if __name__ == "__main__":

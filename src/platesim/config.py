@@ -107,7 +107,8 @@ class ScenarioConfig(_Record):
 
         Returns (alpha, beta, k_alpha, k_beta); sampled packets are
         renormalized on the grid and report their carrier via the spectral
-        centroid.  Loading never calls this, so it pays no grid sampling.
+        centroid, which is checked as parse_config checks the nominal k0.
+        Loading never calls this, so it pays no grid sampling.
         """
         alpha, beta = self.packet_alpha, self.packet_beta
         if self.representation == "grid":
@@ -116,7 +117,9 @@ class ScenarioConfig(_Record):
 
             alpha = normalize(sample(alpha, self.grid))
             beta = normalize(sample(beta, self.grid))
-            return alpha, beta, spectral_centroid(alpha), spectral_centroid(beta)
+            k_alpha, k_beta = spectral_centroid(alpha), spectral_centroid(beta)
+            _check_flight(self.c, self.l1, self.l2_min, self.l2_max, k_alpha, k_beta)
+            return alpha, beta, k_alpha, k_beta
         return alpha, beta, alpha.k0, beta.k0
 
 
@@ -268,6 +271,28 @@ def _check_grid_fit(grid: SpatialGrid, packet: GaussianPacket, key_path: str) ->
         )
 
 
+def _check_flight(
+    c: float, l1: float, l2_min: float, l2_max: float, k_alpha: float, k_beta: float
+) -> None:
+    """Refuse a run whose carrier frequencies c * k, flight times l / c or
+    plane-wave phases d_omega * l / c for l in [l1, l2_max] are not finite.
+    For positive carriers, finite c * k_alpha and c * k_beta also bound
+    d_omega, their difference.  Messages say k0 also for a sampled centroid."""
+    d_omega = c * k_alpha - c * k_beta
+    t1, t2 = l1 / c, l2_max / c
+    for key_path, message, value in (
+        ("geometry.c", "carrier frequency c * packet_alpha.k0 is not finite", c * k_alpha),
+        ("geometry.c", "carrier frequency c * packet_beta.k0 is not finite", c * k_beta),
+        ("geometry.c", "flight time l1 / c is not finite", t1),
+        ("geometry.c", "flight time l2_min / c is not finite", l2_min / c),
+        ("geometry.c", "flight time l2_max / c is not finite", t2),
+        ("geometry.l1", "plane-wave phase d_omega * l1 / c is not finite", d_omega * t1),
+        ("geometry.l2_max", "plane-wave phase d_omega * l2_max / c is not finite", d_omega * t2),
+    ):
+        if not math.isfinite(value):
+            raise InvariantError(key_path, message)
+
+
 def parse_config(raw: Any) -> ScenarioConfig:
     """Validate an already-parsed scenario object and apply defaults."""
     top = _SCENARIO(raw, "")
@@ -282,27 +307,13 @@ def parse_config(raw: Any) -> ScenarioConfig:
     elif l2_min > l2_max:
         raise InvariantError("geometry.l2_max", "must be >= l2_min")
 
-    # The derived numbers a run needs, as (key path, message, holds), in
-    # check order.  Both carriers are positive, so finite c * k0 also
-    # bounds c * (k0_alpha - k0_beta).  The sweep's plane-wave phases are
-    # d_omega * l / c for l in [l1, l2_max].
+    _check_flight(c, l1, l2_min, l2_max, alpha.k0, beta.k0)
+    # The other derived numbers a run needs, as (key path, message, holds),
+    # in check order.
     ok = cmath.isfinite
-    d_omega = c * alpha.k0 - c * beta.k0
-    t1, t2_max = l1 / c, l2_max / c
     narrower = "packet_alpha" if alpha.sigma <= beta.sigma else "packet_beta"
     gaussian = top["representation"] == "gaussian"
     for key_path, message, holds in (
-        ("geometry.c", "carrier frequency c * packet_alpha.k0 is not finite", ok(c * alpha.k0)),
-        ("geometry.c", "carrier frequency c * packet_beta.k0 is not finite", ok(c * beta.k0)),
-        ("geometry.c", "flight time l1 / c is not finite", ok(t1)),
-        ("geometry.c", "flight time l2_min / c is not finite", ok(l2_min / c)),
-        ("geometry.c", "flight time l2_max / c is not finite", ok(t2_max)),
-        ("geometry.l1", "plane-wave phase d_omega * l1 / c is not finite", ok(d_omega * t1)),
-        (
-            "geometry.l2_max",
-            "plane-wave phase d_omega * l2_max / c is not finite",
-            ok(d_omega * t2_max),
-        ),
         (
             "packet_beta.phase",
             "phase difference packet_beta.phase - packet_alpha.phase is not finite",

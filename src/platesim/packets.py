@@ -160,21 +160,15 @@ class SpatialGrid(_Record):
         """Periodic wrap point, one spacing past the last sample."""
         return self.x_min + self.n * self.dx
 
+    @cached_property
     def positions(self) -> np.ndarray:
         """Sample positions, ascending (read-only)."""
-        return self._positions
-
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers in FFT ordering (read-only)."""
-        return self._wavenumbers
-
-    @cached_property
-    def _positions(self) -> np.ndarray:
         import numpy as np  # the grid's first array loads numpy
         return _read_only(self.x_min + self.dx * np.arange(self.n))
 
     @cached_property
-    def _wavenumbers(self) -> np.ndarray:
+    def wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers in FFT ordering (read-only)."""
         import numpy as np
         return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
@@ -202,7 +196,7 @@ def scale(p: Packet, coef: complex) -> Packet:
         return ScaledGaussian(complex(coef), p)  # not coef * (1+0j): a zero part keeps its sign
     if isinstance(p, ScaledGaussian):
         return ScaledGaussian(complex(coef) * p.coef, p.base, p.offset)
-    return _packet(p).scaled(coef)
+    return _packet(p).scale(coef)
 
 
 def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> complex:
@@ -242,7 +236,7 @@ def inner_product(a: Packet, b: Packet) -> complex:
     ga = isinstance(a, (GaussianPacket, ScaledGaussian))
     gb = isinstance(b, (GaussianPacket, ScaledGaussian))
     if not ga and not gb:
-        return _packet(a).inner(_packet(b))
+        return _packet(a).inner_product(_packet(b))
     if not ga or not gb:
         _packet(b if ga else a)
         raise TypeError("cannot mix grid and analytic packets in an inner product")
@@ -265,4 +259,4 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
         raise ValueError("c must be positive")
     if isinstance(p, (GaussianPacket, ScaledGaussian)):
         return ScaledGaussian(p.coef, p.base, p.offset + c * t)
-    return _packet(p).flown(t, c)
+    return _packet(p).propagate(t, c)

@@ -54,15 +54,15 @@ class GridPacket(_Record, Packet):
     def norm2(self) -> float:
         return float(self.sample_power.sum() * self.grid.dx)
 
-    def scaled(self, coef: complex) -> GridPacket:
+    def scale(self, coef: complex) -> GridPacket:
         return GridPacket(self.grid, coef * self.amplitudes)
 
-    def inner(self, other: GridPacket) -> complex:
+    def inner_product(self, other: GridPacket) -> complex:
         if self.grid != other.grid:
             raise IncompatibleGridsError("incompatible grids")
         return complex(np.vdot(self.amplitudes, other.amplitudes) * self.grid.dx)
 
-    def flown(self, t: float, c: float) -> GridPacket:
+    def propagate(self, t: float, c: float) -> GridPacket:
         if not fits_after(self, t, c, DEFAULT_WRAP_TOL):
             raise WraparoundError(
                 f"t = {t:g}: wraparound: translation by {c * t:g} pushes the packet past"
@@ -85,7 +85,7 @@ def gaussian_amplitude(g: GaussianPacket | ScaledGaussian, x) -> np.ndarray:
 
 def sample(g: GaussianPacket | ScaledGaussian, grid: SpatialGrid) -> GridPacket:
     """Sample a (scaled, flown) Gaussian onto a grid."""
-    return GridPacket(grid, gaussian_amplitude(g, grid.positions()))
+    return GridPacket(grid, gaussian_amplitude(g, grid.positions))
 
 
 def normalize(p: GridPacket) -> GridPacket:
@@ -105,7 +105,7 @@ def fits_after(p: GridPacket, t: float, c: float, tail_tol: float) -> bool:
         raise ValueError("tail_tol must lie in (0, 1)")
     cut = p.grid.x_end - c * t
     # positions ascend, so the samples at or past the cut are a suffix
-    start = p.grid.positions().searchsorted(cut, "left")
+    start = p.grid.positions.searchsorted(cut, "left")
     mass = float(p.sample_power[start:].sum() * p.grid.dx)
     return mass < tail_tol
 
@@ -118,7 +118,7 @@ def _phases(grid: SpatialGrid, shift: float) -> np.ndarray:
     is the conjugate of mode m's, unless k * shift is 0 (for shifts 0.0,
     -0.0 or small enough to underflow), where both are 1 + 0j.
     """
-    k = grid.wavenumbers()
+    k = grid.wavenumbers
     if k[1] * shift == 0.0:  # k[1] has the smallest nonzero |k|
         return _read_only(np.exp(-1j * k * shift))
     n, half = grid.n, grid.n // 2 + 1
@@ -138,10 +138,10 @@ def _spectral_power(p: GridPacket) -> np.ndarray:
 def spectral_centroid(p: GridPacket) -> float:
     """Mean angular wavenumber of the packet's power spectrum (its carrier)."""
     power = _spectral_power(p)
-    return float((p.grid.wavenumbers() * power).sum() / power.sum())
+    return float((p.grid.wavenumbers * power).sum() / power.sum())
 
 
 def negative_wavenumber_fraction(p: GridPacket) -> float:
     """Spectral weight at k < 0; negligible for a right-moving packet."""
     power = _spectral_power(p)
-    return float(power[p.grid.wavenumbers() < 0.0].sum() / power.sum())
+    return float(power[p.grid.wavenumbers < 0.0].sum() / power.sum())

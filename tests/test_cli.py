@@ -229,6 +229,28 @@ def test_grid_phase_above_two_to_the_twenty_exits_4(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# The nominal carriers pass the loader's plane-wave phase check at the
+# largest l2_max (d_omega = -1.0); the sampled centroids the run uses do
+# not (d_omega = -1.0000000000000009).  Without the re-check at realizing,
+# sweep stopped with "ValueError: math domain error" under exit 1.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command", [["sweep"], ["invariance", "--times", "0,10"]], ids=["sweep", "invariance"]
+)
+def test_grid_plane_wave_phase_of_the_sampled_carriers_exits_4(tmp_path, capsys, command):
+    scenario = _committed_grid_scenario()
+    scenario["packet_alpha"]["k0"] = 6
+    scenario["packet_beta"]["k0"] = 7
+    scenario["geometry"]["l2_max"] = 1.7976931348623157e308
+    cfg = _write(tmp_path, scenario)
+    out = tmp_path / "out.csv"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invariant: geometry.l2_max: plane-wave phase d_omega * l2_max / c is not finite"
+    ]
+    assert not out.exists()
+
+
 def test_grid_phase_of_two_to_the_twenty_runs(tmp_path, capsys):
     scenario = _committed_grid_scenario()
     scenario["packet_beta"]["phase"] = 2**20

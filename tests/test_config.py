@@ -241,6 +241,21 @@ def test_grid_phase_of_two_to_the_twenty_loads(phase):
     assert parse_config(raw).packet_beta.phase == phase
 
 
+# The loader checks the nominal carriers (d_omega = -1.0); a grid run
+# uses the sampled spectral centroids, whose d_omega * l2_max / c overflows.
+def test_grid_realization_rechecks_the_sampled_carriers(tmp_path):
+    raw = _scenario(representation="grid", grid=GRID)
+    raw["packet_alpha"]["k0"] = 6.0
+    raw["packet_beta"]["k0"] = 7.0
+    raw["geometry"] = {"l2_max": 1.7976931348623157e308}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = load_config(path)
+    with pytest.raises(InvariantError, match="plane-wave phase d_omega") as info:
+        cfg.realize_packets()
+    assert info.value.key_path == "geometry.l2_max"
+
+
 def _sized(section: str, key: str, value: int) -> dict:
     grid = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
     raw = _scenario(representation="grid", grid=grid, geometry={})

@@ -104,6 +104,12 @@ COMMANDS = (["sweep"], ["invariance", "--times", "0,5,25"])
 HUGE_GRID_PHASE = copy.deepcopy(SCENARIOS["grid.json"])
 HUGE_GRID_PHASE["packet_beta"]["phase"] = -1.5e308
 HUGE_GRID_PHASE["geometry"]["l2_max"] = 1e308
+# The loader passes the nominal carriers' plane-wave phases; the sampled
+# centroids' d_omega * l2_max / c overflows, which realizing refuses.
+SAMPLED_PHASE_OVERFLOW = copy.deepcopy(SCENARIOS["grid.json"])
+SAMPLED_PHASE_OVERFLOW["packet_alpha"]["k0"] = 6
+SAMPLED_PHASE_OVERFLOW["packet_beta"]["k0"] = 7
+SAMPLED_PHASE_OVERFLOW["geometry"]["l2_max"] = 1.7976931348623157e308
 
 
 @settings(
@@ -114,6 +120,7 @@ HUGE_GRID_PHASE["geometry"]["l2_max"] = 1e308
 )
 @given(perturbed_scenarios(sizes=SMALL_SIZES))
 @example(HUGE_GRID_PHASE)
+@example(SAMPLED_PHASE_OVERFLOW)
 def test_perturbed_committed_scenarios_run_or_exit_documented(tmp_path, raw):
     config, out = tmp_path / "scenario.json", tmp_path / "out.csv"
     config.write_text(json.dumps(raw), encoding="utf-8")

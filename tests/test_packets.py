@@ -90,7 +90,7 @@ def test_grid_rejects_bad_parameters(kwargs):
 def test_grid_packet_is_immutable(wide_grid):
     g = sample(GaussianPacket(x0=0.0, sigma=1.0, k0=10.0), wide_grid)
     # the cached arrays are shared by every later caller
-    for shared in (g.amplitudes, g.spectrum, wide_grid.positions(), wide_grid.wavenumbers()):
+    for shared in (g.amplitudes, g.spectrum, wide_grid.positions, wide_grid.wavenumbers):
         with pytest.raises(ValueError):
             shared[0] = 1.0
 
@@ -110,13 +110,13 @@ def test_sampling_a_flown_gaussian_samples_its_moved_center(wide_grid):
 
 
 def test_replaced_grid_gets_its_own_arrays(wide_grid):
-    positions, wavenumbers = wide_grid.positions(), wide_grid.wavenumbers()
+    positions, wavenumbers = wide_grid.positions, wide_grid.wavenumbers
     finer = SpatialGrid(wide_grid.x_min, wide_grid.dx / 2.0, wide_grid.n)
-    assert finer.positions() is not positions
-    assert finer.wavenumbers() is not wavenumbers
-    assert np.array_equal(finer.positions(), finer.x_min + finer.dx * np.arange(finer.n))
+    assert finer.positions is not positions
+    assert finer.wavenumbers is not wavenumbers
+    assert np.array_equal(finer.positions, finer.x_min + finer.dx * np.arange(finer.n))
     assert np.array_equal(
-        finer.wavenumbers(), 2.0 * np.pi * np.fft.fftfreq(finer.n, d=finer.dx)
+        finer.wavenumbers, 2.0 * np.pi * np.fft.fftfreq(finer.n, d=finer.dx)
     )
 
 
