@@ -75,19 +75,20 @@ def overlap_at_time(sa: TwoArmState, sb: TwoArmState, t: float, c: float = 1.0) 
 
     Propagation is unitary, so for any admissible t this equals
     overlap_post(sa, sb) up to roundoff.  Each arm flies freely along its
-    own axis.
+    own axis, pairwise: the arm-1 pair is flown and overlapped before the
+    arm-2 pair, summed as in overlap_post, so at most two flown arms live.
     """
-    a1, a2, b1, b2 = (propagate(p, t, c) for p in (sa.arm1, sa.arm2, sb.arm1, sb.arm2))
-    return overlap_post(TwoArmState(a1, a2), TwoArmState(b1, b2))
+    arm1 = inner_product(propagate(sa.arm1, t, c), propagate(sb.arm1, t, c))
+    return arm1 + inner_product(propagate(sa.arm2, t, c), propagate(sb.arm2, t, c))
 
 
 class ExperimentGeometry(_Record):
     """Plate-to-detector distances and the propagation speed."""
 
     def __init__(self, l1: float, l2: float, c: float = 1.0) -> None:
-        if l1 <= 0 or l2 <= 0:
+        if not (l1 > 0 and l2 > 0):  # NaN fails too
             raise ValueError("detector distances must be positive")
-        if c <= 0:
+        if not c > 0:
             raise ValueError("c must be positive")
         self.__dict__.update(l1=l1, l2=l2, c=c)
 

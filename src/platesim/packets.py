@@ -119,7 +119,7 @@ class GaussianPacket(_Record, Packet):
         # `**` would raise OverflowError, which is not a ValueError.
         if not 0.0 < sigma * sigma < math.inf:
             raise ValueError("sigma * sigma must be a positive finite number")
-        if k0 <= 0:
+        if not k0 > 0:  # NaN fails too
             raise ValueError("k0 must be positive (right-moving packet)")
         if k0 * sigma < 4.0:
             raise ValueError(
@@ -149,7 +149,7 @@ class SpatialGrid(_Record):
     """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; its arrays import numpy."""
 
     def __init__(self, x_min: float, dx: float, n: int) -> None:
-        if dx <= 0:
+        if not dx > 0:  # NaN fails too
             raise ValueError("grid spacing dx must be positive")
         if n < 2:
             raise ValueError("grid needs at least 2 samples")
@@ -253,9 +253,9 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     :class:`WraparoundError` if the shifted packet would cross the window
     edge, i.e. if more than DEFAULT_WRAP_TOL of its mass sits within c*t of it.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too, as does a NaN c
         raise ValueError("t must be nonnegative")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     if isinstance(p, (GaussianPacket, ScaledGaussian)):
         return ScaledGaussian(p.coef, p.base, p.offset + c * t)

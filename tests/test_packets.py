@@ -74,6 +74,7 @@ def test_scale_composes():
         dict(x0=0.0, sigma=1.0, k0=3.9),  # k0 * sigma < 4
         dict(x0=0.0, sigma=1e-300, k0=1e301),  # sigma * sigma underflows to 0
         dict(x0=0.0, sigma=1e200, k0=12.0),  # sigma * sigma overflows
+        dict(x0=0.0, sigma=1.0, k0=math.nan),
     ],
 )
 def test_gaussian_rejects_bad_parameters(kwargs):
@@ -81,7 +82,10 @@ def test_gaussian_rejects_bad_parameters(kwargs):
         GaussianPacket(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [dict(x_min=0.0, dx=0.0, n=8), dict(x_min=0.0, dx=0.1, n=1)])
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(x_min=0.0, dx=0.0, n=8), dict(x_min=0.0, dx=0.1, n=1), dict(x_min=-1.0, dx=math.nan, n=8)],
+)
 def test_grid_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         SpatialGrid(**kwargs)
@@ -285,12 +289,16 @@ def test_propagate_grid_conserves_norm(wide_grid):
     assert norm2(propagate(g, 60.0)) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_propagate_rejects_bad_arguments():
+def test_propagate_rejects_bad_arguments(wide_grid):
     g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
-    with pytest.raises(ValueError):
-        propagate(g, -1.0)
-    with pytest.raises(ValueError):
-        propagate(g, 1.0, c=0.0)
+    # NaN fails the sign checks too, on either kind of packet
+    for p in (g, normalize(sample(g, wide_grid))):
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="^t must be nonnegative$"):
+                propagate(p, t)
+        for c in (0.0, math.nan):
+            with pytest.raises(ValueError, match="^c must be positive$"):
+                propagate(p, 1.0, c=c)
 
 
 def test_propagate_wraparound_guard():

@@ -16,6 +16,8 @@ The cases, over ``bench/scenario_gen.py`` seeds:
 * Gaussian invariance at ``0,-0,1,1e3,1e6,1e9,1e12,75,75,3.5``;
 * grid sweeps, grid invariance at 20 times below the wraparound limit, and
   grid invariance at ``0,1e4,5``, which exits 8;
+* grid invariance at ``0,176,5`` with beta near the window edge, which exits 8
+  at beta's flight while alpha's arms still fit;
 * one scenario per documented refusal (exits 2 to 7), under both
   subcommands, and command-line usage errors.
 
@@ -44,6 +46,7 @@ GRID_SEEDS = range(12)
 GAUSSIAN_TIMES = "0,-0,1,1e3,1e6,1e9,1e12,75,75,3.5"
 WRAPAROUND_TIMES = "0,1e4,5"
 GRID_TIMES = 20
+BETA_EDGE_TIMES = "0,176,5"
 
 GAUSSIAN = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -128,6 +131,12 @@ def build_cases() -> list[dict]:
         cases.append(_case(f"grid_sweep[{seed}]", sweep, scn))
         cases.append(_case(f"grid_invariance[{seed}]", [*invariance, times], scn))
         cases.append(_case(f"grid_wraparound[{seed}]", [*invariance, WRAPAROUND_TIMES], scn))
+    # beta at x0 = 40 crosses the edge at 216 by t = 176; alpha, 40 behind it, does not
+    beta_edge = _with(
+        GAUSSIAN, representation="grid", grid=GRID,
+        packet_beta={**GAUSSIAN["packet_beta"], "x0": 40.0},
+    )
+    cases.append(_case("grid_wraparound_beta_only", [*invariance, BETA_EDGE_TIMES], beta_edge))
     for name, scn in _refusals().items():
         cases.append(_case(f"{name}[sweep]", sweep, scn))
         cases.append(_case(f"{name}[invariance]", [*invariance, "0,40,120"], scn))
