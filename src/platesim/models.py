@@ -84,6 +84,11 @@ def derive_plane_wave_model(
     Frequencies follow the dispersionless rule omega = c * k; the term
     amplitudes are the per-arm overlaps at the split time.
     """
+    for name, k in (("k_alpha", k_alpha), ("k_beta", k_beta)):
+        if not math.isfinite(k):
+            raise ValueError(f"{name} must be finite")
+    if not 0.0 < c < math.inf:  # NaN fails too
+        raise ValueError("c must be positive and finite")
     return PlaneWaveModel(
         omega_alpha=c * k_alpha,
         omega_beta=c * k_beta,
@@ -108,6 +113,9 @@ def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
     two terms at different times is exactly the step the exact treatment
     forbids; the resulting t2 dependence is the artifact under study.
     """
+    for name, t in (("t1", t1), ("t2", t2)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite")
     d_omega = m.delta_omega
     return _arm_term(m.a1, d_omega * t1) + _arm_term(m.a2, d_omega * t2)
 
@@ -241,13 +249,17 @@ def sweep_d2(
 
     D1 stays at geom_base.l1.  The exact columns are constant by
     construction; the plane-wave columns pick up the spurious t2 = l2/c
-    dependence.
+    dependence.  A vanishing exact denominator raises
+    DegeneratePreparationError("degenerate preparation"); a vanishing
+    shortcut denominator names the shortcut and the first such row's l2.
     """
     l2 = array("d", l2_values)
     if not l2:
         raise ValueError("l2_values must be a nonempty sequence")
     if any(value <= 0.0 for value in l2):
         raise ValueError("detector distances must be positive")
+    if not all(map(math.isfinite, l2)):
+        raise ValueError("l2_values must be finite")
 
     sa = split(alpha, bs)
     sb = split(beta, bs)
@@ -269,6 +281,14 @@ def sweep_d2(
     _require_finite(a2)
     t2 = array("d", [value / c for value in l2])
     eps_pw = [x1_pw + _arm_term(a2, d_omega * t) for t in t2]
-    rate_pw = array("d", [_rate(numerator_pw, rot, e) for e in eps_pw])
+    rate_pw = array("d")
+    try:
+        rate_pw.extend(_rate(numerator_pw, rot, e) for e in eps_pw)
+    except DegeneratePreparationError:
+        # The shortcut's own denominator vanished.  extend keeps the rows
+        # before the refused one, so the length indexes it.
+        raise DegeneratePreparationError(
+            f"degenerate preparation under the plane-wave shortcut at l2 = {l2[len(rate_pw)]:g}"
+        ) from None
     n = len(l2)
     return SweepResult(l2, t2, [eps] * n, eps_pw, array("d", [rate_exact]) * n, rate_pw)

@@ -16,15 +16,11 @@ import math
 from .packets import Packet, _Record, inner_product, propagate, scale
 
 __all__ = [
-    "UNITARITY_TOL", "BeamSplitter", "ExperimentGeometry", "NonUnitaryPlateError",
-    "TwoArmState", "balanced_splitter", "overlap_at_time", "overlap_post", "split",
+    "UNITARITY_TOL", "BeamSplitter", "ExperimentGeometry", "TwoArmState", "balanced_splitter",
+    "overlap_at_time", "overlap_post", "split",
 ]
 
 UNITARITY_TOL = 1e-9
-
-
-class NonUnitaryPlateError(ValueError):
-    """|r|^2 + |t|^2 strays too far from 1."""
 
 
 class BeamSplitter(_Record):
@@ -35,9 +31,7 @@ class BeamSplitter(_Record):
         defect = self.unitarity_defect()
         # Written so that a NaN defect is refused too.
         if not defect <= UNITARITY_TOL:
-            raise NonUnitaryPlateError(
-                f"non-unitary plate: |r|^2 + |t|^2 off by {defect:.3g}"
-            )
+            raise ValueError(f"non-unitary plate: |r|^2 + |t|^2 off by {defect:.3g}")
 
     def unitarity_defect(self) -> float:
         # Products, not abs(z) ** 2, which raises OverflowError for a huge

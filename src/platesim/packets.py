@@ -35,28 +35,19 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DEFAULT_WRAP_TOL", "DegeneratePacketError", "GaussianPacket",
-    "IncompatibleGridsError", "Packet", "ScaledGaussian", "SpatialGrid", "WraparoundError",
-    "inner_product", "norm2", "propagate", "scale",
+    "DEFAULT_WRAP_TOL", "GaussianPacket", "Packet", "ScaledGaussian", "SpatialGrid",
+    "WraparoundError", "inner_product", "norm2", "propagate", "scale",
 ]
 
 # mass allowed to spill past the window edge before propagate refuses
 DEFAULT_WRAP_TOL = 1e-9
-
-
-class DegeneratePacketError(ValueError):
-    """Zero-norm packet where a finite norm is required."""
-
-
-class IncompatibleGridsError(ValueError):
-    """Two grid packets that do not live on the same grid."""
 
 
 class WraparoundError(ValueError):
@@ -125,6 +116,9 @@ class GaussianPacket(_Record, Packet):
             raise ValueError(
                 "k0 * sigma must be >= 4 so the negative-wavenumber tail is negligible"
             )
+        for name, value in (("x0", x0), ("phase", phase)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         self.__dict__.update(x0=x0, sigma=sigma, k0=k0, phase=phase)
 
 
@@ -149,8 +143,14 @@ class SpatialGrid(_Record):
     """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; its arrays import numpy."""
 
     def __init__(self, x_min: float, dx: float, n: int) -> None:
+        if not math.isfinite(x_min):
+            raise ValueError("grid origin x_min must be finite")
         if not dx > 0:  # NaN fails too
             raise ValueError("grid spacing dx must be positive")
+        try:
+            index(n)
+        except TypeError:
+            raise TypeError(f"grid size n must be an integer, not {type(n).__name__}") from None
         if n < 2:
             raise ValueError("grid needs at least 2 samples")
         self.__dict__.update(x_min=x_min, dx=dx, n=n)
@@ -244,6 +244,14 @@ def inner_product(a: Packet, b: Packet) -> complex:
     return a.coef.conjugate() * b.coef * _gaussian_overlap(a.base, b.base, flight)
 
 
+def _require_flight(t: float, c: float) -> None:
+    """Refuse a negative flight time t or a speed c that is not positive."""
+    if not t >= 0:  # NaN fails too, as does a NaN c
+        raise ValueError("t must be nonnegative")
+    if not c > 0:
+        raise ValueError("c must be positive")
+
+
 def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     """Free flight for a time t: rigid translation by c*t.
 
@@ -253,10 +261,7 @@ def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:
     :class:`WraparoundError` if the shifted packet would cross the window
     edge, i.e. if more than DEFAULT_WRAP_TOL of its mass sits within c*t of it.
     """
-    if not t >= 0:  # NaN fails too, as does a NaN c
-        raise ValueError("t must be nonnegative")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _require_flight(t, c)
     if isinstance(p, (GaussianPacket, ScaledGaussian)):
         return ScaledGaussian(p.coef, p.base, p.offset + c * t)
     return _packet(p).propagate(t, c)

@@ -17,9 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .packets import DEFAULT_WRAP_TOL, DegeneratePacketError, GaussianPacket
-from .packets import IncompatibleGridsError, Packet, ScaledGaussian, SpatialGrid, WraparoundError
-from .packets import _Record, _read_only
+from .packets import DEFAULT_WRAP_TOL, GaussianPacket, Packet, ScaledGaussian, SpatialGrid
+from .packets import WraparoundError, _Record, _read_only, _require_flight
 
 __all__ = [
     "GridPacket", "SpatialGrid", "fits_after", "gaussian_amplitude",
@@ -59,7 +58,7 @@ class GridPacket(_Record, Packet):
 
     def inner_product(self, other: GridPacket) -> complex:
         if self.grid != other.grid:
-            raise IncompatibleGridsError("incompatible grids")
+            raise ValueError("incompatible grids")
         return complex(np.vdot(self.amplitudes, other.amplitudes) * self.grid.dx)
 
     def propagate(self, t: float, c: float) -> GridPacket:
@@ -92,7 +91,7 @@ def normalize(p: GridPacket) -> GridPacket:
     """Rescale a grid packet to unit norm."""
     n = math.sqrt(p.norm2())
     if n == 0.0 or not math.isfinite(n):
-        raise DegeneratePacketError("degenerate packet")
+        raise ValueError("degenerate packet")
     return GridPacket(p.grid, p.amplitudes / n)
 
 
@@ -101,6 +100,7 @@ def fits_after(p: GridPacket, t: float, c: float, tail_tol: float) -> bool:
 
     That is exactly the mass a translation by c*t would wrap around.
     """
+    _require_flight(t, c)
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
     cut = p.grid.x_end - c * t
@@ -131,7 +131,7 @@ def _phases(grid: SpatialGrid, shift: float) -> np.ndarray:
 def _spectral_power(p: GridPacket) -> np.ndarray:
     power = np.abs(p.spectrum) ** 2
     if power.sum() == 0.0:
-        raise DegeneratePacketError("degenerate packet")
+        raise ValueError("degenerate packet")
     return power
 
 

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import platesim
 from platesim import cli
 from platesim.cli import main
-from platesim.config import MAX_GRID_N, MAX_N_POINTS
+from platesim.config import MAX_GRID_N, MAX_N_POINTS, ConfigError, InvariantError, SchemaError
+from platesim.models import DegeneratePreparationError
+from platesim.packets import WraparoundError
 
 GAUSSIAN_SCENARIO = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -340,6 +345,58 @@ def test_degenerate_preparation_exits_6(tmp_path, capsys):
     cfg = _write(tmp_path, scenario)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 6
     assert "degenerate preparation" in capsys.readouterr().err
+
+
+def test_shortcut_degenerate_preparation_exits_6_naming_the_shortcut_and_l2(tmp_path, capsys):
+    # The exact denominator 2 + 2 Re(eps) is 3.99999999995; on the one row
+    # the shortcut's, D0 - 2|a2|, is about 5e-11.
+    length = math.pi / 1e-5
+    scenario = {
+        "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
+        "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 12.00001},
+        "geometry": {"l1": length, "l2_min": length, "l2_max": length, "n_points": 1},
+    }
+    cfg = _write(tmp_path, scenario)
+    out = str(tmp_path / "out.csv")
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 6
+    assert capsys.readouterr().err == (
+        "error: degenerate preparation under the plane-wave shortcut at l2 = 314159\n"
+    )
+    assert main(["invariance", "--config", str(cfg), "--times", "0,1", "--out", out]) == 0
+
+
+def test_every_error_class_the_package_defines_maps_to_an_exit_code(tmp_path, capsys, monkeypatch):
+    modules = [platesim] + [
+        importlib.import_module(f"platesim.{info.name}")
+        for info in pkgutil.iter_modules(platesim.__path__)
+    ]
+    defined = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    }
+    # ConfigError is only the common base of the loader's two errors.
+    assert defined == {
+        ConfigError, SchemaError, InvariantError, DegeneratePreparationError, WraparoundError
+    }
+    assert issubclass(SchemaError, ConfigError) and issubclass(InvariantError, ConfigError)
+    cfg = _write(tmp_path, GAUSSIAN_SCENARIO)
+    for error, code in (
+        (SchemaError("key", "refused"), 3),
+        (InvariantError("key", "refused"), 4),
+        (DegeneratePreparationError("refused"), 6),
+        (WraparoundError("refused"), 8),
+    ):
+
+        def run_sweep(cfg, out, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == code
+        assert "refused" in capsys.readouterr().err
 
 
 def test_invariance_analytic_exits_zero(tmp_path, capsys):

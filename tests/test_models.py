@@ -348,6 +348,46 @@ def test_sweep_rejects_bad_l2_values():
         _demo_sweep([1.0, -2.0])
 
 
+@pytest.mark.parametrize("l2_values", [[math.nan], [math.inf], [1.0, math.nan, 2.0]])
+def test_sweep_refuses_non_finite_l2_values(l2_values):
+    # NaN passes the sign check and inf is positive: without their own
+    # check both fail later under another name.
+    with pytest.raises(ValueError, match="^l2_values must be finite$"):
+        _demo_sweep(l2_values)
+
+
+@pytest.mark.parametrize(
+    "t1, t2, match",
+    [
+        (1.0, math.nan, "^t2 must be finite$"),
+        (1.0, math.inf, "^t2 must be finite$"),
+        (math.nan, 1.0, "^t1 must be finite$"),
+    ],
+)
+def test_plane_wave_epsilon_refuses_non_finite_times(t1, t2, match):
+    alpha, beta = _demo_pair()
+    sa, sb = split(alpha, balanced_splitter()), split(beta, balanced_splitter())
+    m = derive_plane_wave_model(sa, sb, alpha.k0, beta.k0)
+    with pytest.raises(ValueError, match=match):
+        plane_wave_epsilon(m, t1, t2)
+
+
+@pytest.mark.parametrize(
+    "k_alpha, k_beta, c, match",
+    [
+        (math.nan, 12.8, 1.0, "^k_alpha must be finite$"),
+        (12.0, math.inf, 1.0, "^k_beta must be finite$"),
+        (12.0, 12.8, math.nan, "^c must be positive and finite$"),
+        (12.0, 12.8, 0.0, "^c must be positive and finite$"),
+    ],
+)
+def test_derive_plane_wave_model_refuses_bad_carriers_and_speed(k_alpha, k_beta, c, match):
+    alpha, beta = _demo_pair()
+    sa, sb = split(alpha, balanced_splitter()), split(beta, balanced_splitter())
+    with pytest.raises(ValueError, match=match):
+        derive_plane_wave_model(sa, sb, k_alpha, k_beta, c)
+
+
 def test_sweep_scaled_inputs_keep_rates_bounded():
     # a slightly asymmetric preparation still yields physical rates
     result = _demo_sweep(np.linspace(1.0, 20.0, 40), phi=2.0)

@@ -11,9 +11,7 @@ from numpy.testing import assert_allclose
 from conftest import random_close_pair, random_gaussian
 from platesim.optics import TwoArmState
 from platesim.packets import (
-    DegeneratePacketError,
     GaussianPacket,
-    IncompatibleGridsError,
     ScaledGaussian,
     WraparoundError,
     inner_product,
@@ -91,6 +89,39 @@ def test_grid_rejects_bad_parameters(kwargs):
         SpatialGrid(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(x0=math.nan, sigma=1.0, k0=12.0), "^x0 must be finite$"),
+        (dict(x0=-math.inf, sigma=1.0, k0=12.0), "^x0 must be finite$"),
+        (dict(x0=0.0, sigma=1.0, k0=12.0, phase=math.inf), "^phase must be finite$"),
+        (dict(x0=0.0, sigma=1.0, k0=12.0, phase=math.nan), "^phase must be finite$"),
+    ],
+)
+def test_gaussian_refuses_non_finite_center_and_phase(kwargs, match):
+    # Built, they would overlap to nan+nanj.
+    with pytest.raises(ValueError, match=match):
+        GaussianPacket(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        (dict(x_min=math.nan, dx=0.1, n=8), ValueError, "^grid origin x_min must be finite$"),
+        (dict(x_min=math.inf, dx=0.1, n=8), ValueError, "^grid origin x_min must be finite$"),
+        (dict(x_min=0.0, dx=0.1, n=8.5), TypeError, "^grid size n must be an integer, not float$"),
+        (dict(x_min=0.0, dx=0.1, n="8"), TypeError, "^grid size n must be an integer, not str$"),
+    ],
+)
+def test_grid_refuses_non_finite_origin_and_non_integer_size(kwargs, error, match):
+    with pytest.raises(error, match=match):
+        SpatialGrid(**kwargs)
+
+
+def test_grid_takes_a_numpy_integer_size():
+    assert SpatialGrid(x_min=0.0, dx=0.1, n=np.int64(8)) == SpatialGrid(x_min=0.0, dx=0.1, n=8)
+
+
 def test_grid_packet_is_immutable(wide_grid):
     g = sample(GaussianPacket(x0=0.0, sigma=1.0, k0=10.0), wide_grid)
     # the cached arrays are shared by every later caller
@@ -137,7 +168,7 @@ def test_sampled_norm_close_to_one(wide_grid):
 
 def test_normalize_rejects_zero(wide_grid):
     zero = GridPacket(wide_grid, np.zeros(wide_grid.n, dtype=complex))
-    with pytest.raises(DegeneratePacketError, match="degenerate packet"):
+    with pytest.raises(ValueError, match="degenerate packet"):
         normalize(zero)
 
 
@@ -234,7 +265,7 @@ def test_mixed_representations_rejected(wide_grid):
 def test_incompatible_grids_rejected(wide_grid):
     other = SpatialGrid(x_min=wide_grid.x_min, dx=wide_grid.dx, n=wide_grid.n // 2)
     g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
-    with pytest.raises(IncompatibleGridsError, match="incompatible grids"):
+    with pytest.raises(ValueError, match="incompatible grids"):
         inner_product(sample(g, wide_grid), sample(g, other))
 
 
@@ -326,6 +357,22 @@ def test_fits_after(wide_grid):
     assert not fits_after(g, 260.0, 1.0, 1e-6)  # past the window end at 216
     with pytest.raises(ValueError):
         fits_after(g, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "t, c, match",
+    [
+        (math.nan, 1.0, "^t must be nonnegative$"),
+        (-1.0, 1.0, "^t must be nonnegative$"),
+        (1.0, math.nan, "^c must be positive$"),
+        (1.0, 0.0, "^c must be positive$"),
+    ],
+)
+def test_fits_after_refuses_bad_flight(wide_grid, t, c, match):
+    # NaN fails every comparison, so an unguarded check would call the packet a fit.
+    g = normalize(sample(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), wide_grid))
+    with pytest.raises(ValueError, match=match):
+        fits_after(g, t, c, 1e-9)
 
 
 def test_spectral_centroid_recovers_carrier(wide_grid):

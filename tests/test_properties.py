@@ -4,13 +4,15 @@ over drawn inputs.
 ``ScenarioConfig.l2_values`` must reproduce ``numpy.linspace`` bit for bit
 (the golden CSVs were written with it); the D1 and D2 rates of a lossless
 plate sum to 1; the plane-wave overlap repeats in t2 with period
-``2*pi/|d_omega|``; splitting on a unitary plate keeps the overlap of two
-packets, Gaussian or sampled; ``run_sweep`` writes every value of
-``sweep_d2`` with ``%.17g``, its constant columns included.
+``2*pi/|d_omega|``, and over a sweep of at least one period it swings
+within its closed-form bounds; splitting on a unitary plate keeps the
+overlap of two packets, Gaussian or sampled; ``run_sweep`` writes every
+value of ``sweep_d2`` with ``%.17g``, its constant columns included.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -26,6 +28,8 @@ from platesim import (  # noqa: E402
     ExperimentGeometry,
     GaussianPacket,
     Preparation,
+    balanced_splitter,
+    derive_plane_wave_model,
     inner_product,
     parse_config,
     split,
@@ -151,6 +155,64 @@ def test_plane_wave_epsilon_periodic_in_t2(omega, detune, sign, a1, a2, t1, t2):
     tol = 8.0 * EPS * (abs(a1) + abs(a2)) * (d_omega * (t2 + period) + 2.0 * math.pi + 1.0)
     shifted = plane_wave_epsilon(m, t1, t2 + period)
     assert abs(shifted - plane_wave_epsilon(m, t1, t2)) <= tol
+
+
+DEFAULT_PAIR = (GaussianPacket(0.0, 1.0, 12.0), GaussianPacket(0.0, 1.0, 12.8))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    packets(),
+    packets(),
+    unitary_splitters(),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.1, 10.0),
+    st.floats(0.1, 10.0),
+    st.floats(1.0, 3.0),
+    st.integers(16, 200),
+    st.floats(0.5, 2.0),
+)
+@example(*DEFAULT_PAIR, balanced_splitter(), 0.0, 1.0, 1.0, 2.0, 200, 1.0)  # default.json
+def test_shortcut_swing_lies_within_its_closed_form(
+    alpha, beta, bs, phi, l1, l2_min, periods, n, c
+):
+    # The shortcut's overlap x1 + a2 exp(i d_omega t2) runs around a circle
+    # of radius |a2|.  A sweep over at least one period with phase step
+    # delta = |d_omega| dt2 <= 2 pi has, for each row, a row within delta/2
+    # of the antipode, so the swing is at least 2|a2| cos(delta/4); it is
+    # at most the diameter.  Its D1 rate num / (D0 + 2 Re(rot a2 ...)) lies
+    # between num / (D0 + 2|a2|) and num / (D0 - 2|a2|) when D0 > 2|a2|.
+    sa, sb = split(alpha, bs), split(beta, bs)
+    m = derive_plane_wave_model(sa, sb, alpha.k0, beta.k0, c)
+    d_omega = abs(m.delta_omega)
+    assume(d_omega > 1e-2)
+    span = periods * 2.0 * math.pi * c / d_omega
+    l2_values = np.linspace(l2_min, l2_min + span, n)
+    try:
+        result = sweep_d2(
+            alpha, beta, bs, ExperimentGeometry(l1, l2_min, c), l2_values, Preparation(phi),
+            alpha.k0, beta.k0,
+        )
+    except DegeneratePreparationError:
+        assume(False)
+    a2 = abs(m.a2)
+    x1 = m.a1 * cmath.rect(1.0, m.delta_omega * (l1 / c))
+    delta = d_omega * (span / (n - 1)) / c
+    # Roundoff: the phases move each point by a relative 1e-9 at most, and
+    # the sum x1 + a2 exp(...) by a few ulps of its terms.
+    slack = 1e-9 * a2 + 8.0 * EPS * (abs(x1) + a2)
+    swing = result.spread("eps_plane_wave")
+    assert 2.0 * a2 * math.cos(delta / 4.0) - slack <= swing <= 2.0 * a2 + slack
+
+    re_x1 = (cmath.exp(1j * phi) * x1).real
+    d0, num = 2.0 + 2.0 * re_x1, norm2(sa.arm1) + norm2(sb.arm1) + 2.0 * re_x1
+    if d0 - 2.0 * a2 > 1e-2:  # away from the shortcut's degenerate rows
+
+        def clamp(rate):
+            return min(1.0, max(0.0, rate))
+
+        closed_form = clamp(num / (d0 - 2.0 * a2)) - clamp(num / (d0 + 2.0 * a2))
+        assert result.spread("rate_plane_wave") <= closed_form + 1e-9
 
 
 # Phases where sums and products of the overlap terms land on exact

@@ -19,7 +19,8 @@ The cases, over ``bench/scenario_gen.py`` seeds:
 * grid invariance at ``0,176,5`` with beta near the window edge, which exits 8
   at beta's flight while alpha's arms still fit;
 * one scenario per documented refusal (exits 2 to 7), under both
-  subcommands, and command-line usage errors.
+  subcommands, among them a sweep whose one row the plane-wave shortcut
+  alone refuses with exit 6, and command-line usage errors.
 
 Prints every case whose record differs and exits 1 if any does, else 0.
 Uses only the standard library, and only reads ``bench/``.  It is a review
@@ -101,6 +102,13 @@ def _refusals() -> dict[str, dict]:
         ),
         "degenerate_preparation": _with(
             GAUSSIAN, packet_beta={**alpha, "phase": 3.141592653589793}
+        ),
+        # the exact denominator is 3.99999999995, the shortcut's about 5e-11
+        "shortcut_degenerate_preparation": _with(
+            GAUSSIAN,
+            packet_beta={**alpha, "k0": 12.00001},
+            geometry={"l1": 314159.2653589793, "l2_min": 314159.2653589793,
+                      "l2_max": 314159.2653589793, "n_points": 1},
         ),
         "grid_tolerance": _with(grid, tolerances={"grid_tol": 1e-18}),
     }
