@@ -38,7 +38,7 @@ import math
 from array import array
 
 from .optics import BeamSplitter, ExperimentGeometry, TwoArmState, split
-from .packets import Packet, _Record, inner_product, norm2
+from .packets import Packet, _Record, _require_finite, _require_positive, inner_product, norm2
 
 __all__ = [
     "DEGENERACY_TOL", "DegeneratePreparationError", "PlaneWaveModel", "Preparation",
@@ -62,6 +62,7 @@ class PlaneWaveModel(_Record):
     """
 
     def __init__(self, omega_alpha: float, omega_beta: float, a1: complex, a2: complex) -> None:
+        _require_finite(omega_alpha=omega_alpha, omega_beta=omega_beta, a1=a1, a2=a2)
         self.__dict__.update(omega_alpha=omega_alpha, omega_beta=omega_beta, a1=a1, a2=a2)
 
     @property
@@ -73,6 +74,7 @@ class Preparation(_Record):
     """Relative phase of the prepared superposition (|a> + e^{i phi} |b>)/N."""
 
     def __init__(self, phi: float = 0.0) -> None:
+        _require_finite(phi=phi)
         self.__dict__.update(phi=phi)
 
 
@@ -84,25 +86,27 @@ def derive_plane_wave_model(
     Frequencies follow the dispersionless rule omega = c * k; the term
     amplitudes are the per-arm overlaps at the split time.
     """
-    for name, k in (("k_alpha", k_alpha), ("k_beta", k_beta)):
-        if not math.isfinite(k):
-            raise ValueError(f"{name} must be finite")
-    if not 0.0 < c < math.inf:  # NaN fails too
-        raise ValueError("c must be positive and finite")
+    _require_finite(k_alpha=k_alpha, k_beta=k_beta)
+    _require_positive(c=c)
+    omega_alpha, omega_beta = c * k_alpha, c * k_beta
+    _require_finite(**{"c * k_alpha": omega_alpha, "c * k_beta": omega_beta})
     return PlaneWaveModel(
-        omega_alpha=c * k_alpha,
-        omega_beta=c * k_beta,
+        omega_alpha=omega_alpha,
+        omega_beta=omega_beta,
         a1=inner_product(sa.arm1, sb.arm1),
         a2=inner_product(sa.arm2, sb.arm2),
     )
 
 
-def _arm_term(a: complex, theta: float) -> complex:
+def _arm_term(a: complex, theta: float, phase: str) -> complex:
     """One term of the shortcut's overlap, a * exp(i*theta).
 
-    ValueError if theta is infinite.  The complex product keeps the
+    ValueError if theta is not finite, naming it as ``phase``, theta
+    spelled in the caller's arguments.  The complex product keeps the
     operand order the golden CSVs were written with.
     """
+    if not math.isfinite(theta):  # a test a row; the helper only words the refusal
+        _require_finite(**{f"plane-wave phase {phase}": theta})
     return a * cmath.rect(1.0, theta)
 
 
@@ -113,22 +117,16 @@ def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
     two terms at different times is exactly the step the exact treatment
     forbids; the resulting t2 dependence is the artifact under study.
     """
-    for name, t in (("t1", t1), ("t2", t2)):
-        if not math.isfinite(t):
-            raise ValueError(f"{name} must be finite")
+    _require_finite(t1=t1, t2=t2)
     d_omega = m.delta_omega
-    return _arm_term(m.a1, d_omega * t1) + _arm_term(m.a2, d_omega * t2)
-
-
-def _require_finite(*values: complex) -> None:
-    if not all(map(cmath.isfinite, values)):
-        raise ValueError("counting rate of a non-finite input")
+    term1 = _arm_term(m.a1, d_omega * t1, "delta_omega * t1")
+    return term1 + _arm_term(m.a2, d_omega * t2, "delta_omega * t2")
 
 
 def _rate_constants(n_a1: float, n_b1: float, x1: complex, phi: float) -> tuple[float, complex]:
     """The part of the rate that does not depend on eps: the numerator
     n_a1 + n_b1 + 2 Re(e^{i phi} x1) and e^{i phi}, from finite inputs."""
-    _require_finite(n_a1, n_b1, x1, phi)
+    _require_finite(n_a1=n_a1, n_b1=n_b1, x1=x1)  # Preparation refuses a non-finite phi
     rot = cmath.exp(1j * phi)
     return n_a1 + n_b1 + 2.0 * (rot * x1).real, rot
 
@@ -137,7 +135,7 @@ def _rate(numerator: float, rot: complex, eps: complex) -> float:
     """numerator / (2 + 2 Re(rot * eps)), clamped to [0, 1]."""
     denom = 2.0 + 2.0 * (rot * eps).real
     if not denom > DEGENERACY_TOL:
-        _require_finite(denom)  # NaN or -inf: eps is not finite
+        _require_finite(eps=eps)  # a NaN or -inf denom: eps is not finite
         raise DegeneratePreparationError("degenerate preparation")
     # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
     # clamp only the roundoff excursions.
@@ -152,10 +150,10 @@ def counting_rate_d1(
     n_a1 and n_b1 are the squared norms of the two D1-arm packets and x1
     their overlap; eps normalizes the preparation.  Fed the D2-arm norms
     and overlap instead, it gives the D2 rate; the two sum to 1 when the
-    plate is lossless.  Raises ValueError on a non-finite input and
+    plate is lossless.  Raises ValueError on an input that is not finite and
     DegeneratePreparationError on a zero-norm preparation.
     """
-    _require_finite(eps)
+    _require_finite(eps=eps)
     return _rate(*_rate_constants(n_a1, n_b1, x1, prep.phi), eps)
 
 
@@ -256,10 +254,8 @@ def sweep_d2(
     l2 = array("d", l2_values)
     if not l2:
         raise ValueError("l2_values must be a nonempty sequence")
-    if any(value <= 0.0 for value in l2):
-        raise ValueError("detector distances must be positive")
-    if not all(map(math.isfinite, l2)):
-        raise ValueError("l2_values must be finite")
+    # the first value not in (0, inf), NaN included, or 1.0 when all pass
+    _require_positive(l2_values=next((v for v in l2 if not 0.0 < v < math.inf), 1.0))
 
     sa = split(alpha, bs)
     sb = split(beta, bs)
@@ -276,11 +272,13 @@ def sweep_d2(
     # numerator and e^{i phi}.  A row whose eps is not finite still
     # raises, in _arm_term or in _rate.
     d_omega, a2 = model.delta_omega, model.a2
-    x1_pw = _arm_term(model.a1, d_omega * (geom_base.l1 / c))
+    x1_pw = _arm_term(
+        model.a1, d_omega * (geom_base.l1 / c), "(c * k_alpha - c * k_beta) * l1 / c"
+    )
     numerator_pw, rot = _rate_constants(n_a1, n_b1, x1_pw, prep.phi)
-    _require_finite(a2)
     t2 = array("d", [value / c for value in l2])
-    eps_pw = [x1_pw + _arm_term(a2, d_omega * t) for t in t2]
+    row_phase = "(c * k_alpha - c * k_beta) * l2 / c"
+    eps_pw = [x1_pw + _arm_term(a2, d_omega * t, row_phase) for t in t2]
     rate_pw = array("d")
     try:
         rate_pw.extend(_rate(numerator_pw, rot, e) for e in eps_pw)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .packets import Packet, _Record, inner_product, propagate, scale
+from .packets import Packet, _Record, _require_positive, inner_product, propagate, scale
 
 __all__ = [
     "UNITARITY_TOL", "BeamSplitter", "ExperimentGeometry", "TwoArmState", "balanced_splitter",
@@ -77,12 +77,9 @@ def overlap_at_time(sa: TwoArmState, sb: TwoArmState, t: float, c: float = 1.0) 
 
 
 class ExperimentGeometry(_Record):
-    """Plate-to-detector distances and the propagation speed."""
+    """Distances from the plate to D1 and D2, and the propagation speed."""
 
     def __init__(self, l1: float, l2: float, c: float = 1.0) -> None:
-        if not (l1 > 0 and l2 > 0):  # NaN fails too
-            raise ValueError("detector distances must be positive")
-        if not c > 0:
-            raise ValueError("c must be positive")
+        _require_positive(l1=l1, l2=l2, c=c)
         self.__dict__.update(l1=l1, l2=l2, c=c)
 

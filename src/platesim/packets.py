@@ -88,6 +88,20 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _require_finite(**values: complex) -> None:
+    """Refuse the first value that is not finite, NaN included: ``NAME must be finite``."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
+def _require_positive(**values: float) -> None:
+    """Refuse the first value that is not in (0, inf): ``NAME must be positive and finite``."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite")
+
+
 class Packet:
     """Base of every packet record: the Gaussian kinds here, ``sampled.GridPacket``."""
 
@@ -116,9 +130,7 @@ class GaussianPacket(_Record, Packet):
             raise ValueError(
                 "k0 * sigma must be >= 4 so the negative-wavenumber tail is negligible"
             )
-        for name, value in (("x0", x0), ("phase", phase)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(x0=x0, k0=k0, phase=phase)
         self.__dict__.update(x0=x0, sigma=sigma, k0=k0, phase=phase)
 
 
@@ -143,8 +155,7 @@ class SpatialGrid(_Record):
     """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; its arrays import numpy."""
 
     def __init__(self, x_min: float, dx: float, n: int) -> None:
-        if not math.isfinite(x_min):
-            raise ValueError("grid origin x_min must be finite")
+        _require_finite(**{"grid origin x_min": x_min})
         if not dx > 0:  # NaN fails too
             raise ValueError("grid spacing dx must be positive")
         try:
@@ -153,6 +164,7 @@ class SpatialGrid(_Record):
             raise TypeError(f"grid size n must be an integer, not {type(n).__name__}") from None
         if n < 2:
             raise ValueError("grid needs at least 2 samples")
+        _require_finite(**{"grid window end x_min + n * dx": x_min + n * dx})
         self.__dict__.update(x_min=x_min, dx=dx, n=n)
 
     @property
@@ -245,11 +257,10 @@ def inner_product(a: Packet, b: Packet) -> complex:
 
 
 def _require_flight(t: float, c: float) -> None:
-    """Refuse a negative flight time t or a speed c that is not positive."""
-    if not t >= 0:  # NaN fails too, as does a NaN c
+    """Refuse a negative flight time t or a speed c that is not positive and finite."""
+    if not t >= 0:  # NaN fails too
         raise ValueError("t must be nonnegative")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _require_positive(c=c)
 
 
 def propagate(p: Packet, t: float, c: float = 1.0) -> Packet:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from array import array
 
 import numpy as np
@@ -183,19 +184,19 @@ def test_degenerate_preparation_rejected():
 )
 def test_rate_rejects_non_finite_input(eps, x1, phi):
     # min(1, max(0, nan)) would report NaN as a rate of 0
-    with pytest.raises(ValueError, match="non-finite"):
+    name = next(n for n, v in (("eps", eps), ("x1", x1), ("phi", phi)) if not cmath.isfinite(v))
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         counting_rate_d1(eps, 0.5, 0.5, x1, Preparation(phi=phi))
 
 
-@pytest.mark.parametrize(
-    "k_beta, match", [(12.0, "non-finite"), (12.8, "math domain")], ids=["nan", "inf"]
-)
-def test_sweep_row_with_non_finite_phase_raises(k_beta, match):
+@pytest.mark.parametrize("k_beta", [12.0, 12.8], ids=["nan", "inf"])
+def test_sweep_row_with_non_finite_phase_raises(k_beta):
     # l2 / c overflows, so the row's phase d_omega * t2 is NaN (equal
     # carriers) or infinite; its rate must not be clamped to 0 and written.
     alpha, beta = _demo_pair()
     geom = ExperimentGeometry(l1=1.0, l2=1.0, c=1e-300)
-    with pytest.raises(ValueError, match=match):
+    phase = re.escape("plane-wave phase (c * k_alpha - c * k_beta) * l2 / c")
+    with pytest.raises(ValueError, match=f"^{phase} must be finite$"):
         sweep_d2(alpha, beta, balanced_splitter(), geom, [1.0, 1e10], Preparation(), 12.0, k_beta)
 
 
@@ -352,7 +353,7 @@ def test_sweep_rejects_bad_l2_values():
 def test_sweep_refuses_non_finite_l2_values(l2_values):
     # NaN passes the sign check and inf is positive: without their own
     # check both fail later under another name.
-    with pytest.raises(ValueError, match="^l2_values must be finite$"):
+    with pytest.raises(ValueError, match="^l2_values must be positive and finite$"):
         _demo_sweep(l2_values)
 
 
@@ -379,6 +380,7 @@ def test_plane_wave_epsilon_refuses_non_finite_times(t1, t2, match):
         (12.0, math.inf, 1.0, "^k_beta must be finite$"),
         (12.0, 12.8, math.nan, "^c must be positive and finite$"),
         (12.0, 12.8, 0.0, "^c must be positive and finite$"),
+        (1e308, 12.8, 10.0, r"^c \* k_alpha must be finite$"),
     ],
 )
 def test_derive_plane_wave_model_refuses_bad_carriers_and_speed(k_alpha, k_beta, c, match):
@@ -386,6 +388,25 @@ def test_derive_plane_wave_model_refuses_bad_carriers_and_speed(k_alpha, k_beta,
     sa, sb = split(alpha, balanced_splitter()), split(beta, balanced_splitter())
     with pytest.raises(ValueError, match=match):
         derive_plane_wave_model(sa, sb, k_alpha, k_beta, c)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PlaneWaveModel(math.nan, 12.8, 0.5, 0.5j), "omega_alpha must be finite"),
+        (lambda: PlaneWaveModel(12.0, 12.8, 0.5, complex(0.0, math.inf)), "a2 must be finite"),
+        (lambda: Preparation(math.inf), "phi must be finite"),
+        (
+            lambda: plane_wave_epsilon(PlaneWaveModel(1e308, -1e308, 0.5, 0.5j), 1.0, 1.0),
+            "plane-wave phase delta_omega * t1 must be finite",
+        ),
+    ],
+    ids=["nan-omega", "infinite-a2", "infinite-phi", "overflowing-phase"],
+)
+def test_shortcut_records_refuse_non_finite_numbers(call, message):
+    # Built or returned, each would make the shortcut's overlap nan+nanj.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_sweep_scaled_inputs_keep_rates_bounded():

@@ -123,6 +123,9 @@ def test_propagate_moves_both_arms():
         dict(l1=1.0, l2=math.nan),
         dict(l1=1.0, l2=1.0, c=math.nan),
         dict(l1=math.nan, l2=1.0, c=math.nan),
+        dict(l1=math.inf, l2=1.0),
+        dict(l1=1.0, l2=math.inf),
+        dict(l1=1.0, l2=1.0, c=math.inf),
     ],
 )
 def test_geometry_rejects_bad_parameters(kwargs):

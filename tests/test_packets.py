@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,10 @@ def test_gaussian_refuses_non_finite_center_and_phase(kwargs, match):
         GaussianPacket(**kwargs)
 
 
+# an infinite spacing, or one whose n steps overflow the window's end
+WINDOW_END = "^" + re.escape("grid window end x_min + n * dx must be finite") + "$"
+
+
 @pytest.mark.parametrize(
     "kwargs, error, match",
     [
@@ -111,6 +116,8 @@ def test_gaussian_refuses_non_finite_center_and_phase(kwargs, match):
         (dict(x_min=math.inf, dx=0.1, n=8), ValueError, "^grid origin x_min must be finite$"),
         (dict(x_min=0.0, dx=0.1, n=8.5), TypeError, "^grid size n must be an integer, not float$"),
         (dict(x_min=0.0, dx=0.1, n="8"), TypeError, "^grid size n must be an integer, not str$"),
+        (dict(x_min=0.0, dx=math.inf, n=8), ValueError, WINDOW_END),
+        (dict(x_min=0.0, dx=1e308, n=8), ValueError, WINDOW_END),
     ],
 )
 def test_grid_refuses_non_finite_origin_and_non_integer_size(kwargs, error, match):
@@ -328,7 +335,7 @@ def test_propagate_rejects_bad_arguments(wide_grid):
             with pytest.raises(ValueError, match="^t must be nonnegative$"):
                 propagate(p, t)
         for c in (0.0, math.nan):
-            with pytest.raises(ValueError, match="^c must be positive$"):
+            with pytest.raises(ValueError, match="^c must be positive and finite$"):
                 propagate(p, 1.0, c=c)
 
 
@@ -364,8 +371,8 @@ def test_fits_after(wide_grid):
     [
         (math.nan, 1.0, "^t must be nonnegative$"),
         (-1.0, 1.0, "^t must be nonnegative$"),
-        (1.0, math.nan, "^c must be positive$"),
-        (1.0, 0.0, "^c must be positive$"),
+        (1.0, math.nan, "^c must be positive and finite$"),
+        (1.0, 0.0, "^c must be positive and finite$"),
     ],
 )
 def test_fits_after_refuses_bad_flight(wide_grid, t, c, match):
