@@ -10,9 +10,13 @@ Two failure flavors map to distinct exit codes downstream: SchemaError
 for structural problems (wrong type, missing or unknown key) and
 InvariantError for well-formed values that violate a physical constraint
 (non-unitary plate, inverted sweep range, a size above its memory ceiling,
-packet that does not fit the grid window).  Loading needs only the
-standard library, also for a grid scenario: numpy is first imported when
-``ScenarioConfig.realize_packets`` samples the packets onto the grid.
+packet that does not fit the grid window).  Field rules live in the
+section tables, as each field's reader; rules across fields are
+``(key path, message, holds)`` rows, and ``_refuse_first`` raises the
+first that fails, at load and again for sampled carriers at realize.
+Loading needs only the standard library, also for a grid scenario: numpy
+is first imported when ``ScenarioConfig.realize_packets`` samples the
+packets onto the grid.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class ScenarioConfig(_Record):
             alpha = normalize(sample(alpha, self.grid))
             beta = normalize(sample(beta, self.grid))
             k_alpha, k_beta = spectral_centroid(alpha), spectral_centroid(beta)
-            _check_flight(self.c, self.l1, self.l2_min, self.l2_max, k_alpha, k_beta)
+            _refuse_first(_flight_rules(self.c, self.l1, self.l2_min, self.l2_max, k_alpha, k_beta))
             return alpha, beta, k_alpha, k_beta
         return alpha, beta, alpha.k0, beta.k0
 
@@ -148,13 +152,11 @@ def _as_int(value: Any, key_path: str) -> int:
 
 def _positive(read: Callable, ceiling: float = math.inf) -> Callable:
     """``read``, then refuse a value that is not positive or above ``ceiling``."""
+    above = f"must be at most {ceiling} (1 GiB memory budget)"
 
     def read_positive(value: Any, key_path: str) -> Any:
         out = read(value, key_path)
-        if out <= 0:
-            raise InvariantError(key_path, "must be positive")
-        if out > ceiling:
-            raise InvariantError(key_path, f"must be at most {ceiling} (1 GiB memory budget)")
+        _refuse_first(((key_path, "must be positive", out > 0), (key_path, above, out <= ceiling)))
         return out
 
     return read_positive
@@ -250,47 +252,47 @@ _SCENARIO = _section(
 )
 
 
-def _check_grid_fit(grid: SpatialGrid, packet: GaussianPacket, key_path: str) -> None:
-    """The sampled representation must hold the packet without clipping
-    (8 sigma of room on both sides) or aliasing its carrier."""
+def _refuse_first(rules: tuple[tuple[str, str, bool], ...]) -> None:
+    """Raise InvariantError(key_path, message) for the first row that does not hold."""
+    for key_path, message, holds in rules:
+        if not holds:
+            raise InvariantError(key_path, message)
+
+
+def _grid_rules(grid: SpatialGrid, packet: GaussianPacket) -> tuple:
+    """Rows refusing a grid that clips the packet (8 sigma of room on both
+    sides) or aliases its carrier."""
     lo = packet.x0 - 8.0 * packet.sigma
     hi = packet.x0 + 8.0 * packet.sigma
-    if lo < grid.x_min or hi > grid.x_end:
-        raise InvariantError(
-            key_path,
-            f"packet support [{lo:g}, {hi:g}] (x0 +/- 8 sigma) does not fit "
-            f"the grid window [{grid.x_min:g}, {grid.x_end:g}]",
-        )
     k_max = math.pi / grid.dx
     k_need = packet.k0 + 4.0 / packet.sigma
-    if k_need > k_max:
-        raise InvariantError(
-            key_path,
-            f"carrier needs wavenumbers up to {k_need:g} but the grid "
-            f"resolves only {k_max:g}; decrease dx",
-        )
+    return (
+        ("grid", f"packet support [{lo:g}, {hi:g}] (x0 +/- 8 sigma) does not fit the grid "
+         f"window [{grid.x_min:g}, {grid.x_end:g}]", not (lo < grid.x_min or hi > grid.x_end)),
+        ("grid", f"carrier needs wavenumbers up to {k_need:g} but the grid resolves only "
+         f"{k_max:g}; decrease dx", not k_need > k_max),
+    )
 
 
-def _check_flight(
+def _flight_rules(
     c: float, l1: float, l2_min: float, l2_max: float, k_alpha: float, k_beta: float
-) -> None:
-    """Refuse a run whose carrier frequencies c * k, flight times l / c or
-    plane-wave phases d_omega * l / c for l in [l1, l2_max] are not finite.
-    For positive carriers, finite c * k_alpha and c * k_beta also bound
-    d_omega, their difference.  Messages say k0 also for a sampled centroid."""
+) -> tuple:
+    """Rows refusing non-finite carrier frequencies c * k, flight times l / c and
+    plane-wave phases d_omega * l / c for l in [l1, l2_max].  For positive carriers, finite
+    c * k_alpha and c * k_beta bound d_omega.  Messages say k0 also for a sampled centroid."""
     d_omega = c * k_alpha - c * k_beta
     t1, t2 = l1 / c, l2_max / c
-    for key_path, message, value in (
-        ("geometry.c", "carrier frequency c * packet_alpha.k0 is not finite", c * k_alpha),
-        ("geometry.c", "carrier frequency c * packet_beta.k0 is not finite", c * k_beta),
-        ("geometry.c", "flight time l1 / c is not finite", t1),
-        ("geometry.c", "flight time l2_min / c is not finite", l2_min / c),
-        ("geometry.c", "flight time l2_max / c is not finite", t2),
-        ("geometry.l1", "plane-wave phase d_omega * l1 / c is not finite", d_omega * t1),
-        ("geometry.l2_max", "plane-wave phase d_omega * l2_max / c is not finite", d_omega * t2),
-    ):
-        if not math.isfinite(value):
-            raise InvariantError(key_path, message)
+    ok = math.isfinite
+    return (
+        ("geometry.c", "carrier frequency c * packet_alpha.k0 is not finite", ok(c * k_alpha)),
+        ("geometry.c", "carrier frequency c * packet_beta.k0 is not finite", ok(c * k_beta)),
+        ("geometry.c", "flight time l1 / c is not finite", ok(t1)),
+        ("geometry.c", "flight time l2_min / c is not finite", ok(l2_min / c)),
+        ("geometry.c", "flight time l2_max / c is not finite", ok(t2)),
+        ("geometry.l1", "plane-wave phase d_omega * l1 / c is not finite", ok(d_omega * t1)),
+        ("geometry.l2_max", "plane-wave phase d_omega * l2_max / c is not finite",
+         ok(d_omega * t2)),
+    )
 
 
 def parse_config(raw: Any) -> ScenarioConfig:
@@ -304,16 +306,14 @@ def parse_config(raw: Any) -> ScenarioConfig:
         period = spatial_period(c * (alpha.k0 - beta.k0), c)
         span = FALLBACK_L2_SPAN if math.isinf(period) else 2.0 * period
         l2_max = geometry["l2_max"] = l2_min + span
-    elif l2_min > l2_max:
-        raise InvariantError("geometry.l2_max", "must be >= l2_min")
-
-    _check_flight(c, l1, l2_min, l2_max, alpha.k0, beta.k0)
-    # The other derived numbers a run needs, as (key path, message, holds),
-    # in check order.
+    # Rules across fields as (key path, message, holds), in check order.
+    # Every row is built before the first is checked, so none may raise.
     ok = cmath.isfinite
     narrower = "packet_alpha" if alpha.sigma <= beta.sigma else "packet_beta"
     gaussian = top["representation"] == "gaussian"
-    for key_path, message, holds in (
+    _refuse_first((
+        ("geometry.l2_max", "must be >= l2_min", default_l2_max or not l2_min > l2_max),
+        *_flight_rules(c, l1, l2_min, l2_max, alpha.k0, beta.k0),
         (
             "packet_beta.phase",
             "phase difference packet_beta.phase - packet_alpha.phase is not finite",
@@ -334,16 +334,13 @@ def parse_config(raw: Any) -> ScenarioConfig:
             "default l2_min + 2 * period rounds to l2_min; set geometry.l2_max",
             not default_l2_max or l2_max > l2_min,
         ),
-    ):
-        if not holds:
-            raise InvariantError(key_path, message)
+    ))
 
     grid = top["grid"]
     if not gaussian:
         if grid is None:
             raise SchemaError("grid", "required when representation is 'grid'")
-        _check_grid_fit(grid, alpha, "grid")
-        _check_grid_fit(grid, beta, "grid")
+        _refuse_first((*_grid_rules(grid, alpha), *_grid_rules(grid, beta)))
 
     return ScenarioConfig(
         representation=top["representation"], packet_alpha=alpha, packet_beta=beta,

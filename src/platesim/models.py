@@ -125,17 +125,21 @@ def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
 
 def _rate_constants(n_a1: float, n_b1: float, x1: complex, phi: float) -> tuple[float, complex]:
     """The part of the rate that does not depend on eps: the numerator
-    n_a1 + n_b1 + 2 Re(e^{i phi} x1) and e^{i phi}, from finite inputs."""
+    n_a1 + n_b1 + 2 Re(e^{i phi} x1), which must be finite, and e^{i phi}."""
     _require_finite(n_a1=n_a1, n_b1=n_b1, x1=x1)  # Preparation refuses a non-finite phi
     rot = cmath.exp(1j * phi)
-    return n_a1 + n_b1 + 2.0 * (rot * x1).real, rot
+    numerator = n_a1 + n_b1 + 2.0 * (rot * x1).real
+    _require_finite(**{"n_a1 + n_b1 + 2 Re(e^{i phi} x1)": numerator})
+    return numerator, rot
 
 
 def _rate(numerator: float, rot: complex, eps: complex) -> float:
-    """numerator / (2 + 2 Re(rot * eps)), clamped to [0, 1]."""
+    """numerator / (2 + 2 Re(rot * eps)), clamped to [0, 1]; the denominator
+    must be finite and above DEGENERACY_TOL."""
     denom = 2.0 + 2.0 * (rot * eps).real
-    if not denom > DEGENERACY_TOL:
-        _require_finite(eps=eps)  # a NaN or -inf denom: eps is not finite
+    if not DEGENERACY_TOL < denom < math.inf:
+        _require_finite(eps=eps)  # a non-finite eps gives a NaN or infinite denom
+        _require_finite(**{"2 + 2 Re(e^{i phi} eps)": denom})  # finite eps, overflowed sum
         raise DegeneratePreparationError("degenerate preparation")
     # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
     # clamp only the roundoff excursions.
@@ -150,8 +154,9 @@ def counting_rate_d1(
     n_a1 and n_b1 are the squared norms of the two D1-arm packets and x1
     their overlap; eps normalizes the preparation.  Fed the D2-arm norms
     and overlap instead, it gives the D2 rate; the two sum to 1 when the
-    plate is lossless.  Raises ValueError on an input that is not finite and
-    DegeneratePreparationError on a zero-norm preparation.
+    plate is lossless.  Raises ValueError on an input, the numerator or the
+    denominator that is not finite and DegeneratePreparationError on a
+    zero-norm preparation.
     """
     _require_finite(eps=eps)
     return _rate(*_rate_constants(n_a1, n_b1, x1, prep.phi), eps)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from platesim import (
     parse_config,
 )
 from platesim.config import MAX_GRID_N, MAX_N_POINTS
+
+CONFIG_PY = Path(__file__).resolve().parents[1] / "src" / "platesim" / "config.py"
 
 MINIMAL = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -289,6 +293,59 @@ def test_vanishing_default_sweep_span_rejected(alpha):
     assert cfg.l2_max == cfg.l2_min
 
 
+# Scenarios that break two rules: the loader reports the earlier one, so
+# the order of the rules decides the stderr line and the key path.
+ORDER_BETA = {"x0": 0.5, "sigma": 1.2, "k0": 12.8}
+NYQUIST_GRID = {"x_min": -40.0, "dx": 0.5, "n": 512}  # resolves k up to 2 pi
+
+
+@pytest.mark.parametrize(
+    "overrides, key_path, message",
+    [
+        (
+            {"geometry": {"c": 1e-320, "l2_min": 5.0, "l2_max": 1.0}},
+            "geometry.l2_max",
+            "must be >= l2_min",
+        ),
+        (
+            {"packet_alpha": NARROW, "geometry": {"c": 1e-320}},
+            "geometry.c",
+            "flight time l1 / c is not finite",
+        ),
+        (
+            {
+                "representation": "grid",
+                "grid": NYQUIST_GRID,
+                "packet_alpha": {"x0": -39.0, "sigma": 1.0, "k0": 12.0},
+            },
+            "grid",
+            "packet support [-47, -31] (x0 +/- 8 sigma) does not fit the grid window [-40, 216]",
+        ),
+        (
+            {
+                "representation": "grid",
+                "grid": NYQUIST_GRID,
+                "packet_beta": {"x0": 210.0, "sigma": 1.2, "k0": 12.8},
+            },
+            "grid",
+            "carrier needs wavenumbers up to 16 but the grid resolves only 6.28319; decrease dx",
+        ),
+    ],
+    ids=[
+        "inverted-range-before-flight-time",
+        "flight-time-before-closed-form",
+        "alpha-support-before-alpha-nyquist",
+        "alpha-nyquist-before-beta-support",
+    ],
+)
+def test_first_broken_rule_in_check_order_is_reported(overrides, key_path, message):
+    raw = _scenario(packet_beta=ORDER_BETA)
+    raw.update(overrides)
+    with pytest.raises(InvariantError) as info:
+        parse_config(raw)
+    assert (info.value.key_path, str(info.value)) == (key_path, f"{key_path}: {message}")
+
+
 @pytest.mark.parametrize("section, key", [("packet_alpha", "x0"), ("grid", "n")])
 @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
 def test_integer_beyond_double_range_rejected(section, key, value):
@@ -432,3 +489,21 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(MINIMAL), encoding="utf-8")
     assert load_config(path) == parse_config(MINIMAL)
+
+
+def _invariant_raise_sites(node: ast.AST, functions: tuple = ()):
+    """The top-level function around each ``raise InvariantError`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = (*functions, child.name) if isinstance(child, ast.FunctionDef) else functions
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "InvariantError":
+                yield inner[0] if inner else "<module>"
+        yield from _invariant_raise_sites(child, inner)
+
+
+def test_invariant_errors_are_raised_in_two_places():
+    # A record constructor's ValueError, converted by the section reader,
+    # and the first rule row that does not hold; every other refusal is a row.
+    tree = ast.parse(CONFIG_PY.read_text(encoding="utf-8"))
+    assert sorted(_invariant_raise_sites(tree)) == ["_refuse_first", "_section"]

@@ -189,6 +189,29 @@ def test_rate_rejects_non_finite_input(eps, x1, phi):
         counting_rate_d1(eps, 0.5, 0.5, x1, Preparation(phi=phi))
 
 
+NUMERATOR = "n_a1 + n_b1 + 2 Re(e^{i phi} x1)"
+DENOMINATOR = "2 + 2 Re(e^{i phi} eps)"
+
+
+@pytest.mark.parametrize(
+    "eps, n_a1, n_b1, x1, name",
+    [
+        (0.85, 0.5, 0.5, 1e308, NUMERATOR),
+        (0.85, 1e308, 1e308, 0.4, NUMERATOR),
+        (1e308, 0.5, 0.5, 0.4, DENOMINATOR),
+        (-1e308, 0.5, 0.5, 0.4, DENOMINATOR),
+    ],
+    ids=["x1", "norms", "eps-plus-inf", "eps-minus-inf"],
+)
+def test_rate_refuses_an_overflowed_sum(eps, n_a1, n_b1, x1, name):
+    # Finite inputs far outside normalized packets: an overflowed numerator
+    # would be clamped to 1.0, a denominator of +inf give 0.0, and one of
+    # -inf read as a degenerate preparation.
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$") as info:
+        counting_rate_d1(eps, n_a1, n_b1, x1, Preparation())
+    assert not isinstance(info.value, DegeneratePreparationError)
+
+
 @pytest.mark.parametrize("k_beta", [12.0, 12.8], ids=["nan", "inf"])
 def test_sweep_row_with_non_finite_phase_raises(k_beta):
     # l2 / c overflows, so the row's phase d_omega * t2 is NaN (equal

@@ -20,7 +20,9 @@ The cases, over ``bench/scenario_gen.py`` seeds:
   at beta's flight while alpha's arms still fit;
 * one scenario per documented refusal (exits 2 to 7), under both
   subcommands, among them a sweep whose one row the plane-wave shortcut
-  alone refuses with exit 6, and command-line usage errors.
+  alone refuses with exit 6, and command-line usage errors.  Each rule row
+  of the loader is reached by at least one scenario, and one breaks two rows
+  to show which is reported first.
 
 Prints every case whose record differs and exits 1 if any does, else 0.
 Uses only the standard library, and only reads ``bench/``.  It is a review
@@ -74,8 +76,19 @@ def _refusals() -> dict[str, dict]:
             GAUSSIAN, splitter={"r_re": 0.7, "r_im": 0.0, "t_re": 0.6, "t_im": 0.0}
         ),
         "inverted_range": _with(GAUSSIAN, geometry={"l2_min": 5.0, "l2_max": 1.0}),
+        "inverted_range_and_flight_time": _with(
+            GAUSSIAN, geometry={"c": 1e-320, "l2_min": 5.0, "l2_max": 1.0}
+        ),
+        "nonpositive_speed": _with(GAUSSIAN, geometry={"c": 0.0}),
         "flight_time": _with(GAUSSIAN, geometry={"c": 1e-320}),
+        "flight_time_l2_min": _with(
+            GAUSSIAN, geometry={"c": 1e-300, "l1": 1e-10, "l2_min": 1e10, "l2_max": 2e10}
+        ),
+        "flight_time_l2_max": _with(GAUSSIAN, geometry={"c": 1e-10, "l2_max": 1e300}),
         "carrier_frequency": _with(GAUSSIAN, geometry={"c": 1e308}),
+        "carrier_frequency_beta": _with(
+            GAUSSIAN, packet_beta={**beta, "k0": 1e300}, geometry={"c": 1e10}
+        ),
         "phase_at_l1": _with(
             GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l1": 1e308}
         ),
@@ -92,11 +105,12 @@ def _refusals() -> dict[str, dict]:
             GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
         ),
         "vanishing_default_span": _with(
-            GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-150, "k0": 1e151}
+            GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1.0, "k0": 1e308}
         ),
         "n_points_ceiling": _with(GAUSSIAN, geometry={"n_points": 2**21 + 1}),
         "grid_n_ceiling": _with(grid, grid={**GRID, "n": 2**19 + 1}),
         "grid_window": _with(grid, grid={"x_min": -2.0, "dx": 0.0625, "n": 64}),
+        "grid_nyquist": _with(grid, grid={"x_min": -40.0, "dx": 0.5, "n": 512}),
         "grid_phase": _with(
             grid, packet_beta={**beta, "phase": -1.5e308}, geometry={"l2_max": 1e308}
         ),
