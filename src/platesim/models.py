@@ -23,12 +23,13 @@ a measurable number.  In the plane-wave variant the same formula is fed
 the phase-tagged cross terms instead of the true ones.
 
 Only the standard library is used.  The scalar functions and
-``sweep_d2`` share one implementation of each formula.  The sweep
-computes and checks what no row changes once (the arm-1 term at t1,
-e^{i phi}, the rate numerator); each row then costs one cos/sin pair,
-one denominator, the degeneracy test and the clamp.  Real columns are
-``array('d')``, complex ones lists of ``complex``.  The value types are
-frozen records (see :mod:`platesim.packets`).
+``sweep_d2`` share one implementation of the rate; the shortcut's terms
+are each one product a * e^{i theta}.  The sweep computes and checks
+what no row changes once (the arm-1 term at t1, e^{i phi}, the rate
+numerator, the largest row phase); each row then costs one cos/sin
+pair, one denominator, the degeneracy and range tests and the clamp.
+Real columns are ``array('d')``, complex ones lists of ``complex``.
+The value types are frozen records (see :mod:`platesim.packets`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import cmath
 import math
 from array import array
 
-from .optics import BeamSplitter, ExperimentGeometry, TwoArmState, split
+from .optics import UNITARITY_TOL, BeamSplitter, ExperimentGeometry, TwoArmState, split
 from .packets import Packet, _Record, _require_finite, _require_positive, inner_product, norm2
 
 __all__ = [
@@ -98,18 +99,6 @@ def derive_plane_wave_model(
     )
 
 
-def _arm_term(a: complex, theta: float, phase: str) -> complex:
-    """One term of the shortcut's overlap, a * exp(i*theta).
-
-    ValueError if theta is not finite, naming it as ``phase``, theta
-    spelled in the caller's arguments.  The complex product keeps the
-    operand order the golden CSVs were written with.
-    """
-    if not math.isfinite(theta):  # a test a row; the helper only words the refusal
-        _require_finite(**{f"plane-wave phase {phase}": theta})
-    return a * cmath.rect(1.0, theta)
-
-
 def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
     """Overlap under the plane-wave shortcut, term-wise at (t1, t2).
 
@@ -118,9 +107,11 @@ def plane_wave_epsilon(m: PlaneWaveModel, t1: float, t2: float) -> complex:
     forbids; the resulting t2 dependence is the artifact under study.
     """
     _require_finite(t1=t1, t2=t2)
-    d_omega = m.delta_omega
-    term1 = _arm_term(m.a1, d_omega * t1, "delta_omega * t1")
-    return term1 + _arm_term(m.a2, d_omega * t2, "delta_omega * t2")
+    theta1, theta2 = m.delta_omega * t1, m.delta_omega * t2
+    _require_finite(**{
+        "plane-wave phase delta_omega * t1": theta1, "plane-wave phase delta_omega * t2": theta2,
+    })
+    return m.a1 * cmath.rect(1.0, theta1) + m.a2 * cmath.rect(1.0, theta2)
 
 
 def _rate_constants(n_a1: float, n_b1: float, x1: complex, phi: float) -> tuple[float, complex]:
@@ -135,14 +126,20 @@ def _rate_constants(n_a1: float, n_b1: float, x1: complex, phi: float) -> tuple[
 
 def _rate(numerator: float, rot: complex, eps: complex) -> float:
     """numerator / (2 + 2 Re(rot * eps)), clamped to [0, 1]; the denominator
-    must be finite and above DEGENERACY_TOL."""
+    must be finite and above DEGENERACY_TOL, the numerator in [0, denom]
+    up to 8 * UNITARITY_TOL."""
     denom = 2.0 + 2.0 * (rot * eps).real
     if not DEGENERACY_TOL < denom < math.inf:
         _require_finite(eps=eps)  # a non-finite eps gives a NaN or infinite denom
         _require_finite(**{"2 + 2 Re(e^{i phi} eps)": denom})  # finite eps, overflowed sum
         raise DegeneratePreparationError("degenerate preparation")
-    # The true value lies in [0, 1] (Cauchy-Schwarz on the cross term);
-    # clamp only the roundoff excursions.
+    # Normalized packets on one plate whose |r|^2 + |t|^2 - 1 is d keep
+    # the numerator in [0, denom + 4d] (Cauchy-Schwarz on the cross
+    # term); the band is twice that, and only roundoff is clamped.
+    if not -8.0 * UNITARITY_TOL <= numerator <= denom + 8.0 * UNITARITY_TOL:
+        raise ValueError(
+            "numerator n_a1 + n_b1 + 2 Re(e^{i phi} x1) outside [0, 2 + 2 Re(e^{i phi} eps)]"
+        )
     return min(1.0, max(0.0, numerator / denom))
 
 
@@ -155,10 +152,11 @@ def counting_rate_d1(
     their overlap; eps normalizes the preparation.  Fed the D2-arm norms
     and overlap instead, it gives the D2 rate; the two sum to 1 when the
     plate is lossless.  Raises ValueError on an input, the numerator or the
-    denominator that is not finite and DegeneratePreparationError on a
+    denominator that is not finite, ValueError on a numerator outside
+    [0, denominator] by more than 8 * UNITARITY_TOL (which normalized
+    packets on one plate never give), and DegeneratePreparationError on a
     zero-norm preparation.
     """
-    _require_finite(eps=eps)
     return _rate(*_rate_constants(n_a1, n_b1, x1, prep.phi), eps)
 
 
@@ -274,16 +272,18 @@ def sweep_d2(
 
     # The row-invariant terms, computed and checked once: the arm-1 term
     # at t1, which is also the plane-wave rate's x1, and that rate's
-    # numerator and e^{i phi}.  A row whose eps is not finite still
-    # raises, in _arm_term or in _rate.
+    # numerator and e^{i phi}.  Every t2 lies in [0, inf] and rounded
+    # multiplication is monotone, so the largest t2's phase bounds every
+    # row's, NaN (0 * inf) included.  A row whose eps is not finite
+    # still raises, in _rate.
     d_omega, a2 = model.delta_omega, model.a2
-    x1_pw = _arm_term(
-        model.a1, d_omega * (geom_base.l1 / c), "(c * k_alpha - c * k_beta) * l1 / c"
-    )
+    theta1 = d_omega * (geom_base.l1 / c)
+    _require_finite(**{"plane-wave phase (c * k_alpha - c * k_beta) * l1 / c": theta1})
+    x1_pw = model.a1 * cmath.rect(1.0, theta1)
     numerator_pw, rot = _rate_constants(n_a1, n_b1, x1_pw, prep.phi)
     t2 = array("d", [value / c for value in l2])
-    row_phase = "(c * k_alpha - c * k_beta) * l2 / c"
-    eps_pw = [x1_pw + _arm_term(a2, d_omega * t, row_phase) for t in t2]
+    _require_finite(**{"plane-wave phase (c * k_alpha - c * k_beta) * l2 / c": d_omega * max(t2)})
+    eps_pw = [x1_pw + a2 * cmath.rect(1.0, d_omega * t) for t in t2]
     rate_pw = array("d")
     try:
         rate_pw.extend(_rate(numerator_pw, rot, e) for e in eps_pw)

@@ -212,15 +212,39 @@ def test_rate_refuses_an_overflowed_sum(eps, n_a1, n_b1, x1, name):
     assert not isinstance(info.value, DegeneratePreparationError)
 
 
-@pytest.mark.parametrize("k_beta", [12.0, 12.8], ids=["nan", "inf"])
-def test_sweep_row_with_non_finite_phase_raises(k_beta):
+@pytest.mark.parametrize(
+    "eps, n_a1, n_b1, x1",
+    [
+        (0.85, 1e308, 0.5, 0.4),
+        (0.85, 5.0, 0.5, 0.43),
+        (-0.9, 0.5, 0.5, 0.5),
+        (0.85, 0.5, 0.5, -0.9),
+    ],
+    ids=["huge-norm", "norm-above-one", "numerator-above-denominator", "negative-numerator"],
+)
+def test_rate_refuses_a_numerator_outside_its_range(eps, n_a1, n_b1, x1):
+    # Finite sums no normalized packets give: clamping would report them
+    # as a rate of exactly 1.0 or 0.0.
+    message = "numerator n_a1 + n_b1 + 2 Re(e^{i phi} x1) outside [0, 2 + 2 Re(e^{i phi} eps)]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        counting_rate_d1(eps, n_a1, n_b1, x1, Preparation())
+    assert not isinstance(info.value, DegeneratePreparationError)
+
+
+@pytest.mark.parametrize(
+    "k_beta, l2_values",
+    [(12.0, [1.0, 1e10]), (12.8, [1.0, 1e10]), (12.0, [1e10, 1.0]), (12.8, [1e10, 1.0])],
+    ids=["nan", "inf", "nan-first", "inf-first"],
+)
+def test_sweep_row_with_non_finite_phase_raises(k_beta, l2_values):
     # l2 / c overflows, so the row's phase d_omega * t2 is NaN (equal
-    # carriers) or infinite; its rate must not be clamped to 0 and written.
+    # carriers) or infinite; its rate must not be clamped to 0 and written,
+    # whether the row comes last or first.
     alpha, beta = _demo_pair()
     geom = ExperimentGeometry(l1=1.0, l2=1.0, c=1e-300)
     phase = re.escape("plane-wave phase (c * k_alpha - c * k_beta) * l2 / c")
     with pytest.raises(ValueError, match=f"^{phase} must be finite$"):
-        sweep_d2(alpha, beta, balanced_splitter(), geom, [1.0, 1e10], Preparation(), 12.0, k_beta)
+        sweep_d2(alpha, beta, balanced_splitter(), geom, l2_values, Preparation(), 12.0, k_beta)
 
 
 def test_spatial_period():
@@ -423,8 +447,12 @@ def test_derive_plane_wave_model_refuses_bad_carriers_and_speed(k_alpha, k_beta,
             lambda: plane_wave_epsilon(PlaneWaveModel(1e308, -1e308, 0.5, 0.5j), 1.0, 1.0),
             "plane-wave phase delta_omega * t1 must be finite",
         ),
+        (
+            lambda: plane_wave_epsilon(PlaneWaveModel(1e308, 1e307, 0.5, 0.5j), 1.0, 10.0),
+            "plane-wave phase delta_omega * t2 must be finite",
+        ),
     ],
-    ids=["nan-omega", "infinite-a2", "infinite-phi", "overflowing-phase"],
+    ids=["nan-omega", "infinite-a2", "infinite-phi", "overflowing-phase", "overflowing-t2-phase"],
 )
 def test_shortcut_records_refuse_non_finite_numbers(call, message):
     # Built or returned, each would make the shortcut's overlap nan+nanj.

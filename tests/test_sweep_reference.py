@@ -1,8 +1,8 @@
 """The sweep's columns equal a row-by-row evaluation of the README formula, bit for bit.
 
 The reference below uses only Python ``complex`` and ``cmath``, one row at a
-time.  ``sweep_d2`` computes the same numbers through ``models._arm_term``
-and ``models._rate``; the comparison is ``==``, not a tolerance, because
+time.  ``sweep_d2`` computes the same numbers through ``cmath.rect`` and
+``models._rate``; the comparison is ``==``, not a tolerance, because
 the CSV prints 17 significant digits and any last-bit drift would change it.
 """
 
