@@ -6,7 +6,6 @@ import csv
 import importlib
 import json
 import math
-import os
 import pkgutil
 from pathlib import Path
 
@@ -114,12 +113,13 @@ def test_config_directory_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads any file"
-)
-def test_unreadable_config_exits_2(tmp_path, capsys):
+def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, GAUSSIAN_SCENARIO)
-    cfg.chmod(0)
+
+    def unreadable(self, *args, **kwargs):  # what a mode-000 file gives a non-root user
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read config file: ")
 

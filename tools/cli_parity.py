@@ -1,46 +1,27 @@
-"""Compare two platesim source trees through ``simulate``, case by case.
+"""Pin ``simulate``'s bytes: run 549 cases and compare each with its record.
 
-    python3 tools/cli_parity.py BASE_SRC NEW_SRC
+    PYTHONPATH=src python3 tools/cli_parity.py
 
-BASE_SRC and NEW_SRC are ``src`` directories (each holds ``platesim/``).
-Each tree runs every case through its own ``platesim.cli.main``, in a child
-process of its own with ``PYTHONPATH=<tree>`` and a fresh working directory,
-so the paths that messages quote read the same on both sides.  A case
-records the exit code, the SHA-256 of the CSV (or that none was written),
-stdout and stderr; an exception that escapes ``main`` is recorded as exit 1
-with its type and message.
-
-The cases, over ``bench/scenario_gen.py`` seeds:
-
-* Gaussian sweeps at 200 and 4000 rows;
-* Gaussian invariance at ``0,-0,1,1e3,1e6,1e9,1e12,75,75,3.5``;
-* grid sweeps, grid invariance at 20 times below the wraparound limit, and
-  grid invariance at ``0,1e4,5``, which exits 8;
-* grid invariance at ``0,176,5`` with beta near the window edge, which exits 8
-  at beta's flight while alpha's arms still fit;
-* one scenario per documented refusal (exits 2 to 7), under both
-  subcommands, among them a sweep whose one row the plane-wave shortcut
-  alone refuses with exit 6, and command-line usage errors.  Each rule row
-  of the loader is reached by at least one scenario, and one breaks two rows
-  to show which is reported first.
-
-Prints every case whose record differs and exits 1 if any does, else 0.
-Uses only the standard library, and only reads ``bench/``.  It is a review
-aid for changes that must keep the command line's bytes; the tier-1 tests
-do not run it.
+Runs every case through the imported ``platesim.cli.main`` in one process, in
+a fresh temporary directory whose path it prints.  The cases, over
+``bench/scenario_gen.py`` seeds, reach every exit code and every loader rule.
+Prints each case that differs from ``tests/cli_contract.json`` and the exit
+tally, rewrites that file and exits 1 if any case differed: commit it after an
+intended change and name every changed case in CHANGES.md.  Parity with
+another tree means ``PYTHONPATH=<tree>/src python3 tools/cli_parity.py``
+leaves ``git diff tests/cli_contract.json`` empty.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -175,83 +156,69 @@ def build_cases() -> list[dict]:
     return cases
 
 
-def run_cases(cases_path: str, results_path: str) -> None:
-    """The child: run each case through this tree's ``cli.main`` in the cwd."""
+CONTRACT = ROOT / "tests" / "cli_contract.json"
+
+
+def run_case(case: dict) -> dict:
+    """Run one case through ``cli.main`` in the working directory; its record."""
     from platesim import cli
 
-    results = {}
-    for case in json.loads(Path(cases_path).read_text(encoding="utf-8")):
-        for name in ("scenario.json", "out.csv"):
-            Path(name).unlink(missing_ok=True)
-        if case["config"] is not None:
-            Path("scenario.json").write_text(case["config"], encoding="utf-8")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.main(case["argv"])
-            except SystemExit as exc:  # argparse: usage errors, --version
-                code = exc.code
-            except Exception as exc:  # escaped main: a traceback under exit 1
-                code = 1
-                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        out = Path("out.csv")
-        results[case["name"]] = {
-            "exit": code,
-            "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None,
-            "stdout": stdout.getvalue(),
-            "stderr": stderr.getvalue(),
-        }
-    Path(results_path).write_text(json.dumps(results), encoding="utf-8")
+    for name in ("scenario.json", "out.csv"):
+        Path(name).unlink(missing_ok=True)
+    if case["config"] is not None:
+        Path("scenario.json").write_text(case["config"], encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(case["argv"])
+        except SystemExit as exc:  # argparse: usage errors, --version
+            code = exc.code
+        except Exception as exc:  # escaped main: a traceback under exit 1
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    out = Path("out.csv")
+    return {
+        "exit": code,
+        "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None,
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
+        "input_sha256": hashlib.sha256(json.dumps(case).encode()).hexdigest(),
+    }
 
 
-def _start(src: Path, cases_path: Path, workdir: Path) -> subprocess.Popen:
-    workdir.mkdir()
-    results = workdir.parent / f"{workdir.name}.json"
-    code = (
-        "import sys, platesim\n"
-        f"assert platesim.__file__.startswith({str(src)!r}), platesim.__file__\n"
-        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
-        "import cli_parity\n"
-        f"cli_parity.run_cases({str(cases_path)!r}, {str(results)!r})\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.Popen([sys.executable, "-c", code], cwd=workdir, env=env)
+def versions() -> dict:
+    """Grid CSV hashes depend on numpy's FFT bits, usage text on Python's argparse."""
+    return {"numpy": importlib.metadata.version("numpy"), "python": sys.version.split()[0]}
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    srcs = [Path(arg).resolve() for arg in argv]
-    for src in srcs:
-        if not (src / "platesim" / "cli.py").is_file():
-            print(f"error: no platesim/cli.py under {src}", file=sys.stderr)
-            return 2
-    cases = build_cases()
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
-        cases_path = tmp_path / "cases.json"
-        cases_path.write_text(json.dumps(cases), encoding="utf-8")
-        sides = ("base", "new")
-        children = [_start(src, cases_path, tmp_path / side) for src, side in zip(srcs, sides)]
-        if any([child.wait() != 0 for child in children]):  # a list: wait for both
-            print("error: a child process failed", file=sys.stderr)
-            return 2
-        base, new = (json.loads((tmp_path / f"{side}.json").read_text()) for side in sides)
-    differing = 0
-    for case in cases:
-        name = case["name"]
-        fields = [key for key in base[name] if base[name][key] != new[name][key]]
+def compare(contract: dict) -> tuple[dict, list[str]]:
+    """Run every case here: the new records, and a DIFF block per differing record."""
+    records, diffs = {}, []
+    for case in build_cases():
+        old = contract["records"].get(case["name"])
+        records[case["name"]] = new = run_case(case)
+        if old is None or old["input_sha256"] != new["input_sha256"]:
+            fields = ["input changed, outputs not compared" if old else "no record"]
+        else:
+            fields = [f"{key}: {old[key]!r} -> {new[key]!r}" for key in new if old[key] != new[key]]
         if fields:
-            differing += 1
-            print(f"DIFF {name}: {' '.join(case['argv'])}")
-            for key in fields:
-                print(f"  {key}: {base[name][key]!r} -> {new[name][key]!r}")
-    exits = Counter(base[case["name"]]["exit"] for case in cases)
-    tally = ", ".join(f"{count} exit {code}" for code, count in sorted(exits.items()))
-    print(f"{len(cases)} cases at BASE_SRC ({tally}); {differing} differ")
-    return 1 if differing else 0
+            diffs.append("\n  ".join([f"DIFF {case['name']}: {' '.join(case['argv'])}", *fields]))
+    diffs += [f"DIFF {name}: no such case" for name in sorted(contract["records"].keys() - records)]
+    return records, diffs
+
+
+def main() -> int:
+    contract = json.loads(CONTRACT.read_text(encoding="utf-8"))
+    os.chdir(tempfile.mkdtemp(prefix="cli_contract_"))
+    print(f"running every case in {os.getcwd()}")
+    records, diffs = compare(contract)
+    exits = sorted(record["exit"] for record in records.values())
+    tally = ", ".join(f"{exits.count(code)} exit {code}" for code in sorted(set(exits)))
+    print(*diffs, f"{len(records)} cases ({tally}); {len(diffs)} differ", sep="\n")
+    text = json.dumps({**versions(), "records": records}, indent=1, sort_keys=True)
+    CONTRACT.write_text(text + "\n", encoding="utf-8")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
