@@ -178,7 +178,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         return _fail(5, f"cannot write output: {exc}")
     except DegeneratePreparationError as exc:
-        return _fail(6, str(exc))
+        return _fail(6, f"preparation_phi: {exc}")
     except WraparoundError as exc:
         return _fail(8, str(exc))
 

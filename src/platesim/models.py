@@ -281,7 +281,7 @@ def sweep_d2(
     _require_finite(**{"plane-wave phase (c * k_alpha - c * k_beta) * l1 / c": theta1})
     x1_pw = model.a1 * cmath.rect(1.0, theta1)
     numerator_pw, rot = _rate_constants(n_a1, n_b1, x1_pw, prep.phi)
-    t2 = array("d", [value / c for value in l2])
+    t2 = array("d", (value / c for value in l2))
     _require_finite(**{"plane-wave phase (c * k_alpha - c * k_beta) * l2 / c": d_omega * max(t2)})
     eps_pw = [x1_pw + a2 * cmath.rect(1.0, d_omega * t) for t in t2]
     rate_pw = array("d")

@@ -1,15 +1,16 @@
-"""Pin ``simulate``'s bytes: run 549 cases and compare each with its record.
+"""Pin ``simulate``'s bytes: run 559 cases and compare each with its record.
 
     PYTHONPATH=src python3 tools/cli_parity.py
 
 Runs every case through the imported ``platesim.cli.main`` in one process, in
-a fresh temporary directory whose path it prints.  The cases, over
-``bench/scenario_gen.py`` seeds, reach every exit code and every loader rule.
-Prints each case that differs from ``tests/cli_contract.json`` and the exit
-tally, rewrites that file and exits 1 if any case differed: commit it after an
-intended change and name every changed case in CHANGES.md.  Parity with
-another tree means ``PYTHONPATH=<tree>/src python3 tools/cli_parity.py``
-leaves ``git diff tests/cli_contract.json`` empty.
+a fresh temporary directory whose path it prints, with warnings raised as
+errors.  The cases, over ``bench/scenario_gen.py`` seeds, reach every exit code
+and every loader rule.  Prints each case that differs from
+``tests/cli_contract.json``, the exit tally and the number of records added,
+changed and removed, rewrites that file and exits 1 if any case differed:
+commit it after an intended change and name every changed case in CHANGES.md.
+Parity with another tree means ``PYTHONPATH=<tree>/src python3
+tools/cli_parity.py`` leaves ``git diff tests/cli_contract.json`` empty.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,7 +49,9 @@ def _with(base: dict, **sections) -> dict:
 def _refusals() -> dict[str, dict]:
     """One scenario for each refusal the loader or a run documents."""
     alpha, beta = GAUSSIAN["packet_alpha"], GAUSSIAN["packet_beta"]
+    centered_beta = {"x0": 0.0, "sigma": 1.0, "k0": 12.8}
     grid = _with(GAUSSIAN, representation="grid", grid=GRID)
+    committed_grid = json.loads((ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8"))
     return {
         "unknown_key": _with(GAUSSIAN, extra=1),
         "wrong_type": _with(GAUSSIAN, packet_alpha={**alpha, "sigma": "1"}),
@@ -61,15 +65,18 @@ def _refusals() -> dict[str, dict]:
             GAUSSIAN, geometry={"c": 1e-320, "l2_min": 5.0, "l2_max": 1.0}
         ),
         "nonpositive_speed": _with(GAUSSIAN, geometry={"c": 0.0}),
+        # l1 / c overflows: writing rows would put inf and NaN under exit 0
         "flight_time": _with(GAUSSIAN, geometry={"c": 1e-320}),
         "flight_time_l2_min": _with(
             GAUSSIAN, geometry={"c": 1e-300, "l1": 1e-10, "l2_min": 1e10, "l2_max": 2e10}
         ),
         "flight_time_l2_max": _with(GAUSSIAN, geometry={"c": 1e-10, "l2_max": 1e300}),
+        # c * k0 overflows: the plane-wave phase would be inf - inf
         "carrier_frequency": _with(GAUSSIAN, geometry={"c": 1e308}),
         "carrier_frequency_beta": _with(
             GAUSSIAN, packet_beta={**beta, "k0": 1e300}, geometry={"c": 1e10}
         ),
+        # d_omega * l / c overflows: the sweep's phase factor has no value
         "phase_at_l1": _with(
             GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l1": 1e308}
         ),
@@ -77,23 +84,58 @@ def _refusals() -> dict[str, dict]:
             GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l2_max": 1e308}
         ),
         "sigma_square": _with(GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e-300, "k0": 1e301}),
+        # its square overflows, where sigma_square's underflows
+        "sigma_square_overflow": _with(
+            GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e200, "k0": 12.0}
+        ),
+        # |r|^2 + |t|^2 overflows
+        "plate_amplitude_overflow": _with(
+            GAUSSIAN, packet_beta=centered_beta,
+            splitter={"r_re": 0.0, "r_im": 0.0, "t_re": 0.0, "t_im": 1e155},
+        ),
         "phase_difference": _with(
             GAUSSIAN,
             packet_alpha={**alpha, "phase": 1e308},
             packet_beta={**beta, "phase": -1e308},
         ),
+        # Without the loader's refusal, sweep stopped with a traceback and
+        # invariance wrote NaN rows under "invariance: ok".
         "closed_form_overlap": _with(
             GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
         ),
+        "closed_form_overlap_far_apart": {
+            "packet_alpha": {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
+            "packet_beta": {**centered_beta, "x0": 1e308},
+        },
+        # Without the loader's refusal, every row had l2 = 1 and the summary
+        # printed "max |d rate_wss|: 0" under exit 0.
         "vanishing_default_span": _with(
             GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1.0, "k0": 1e308}
+        ),
+        "vanishing_default_span_narrow": _with(
+            GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-150, "k0": 1e151},
+            packet_beta=centered_beta,
         ),
         "n_points_ceiling": _with(GAUSSIAN, geometry={"n_points": 2**21 + 1}),
         "grid_n_ceiling": _with(grid, grid={**GRID, "n": 2**19 + 1}),
         "grid_window": _with(grid, grid={"x_min": -2.0, "dx": 0.0625, "n": 64}),
         "grid_nyquist": _with(grid, grid={"x_min": -40.0, "dx": 0.5, "n": 512}),
+        # Without the loader's refusal, the sampled beta lost its carrier, the
+        # spectral centroid moved, and sweep stopped with "ValueError: math
+        # domain error" under exit 1.
         "grid_phase": _with(
             grid, packet_beta={**beta, "phase": -1.5e308}, geometry={"l2_max": 1e308}
+        ),
+        # The nominal carriers pass the loader's plane-wave phase check at the
+        # largest l2_max (d_omega = -1.0); the sampled centroids the run uses
+        # do not (d_omega = -1.0000000000000009).  Without the re-check at
+        # realizing, sweep stopped with "ValueError: math domain error" under
+        # exit 1.
+        "grid_sampled_carrier_phase": _with(
+            committed_grid,
+            packet_alpha={**committed_grid["packet_alpha"], "k0": 6},
+            packet_beta={**committed_grid["packet_beta"], "k0": 7},
+            geometry={**committed_grid["geometry"], "l2_max": 1.7976931348623157e308},
         ),
         "degenerate_preparation": _with(
             GAUSSIAN, packet_beta={**alpha, "phase": 3.141592653589793}
@@ -160,7 +202,8 @@ CONTRACT = ROOT / "tests" / "cli_contract.json"
 
 
 def run_case(case: dict) -> dict:
-    """Run one case through ``cli.main`` in the working directory; its record."""
+    """Run one case through ``cli.main`` in the working directory, warnings
+    raised as errors; its record."""
     from platesim import cli
 
     for name in ("scenario.json", "out.csv"):
@@ -168,12 +211,16 @@ def run_case(case: dict) -> dict:
     if case["config"] is not None:
         Path("scenario.json").write_text(case["config"], encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (
+        contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+        warnings.catch_warnings(),
+    ):
+        warnings.simplefilter("error")
         try:
             code = cli.main(case["argv"])
         except SystemExit as exc:  # argparse: usage errors, --version
             code = exc.code
-        except Exception as exc:  # escaped main: a traceback under exit 1
+        except Exception as exc:  # escaped main, a warning included: a traceback under exit 1
             code = 1
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     out = Path("out.csv")
@@ -214,7 +261,11 @@ def main() -> int:
     records, diffs = compare(contract)
     exits = sorted(record["exit"] for record in records.values())
     tally = ", ".join(f"{exits.count(code)} exit {code}" for code in sorted(set(exits)))
+    old = contract["records"]
+    changed = sum(records[name] != old[name] for name in records.keys() & old.keys())
     print(*diffs, f"{len(records)} cases ({tally}); {len(diffs)} differ", sep="\n")
+    print(f"records: {len(records.keys() - old)} added, {changed} changed, "
+          f"{len(old.keys() - records)} removed")
     text = json.dumps({**versions(), "records": records}, indent=1, sort_keys=True)
     CONTRACT.write_text(text + "\n", encoding="utf-8")
     return 1 if diffs else 0
