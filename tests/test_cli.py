@@ -1,5 +1,7 @@
 """Command line: CSV shape, summaries, determinism, and the paths that
-``tests/cli_contract.json`` cannot reach; every refusal's bytes live there."""
+``tests/cli_contract.json`` cannot reach.  Every refusal's bytes live in that
+file; a refusal test here runs its contract case(s) against the record and
+checks only the exit code and whether a CSV was written."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ import importlib
 import json
 import math
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,12 @@ from platesim.cli import main
 from platesim.config import ConfigError, InvariantError, SchemaError
 from platesim.models import DegeneratePreparationError
 from platesim.packets import WraparoundError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import cli_parity  # noqa: E402
+
+CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))["records"]
+CASES = {case["name"]: case for case in cli_parity.build_cases()}
 
 GAUSSIAN_SCENARIO = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -247,3 +256,145 @@ def test_help_lists_subcommands(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "sweep" in out and "invariance" in out
+
+
+@pytest.fixture
+def contract_case(tmp_path, monkeypatch):
+    """Run a case of ``tools/cli_parity.py`` here, warnings raised as errors;
+    its record, which must equal the committed one."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(name):
+        record = cli_parity.run_case(CASES[name])
+        assert record == CONTRACT[name], (
+            "re-pin if intended: PYTHONPATH=src python3 tools/cli_parity.py"
+        )
+        return record
+
+    return run
+
+
+def _refused(record, code):
+    return record["exit"] == code and record["csv_sha256"] is None
+
+
+def test_missing_config_exits_2(contract_case):
+    assert _refused(contract_case("missing_config"), 2)
+
+
+def test_config_directory_exits_2(contract_case):
+    assert _refused(contract_case("config_directory"), 2)
+
+
+def test_schema_error_exits_3(contract_case):
+    assert _refused(contract_case("unknown_key[sweep]"), 3)
+
+
+def test_number_outside_double_range_exits_3(contract_case):
+    assert _refused(contract_case("integer_beyond_double_range[sweep]"), 3)
+
+
+def test_invariant_error_exits_4(contract_case):
+    assert _refused(contract_case("lossy_splitter[sweep]"), 4)
+
+
+def test_non_finite_flight_time_exits_4(contract_case):
+    assert _refused(contract_case("flight_time[sweep]"), 4)
+
+
+def test_non_finite_carrier_frequency_exits_4(contract_case):
+    assert _refused(contract_case("carrier_frequency[sweep]"), 4)
+
+
+@pytest.mark.parametrize("length", ["l1", "l2_max"])
+def test_non_finite_plane_wave_phase_exits_4(contract_case, length):
+    assert _refused(contract_case(f"phase_at_{length}[sweep]"), 4)
+
+
+@pytest.mark.parametrize(
+    "name", ["sigma_square", "sigma_square_overflow"], ids=["1e-300-1e+301", "1e+200-12.0"]
+)
+def test_sigma_whose_square_is_not_finite_exits_4(contract_case, name):
+    assert _refused(contract_case(f"{name}[sweep]"), 4)
+
+
+def test_oversized_plate_amplitude_exits_4(contract_case):
+    assert _refused(contract_case("plate_amplitude_overflow[sweep]"), 4)
+
+
+@pytest.mark.parametrize("command", ["sweep", "invariance"])
+def test_grid_phase_above_two_to_the_twenty_exits_4(contract_case, command):
+    assert _refused(contract_case(f"grid_phase[{command}]"), 4)
+
+
+@pytest.mark.parametrize("command", ["sweep", "invariance"])
+def test_grid_plane_wave_phase_of_the_sampled_carriers_exits_4(contract_case, command):
+    assert _refused(contract_case(f"grid_sampled_carrier_phase[{command}]"), 4)
+
+
+def test_phase_difference_beyond_double_range_exits_4(contract_case):
+    assert _refused(contract_case("phase_difference[sweep]"), 4)
+
+
+@pytest.mark.parametrize(
+    "name", ["n_points_ceiling", "grid_n_ceiling"],
+    ids=["geometry-n_points-2097152", "grid-n-524288"],
+)
+def test_size_above_ceiling_exits_4(contract_case, name):
+    assert _refused(contract_case(f"{name}[sweep]"), 4)
+
+
+@pytest.mark.parametrize("command", ["sweep", "invariance"])
+@pytest.mark.parametrize(
+    "name", ["closed_form_overlap", "closed_form_overlap_far_apart"], ids=["narrow", "far-apart"]
+)
+def test_non_finite_closed_form_overlap_exits_4(contract_case, command, name):
+    record = contract_case(f"{name}[{command}]")
+    assert _refused(record, 4)
+    assert record["stdout"] == ""
+
+
+@pytest.mark.parametrize(
+    "name", ["vanishing_default_span_narrow", "vanishing_default_span"], ids=["alpha0", "alpha1"]
+)
+def test_vanishing_default_sweep_span_exits_4(contract_case, name):
+    assert _refused(contract_case(f"{name}[sweep]"), 4)
+
+
+def test_unwritable_output_exits_5(contract_case):
+    assert _refused(contract_case("unwritable_output"), 5)
+
+
+def test_degenerate_preparation_exits_6(contract_case):
+    assert _refused(contract_case("degenerate_preparation[sweep]"), 6)
+
+
+def test_shortcut_degenerate_preparation_exits_6_naming_the_shortcut_and_l2(contract_case):
+    assert _refused(contract_case("shortcut_degenerate_preparation[sweep]"), 6)
+    assert contract_case("shortcut_degenerate_preparation[invariance]")["exit"] == 0
+
+
+def test_invariance_tolerance_failure_exits_7(contract_case):
+    record = contract_case("grid_tolerance[invariance]")
+    assert record["exit"] == 7
+    assert record["csv_sha256"] is not None  # the report is still written
+
+
+def test_wraparound_exits_8_naming_the_time(contract_case):
+    names = [f"grid_wraparound[{seed}]" for seed in cli_parity.GRID_SEEDS]
+    for name in [*names, "grid_wraparound_beta_only"]:
+        assert _refused(contract_case(name), 8)
+
+
+def test_times_argument_rejects_junk(contract_case):
+    assert _refused(contract_case("junk_times"), 2)
+
+
+def test_times_argument_rejects_negative(contract_case):
+    assert _refused(contract_case("negative_time"), 2)
+
+
+def test_version_flag(contract_case):
+    record = contract_case("version")
+    assert record["exit"] == 0
+    assert record["stdout"] == f"simulate {platesim.__version__}\n"
