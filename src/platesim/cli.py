@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -35,9 +34,6 @@ SWEEP_HEADER = (
 )
 
 INVARIANCE_HEADER = ("t", "eps_re", "eps_im", "abs_dev_from_t0")
-
-# Rows formatted per write; bounds the writer's memory at any sweep size.
-WRITE_BLOCK_ROWS = 4096
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
@@ -94,11 +90,9 @@ def _write_csv(
     hold one value on every line, formatted once into the line template;
     ``rows`` carry the other columns, in header order."""
     line = ",".join("%.17g" % fixed[name] if name in fixed else "%.17g" for name in header) + "\n"
-    rows = iter(rows)
     with out.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(islice(rows, WRITE_BLOCK_ROWS)):
-            fh.write("".join(line % row for row in block))
+        fh.writelines(line % row for row in rows)
 
 
 def run_sweep(cfg: ScenarioConfig, out: Path) -> int:

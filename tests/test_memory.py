@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from platesim import ExperimentGeometry, Preparation, load_config, parse_config, sweep_d2
-from platesim.cli import run_invariance_report, run_sweep
+from platesim.cli import SWEEP_HEADER, _write_csv, run_invariance_report, run_sweep
 from platesim.config import GRID_SAMPLE_BYTES
 from platesim.optics import overlap_at_time, split
 
@@ -27,6 +27,7 @@ SCENARIO = {
     "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 12.8},
 }
 
+KiB = 2**10
 MB = 2**20
 
 
@@ -71,15 +72,29 @@ def test_sweep_and_summary_spreads_at_a_million_rows():
 
 
 def test_run_sweep_peak_at_200k_rows(tmp_path):
-    # Measured 18.2 MB (x86-64 Linux, Python 3.11.7): l2_values() and the
+    # Measured 17.1 MB (x86-64 Linux, Python 3.11.7): l2_values() and the
     # sweep's array('d') and complex-list columns, about 89 bytes a row.
-    # The CSV writer adds at most 1.1 MB, one block of WRITE_BLOCK_ROWS
-    # rows, whatever the row count.  The bound leaves 50% headroom.
+    # The CSV writer streams its rows and holds one formatted line,
+    # whatever the row count.  The bound leaves over 50% headroom.
     cfg = _config(200_000)
     out = tmp_path / "sweep.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         peak = _traced_peak(lambda: run_sweep(cfg, out))
     assert peak < 28 * MB
+
+
+def test_csv_writer_holds_one_line_at_a_time(tmp_path):
+    # Measured 26 KiB for 20,000 sweep-shaped rows from a generator, as
+    # run_sweep passes them (x86-64 Linux, Python 3.11.7): one formatted
+    # line and the file's buffer.  Formatting the rows in blocks of 4096
+    # before each write measured 2153 KiB.
+    fixed = {"eps_exact_re": 0.5, "eps_exact_im": -0.25, "rate_exact": 0.75}
+    rows = (
+        (i / 3.0, i / 7.0, 1.0 / (i + 1), -1.0 / (i + 3), 1.0 / (i + 7)) for i in range(20_000)
+    )
+    out = tmp_path / "rows.csv"
+    assert _traced_peak(lambda: _write_csv(out, SWEEP_HEADER, fixed, rows)) < 256 * KiB
+    assert out.read_bytes().count(b"\n") == 20_001
 
 
 def test_run_invariance_peak_grows_only_with_the_output(tmp_path):

@@ -4,6 +4,8 @@ The reference below uses only Python ``complex`` and ``cmath``, one row at a
 time.  ``sweep_d2`` computes the same numbers through ``cmath.rect`` and
 ``models._rate``; the comparison is ``==``, not a tolerance, because
 the CSV prints 17 significant digits and any last-bit drift would change it.
+The shortcut columns must also equal the README's scalar API,
+``plane_wave_epsilon`` and ``counting_rate_d1``, row by row.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from conftest import random_close_pair, random_splitter
 from platesim import (
     ExperimentGeometry,
     Preparation,
+    derive_plane_wave_model,
     inner_product,
+    plane_wave_epsilon,
     split,
     sweep_d2,
 )
+from platesim.models import counting_rate_d1
 from platesim.packets import norm2
 
 
@@ -75,3 +80,13 @@ def test_sweep_columns_equal_the_row_by_row_formula(seed):
     )
     for row, (got_row, want_row) in enumerate(zip(got, want, strict=True)):
         assert got_row == want_row, f"row {row}"
+
+    sa, sb = split(alpha, bs), split(beta, bs)
+    m = derive_plane_wave_model(sa, sb, alpha.k0, beta.k0, c)
+    x1 = m.a1 * cmath.rect(1.0, m.delta_omega * (l1 / c))
+    n_a1, n_b1 = norm2(sa.arm1), norm2(sb.arm1)
+    shortcut = zip(result.l2, result.eps_plane_wave, result.rate_plane_wave, strict=True)
+    for row, (l2, eps_pw, rate_pw) in enumerate(shortcut):
+        eps = plane_wave_epsilon(m, l1 / c, l2 / c)
+        assert eps_pw == eps, f"row {row}"
+        assert rate_pw == counting_rate_d1(eps, n_a1, n_b1, x1, Preparation(phi)), f"row {row}"
