@@ -135,7 +135,7 @@ def run_invariance_report(cfg: ScenarioConfig, times: Sequence[float], out: Path
     # The largest deviation, or NaN if any is NaN (max alone drops a NaN
     # that follows a finite value); the test is written so that NaN fails.
     max_dev = max(devs, key=lambda dev: (math.isnan(dev), dev))
-    tol = cfg.invariance_tol()
+    tol = cfg.invariance_tol
     print(f"max |dev from t0|: {max_dev:.6g}")
     print(f"tolerance: {tol:.6g}")
     if not max_dev <= tol:

@@ -75,19 +75,17 @@ class InvariantError(ConfigError):
 
 
 class ScenarioConfig(_Record):
-    """A fully validated scenario, defaults applied."""
+    """A fully validated scenario, defaults applied; ``grid`` is None for a Gaussian run."""
 
     def __init__(
-        self, representation: str, packet_alpha: GaussianPacket, packet_beta: GaussianPacket,
-        splitter: BeamSplitter, l1: float, l2_min: float, l2_max: float, n_points: int,
-        c: float, preparation_phi: float, grid: SpatialGrid | None, analytic_tol: float,
-        grid_tol: float,
+        self, packet_alpha: GaussianPacket, packet_beta: GaussianPacket, splitter: BeamSplitter,
+        l1: float, l2_min: float, l2_max: float, n_points: int, c: float,
+        preparation_phi: float, grid: SpatialGrid | None, invariance_tol: float,
     ) -> None:
         self.__dict__.update(
-            representation=representation, packet_alpha=packet_alpha, packet_beta=packet_beta,
-            splitter=splitter, l1=l1, l2_min=l2_min, l2_max=l2_max, n_points=n_points, c=c,
-            preparation_phi=preparation_phi, grid=grid, analytic_tol=analytic_tol,
-            grid_tol=grid_tol,
+            packet_alpha=packet_alpha, packet_beta=packet_beta, splitter=splitter, l1=l1,
+            l2_min=l2_min, l2_max=l2_max, n_points=n_points, c=c,
+            preparation_phi=preparation_phi, grid=grid, invariance_tol=invariance_tol,
         )
 
     def l2_values(self) -> array:
@@ -102,12 +100,8 @@ class ScenarioConfig(_Record):
         values[-1] = stop
         return values
 
-    def invariance_tol(self) -> float:
-        """Deviation budget for the time-invariance report."""
-        return self.grid_tol if self.representation == "grid" else self.analytic_tol
-
     def realize_packets(self) -> tuple[Packet, Packet, float, float]:
-        """Realize the two candidate packets in the configured representation.
+        """Realize the two candidate packets, sampled on ``grid`` if there is one.
 
         Returns (alpha, beta, k_alpha, k_beta); sampled packets are
         renormalized on the grid and report their carrier via the spectral
@@ -115,8 +109,7 @@ class ScenarioConfig(_Record):
         Loading never calls this, so it pays no grid sampling.
         """
         alpha, beta = self.packet_alpha, self.packet_beta
-        if self.representation == "grid":
-            assert self.grid is not None  # parse_config enforces this
+        if self.grid is not None:
             from .sampled import normalize, sample, spectral_centroid
 
             alpha = normalize(sample(alpha, self.grid))
@@ -336,16 +329,16 @@ def parse_config(raw: Any) -> ScenarioConfig:
         ),
     ))
 
-    grid = top["grid"]
+    grid = None if gaussian else top["grid"]
     if not gaussian:
         if grid is None:
             raise SchemaError("grid", "required when representation is 'grid'")
         _refuse_first((*_grid_rules(grid, alpha), *_grid_rules(grid, beta)))
 
     return ScenarioConfig(
-        representation=top["representation"], packet_alpha=alpha, packet_beta=beta,
-        splitter=top["splitter"] or balanced_splitter(), preparation_phi=top["preparation_phi"],
-        grid=grid, **geometry, **top["tolerances"],
+        packet_alpha=alpha, packet_beta=beta, splitter=top["splitter"] or balanced_splitter(),
+        preparation_phi=top["preparation_phi"], grid=grid,
+        invariance_tol=top["tolerances"]["analytic_tol" if gaussian else "grid_tol"], **geometry,
     )
 
 

@@ -34,7 +34,6 @@ def _scenario(**overrides):
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config(MINIMAL)
-    assert cfg.representation == "gaussian"
     assert cfg.c == 1.0
     assert cfg.preparation_phi == 0.0
     assert cfg.splitter == balanced_splitter()
@@ -43,11 +42,10 @@ def test_minimal_config_gets_defaults():
     assert cfg.l2_min == 1.0
     # default sweep spans two periods of the plane-wave artifact
     assert cfg.l2_max == pytest.approx(1.0 + 2.0 * 2.0 * math.pi / 0.8)
-    assert cfg.analytic_tol == 1e-12
-    assert cfg.grid_tol == 1e-8
     assert cfg.grid is None
     assert len(cfg.l2_values()) == 200
-    assert cfg.invariance_tol() == 1e-12
+    assert cfg.invariance_tol == 1e-12
+    assert parse_config(_scenario(representation="grid", grid=GRID)).invariance_tol == 1e-8
 
 
 def test_degenerate_carriers_fall_back_to_fixed_span():
@@ -235,7 +233,7 @@ def test_grid_phase_above_two_to_the_twenty_rejected(packet, phase):
     with pytest.raises(InvariantError, match=f"^{packet}.phase: must be at most 1048576 "):
         parse_config(raw)
     raw["representation"] = "gaussian"
-    assert parse_config(raw).representation == "gaussian"
+    assert parse_config(raw).grid is None
 
 
 @pytest.mark.parametrize("phase", [2**20, -(2**20)])
@@ -403,7 +401,7 @@ def test_grid_representation_parses():
     )
     assert cfg.grid is not None
     assert cfg.grid.n == 4096
-    assert cfg.invariance_tol() == cfg.grid_tol
+    assert cfg.invariance_tol == 1e-8
 
 
 def test_grid_window_must_hold_packets():
@@ -434,9 +432,22 @@ def test_grid_invariants_checked():
 
 
 def test_tolerances_override():
-    cfg = parse_config(_scenario(tolerances={"analytic_tol": 1e-10, "grid_tol": 1e-6}))
-    assert cfg.analytic_tol == 1e-10
-    assert cfg.grid_tol == 1e-6
+    tolerances = {"analytic_tol": 1e-10, "grid_tol": 1e-6}
+    assert parse_config(_scenario(tolerances=tolerances)).invariance_tol == 1e-10
+    grid = parse_config(_scenario(representation="grid", grid=GRID, tolerances=tolerances))
+    assert grid.invariance_tol == 1e-6
+
+
+# A Gaussian run samples on no grid: its grid section is read field by field,
+# but the window and spacing rules, which hold only for a grid run, are not applied.
+def test_gaussian_scenario_reads_but_does_not_sample_its_grid_section():
+    small = {"x_min": -2.0, "dx": 0.0625, "n": 64}  # clips both packets
+    cfg = parse_config(_scenario(grid=small, tolerances={"analytic_tol": 1e-10}))
+    assert cfg.grid is None
+    assert cfg.invariance_tol == 1e-10
+    with pytest.raises(InvariantError) as info:
+        parse_config(_scenario(grid={**small, "dx": -1.0}))
+    assert info.value.key_path == "grid"
 
 
 def test_nonpositive_tolerance_rejected():

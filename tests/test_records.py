@@ -56,15 +56,15 @@ CASES = [
     (
         ScenarioConfig,
         (
-            "representation", "packet_alpha", "packet_beta", "splitter", "l1", "l2_min",
-            "l2_max", "n_points", "c", "preparation_phi", "grid", "analytic_tol", "grid_tol",
+            "packet_alpha", "packet_beta", "splitter", "l1", "l2_min", "l2_max", "n_points",
+            "c", "preparation_phi", "grid", "invariance_tol",
         ),
-        ("gaussian", G, G, PLATE, 1.0, 1.0, 2.0, 3, 1.0, 0.0, None, 1e-12, 1e-8),
+        (G, G, PLATE, 1.0, 1.0, 2.0, 3, 1.0, 0.0, None, 1e-12),
         0,
-        f"ScenarioConfig(representation='gaussian', packet_alpha={G_REPR}, "
+        f"ScenarioConfig(packet_alpha={G_REPR}, "
         f"packet_beta={G_REPR}, splitter=BeamSplitter(r=1.0, t=0j), l1=1.0, l2_min=1.0, "
         "l2_max=2.0, n_points=3, c=1.0, preparation_phi=0.0, grid=None, "
-        "analytic_tol=1e-12, grid_tol=1e-08)",
+        "invariance_tol=1e-12)",
     ),
     (SpatialGrid, ("x_min", "dx", "n"), (-1.0, 0.5, 2), 0, GRID_REPR),
     (

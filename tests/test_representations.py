@@ -68,10 +68,10 @@ def test_grid_and_gaussian_runs_of_one_scenario_agree(tmp_path, capsys, name):
     assert on_grid["l2"] == closed_form["l2"] and on_grid["t2"] == closed_form["t2"]
     for key in EXACT:
         for a, b in zip(on_grid[key], closed_form[key]):
-            assert abs(a - b) <= cfg.grid_tol, key
+            assert abs(a - b) <= cfg.invariance_tol, key
     for key in SHORTCUT:
         for a, b, t2 in zip(on_grid[key], closed_form[key], on_grid["t2"]):
-            assert abs(a - b) <= cfg.grid_tol + a2 * d_omega_drift * t2, key
+            assert abs(a - b) <= cfg.invariance_tol + a2 * d_omega_drift * t2, key
 
     seed = int(name[4:]) if name.startswith("seed") else 0
     times = ",".join(repr(t) for t in scenario_gen.invariance_times(seed, grid, 20))

@@ -3,9 +3,9 @@
     PYTHONPATH=src python3 tools/cli_parity.py
 
 Runs every case through the imported ``platesim.cli.main`` in one process, in
-a fresh temporary directory whose path it prints, with warnings raised as
-errors.  The cases, over ``bench/scenario_gen.py`` seeds, reach every exit code
-and every loader rule.  Prints each case that differs from
+a temporary directory whose path it prints and which it removes afterwards,
+with warnings raised as errors.  The cases, over ``bench/scenario_gen.py``
+seeds, reach every exit code and every loader rule.  Prints each case that differs from
 ``tests/cli_contract.json``, the exit tally and the number of records added,
 changed and removed, rewrites that file and exits 1 if any case differed:
 commit it after an intended change and name every changed case in CHANGES.md.
@@ -256,9 +256,14 @@ def compare(contract: dict) -> tuple[dict, list[str]]:
 
 def main() -> int:
     contract = json.loads(CONTRACT.read_text(encoding="utf-8"))
-    os.chdir(tempfile.mkdtemp(prefix="cli_contract_"))
-    print(f"running every case in {os.getcwd()}")
-    records, diffs = compare(contract)
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="cli_contract_") as scratch:
+        os.chdir(scratch)
+        print(f"running every case in {scratch}")
+        try:
+            records, diffs = compare(contract)
+        finally:
+            os.chdir(previous)
     exits = sorted(record["exit"] for record in records.values())
     tally = ", ".join(f"{exits.count(code)} exit {code}" for code in sorted(set(exits)))
     old = contract["records"]
