@@ -6,8 +6,9 @@ Riemann sum sum(conj(a) * b) * dx, spectrally accurate for packets that
 vanish at the window edges.  Free flight multiplies each Fourier mode by a
 unit-modulus phase, evaluated for modes 0..n//2 and conjugated for the
 rest, so it is unitary to machine precision.  A grid's positions and
-wavenumbers, a packet's spectrum and sample power, and the phases of the
-most recent (grid, c*t) are cached: their owners are frozen, the arrays read-only.
+wavenumbers, a packet's spectrum, and the phases of the most recent
+(grid, c*t) are cached: their owners are frozen, the arrays read-only.  A
+flown packet owns the buffer its inverse transform ran in.
 """
 
 from __future__ import annotations
@@ -45,13 +46,8 @@ class GridPacket(_Record, Packet):
         """Forward FFT of the amplitudes (read-only)."""
         return _read_only(np.fft.fft(self.amplitudes))
 
-    @cached_property
-    def sample_power(self) -> np.ndarray:
-        """|amplitudes|^2 per sample (read-only)."""
-        return _read_only(np.abs(self.amplitudes) ** 2)
-
     def norm2(self) -> float:
-        return float(self.sample_power.sum() * self.grid.dx)
+        return float((np.abs(self.amplitudes) ** 2).sum() * self.grid.dx)
 
     def scale(self, coef: complex) -> GridPacket:
         return GridPacket(self.grid, coef * self.amplitudes)
@@ -67,9 +63,10 @@ class GridPacket(_Record, Packet):
                 f"t = {t:g}: wraparound: translation by {c * t:g} pushes the packet past"
                 " the window edge"
             )
-        amps = np.fft.ifft(self.spectrum * _phases(self.grid, c * t))
-        flown = object.__new__(GridPacket)  # owns the fresh ifft output, so no copy
-        flown.__dict__.update(grid=self.grid, amplitudes=_read_only(amps))
+        buf = self.spectrum * _phases(self.grid, c * t)
+        np.fft.ifft(buf, out=buf)
+        flown = object.__new__(GridPacket)  # owns buf, transformed in place, so no copy
+        flown.__dict__.update(grid=self.grid, amplitudes=_read_only(buf))
         return flown
 
 
@@ -106,7 +103,7 @@ def fits_after(p: GridPacket, t: float, c: float, tail_tol: float) -> bool:
     cut = p.grid.x_end - c * t
     # positions ascend, so the samples at or past the cut are a suffix
     start = p.grid.positions.searchsorted(cut, "left")
-    mass = float(p.sample_power[start:].sum() * p.grid.dx)
+    mass = float((np.abs(p.amplitudes[start:]) ** 2).sum() * p.grid.dx)
     return mass < tail_tol
 
 

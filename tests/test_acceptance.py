@@ -1,4 +1,4 @@
-"""Acceptance gate: six end-to-end criteria, one printed verdict line each.
+"""Acceptance gate: seven end-to-end criteria, one printed verdict line each.
 
 Run with plain ``pytest`` (the verdict lines bypass capture) or
 ``pytest -v tests/test_acceptance.py``.  Each criterion asserts both its
@@ -47,8 +47,8 @@ def _report(capsys, name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _default_sweep():
-    cfg = parse_config(DEFAULT_SCENARIO)
+def _default_sweep(scenario=DEFAULT_SCENARIO):
+    cfg = parse_config(scenario)
     alpha, beta = cfg.packet_alpha, cfg.packet_beta
     result = sweep_d2(
         alpha,
@@ -269,4 +269,43 @@ def test_criterion_6_cli_contract(capsys, tmp_path):
         f"schema exit {code_schema} == 3, invariant exit {code_invariant} == 4, "
         f"wraparound exit {code_wrap} == 8, byte-identical CSV {identical}, "
         f"{elapsed:.2f}s < 5s",
+    )
+
+
+def test_criterion_7_artifact_needs_overlapping_spectra(capsys):
+    """The shortcut's swing is 2|t|^2 |eps|, so it vanishes with the spectral overlap."""
+    start = time.perf_counter()
+    dk = 0.8
+    # sigma dk = 0.8, 1.6, ..., 11.2.  The 201 rows of the default two-period
+    # span put rows 50 apart half a period apart, so the swing is the full
+    # diameter 2|a2| = 2|t|^2 |eps|, up to rounding of the phases and sums.
+    swings = []
+    rel_dev = 0.0
+    for sigma in range(1, 15):
+        packet = {"x0": 0.0, "sigma": float(sigma)}
+        cfg, result, _ = _default_sweep(
+            {
+                "packet_alpha": {**packet, "k0": 12.0},
+                "packet_beta": {**packet, "k0": 12.0 + dk},
+                "geometry": {"n_points": 201},
+            }
+        )
+        eps = inner_product(cfg.packet_alpha, cfg.packet_beta)
+        closed = 2.0 * abs(cfg.splitter.t) ** 2 * abs(eps)
+        swing = result.spread("eps_plane_wave")
+        rel_dev = max(rel_dev, abs(swing - closed) / closed)
+        swings.append((sigma * dk, swing))
+    # |eps| = exp(-(sigma dk)^2 / 4) crosses 1e-12 at sigma dk = 10.51; of
+    # the values above, only 11.2 lies past 10.5
+    tail = max(swing for sigma_dk, swing in swings if sigma_dk >= 10.5)
+
+    elapsed = time.perf_counter() - start
+    ok = rel_dev <= 1e-13 and tail < 1e-12 and elapsed < 5.0
+    _report(
+        capsys,
+        "criterion 7 (the D2 artifact lives only while the spectra overlap)",
+        ok,
+        f"swing vs 2|t|^2|eps| rel dev {rel_dev:.3g} <= 1e-13 for sigma dk 0.8..11.2 "
+        f"(swing {swings[0][1]:.4f} .. {swings[-1][1]:.3g}), "
+        f"swing at sigma dk >= 10.5 {tail:.3g} < 1e-12, {elapsed:.2f}s < 5s",
     )

@@ -5,9 +5,11 @@ over drawn inputs.
 (the golden CSVs were written with it); the D1 and D2 rates of a lossless
 plate sum to 1; the plane-wave overlap repeats in t2 with period
 ``2*pi/|d_omega|``, and over a sweep of at least one period it swings
-within its closed-form bounds; splitting on a unitary plate keeps the
-overlap of two packets, Gaussian or sampled; ``run_sweep`` writes every
-value of ``sweep_d2`` with ``%.17g``, its constant columns included.
+within its closed-form bounds, by 2|t|^2 |eps| to rounding when the sweep
+holds antipodal rows, so the swing dies with the spectral overlap;
+splitting on a unitary plate keeps the overlap of two packets, Gaussian
+or sampled; ``run_sweep`` writes every value of ``sweep_d2`` with
+``%.17g``, its constant columns included.
 """
 
 from __future__ import annotations
@@ -213,6 +215,46 @@ def test_shortcut_swing_lies_within_its_closed_form(
 
         closed_form = clamp(num / (d0 - 2.0 * a2)) - clamp(num / (d0 + 2.0 * a2))
         assert result.spread("rate_plane_wave") <= closed_form + 1e-9
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.floats(0.5, 8.0),
+    st.floats(0.5, 8.0),
+    st.floats(13.0, 40.0),  # so k0 * sigma >= 4 for both packets
+    st.floats(0.05, 5.0),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-3.0, 3.0),
+    unitary_splitters(),
+)
+@example(1.0, 1.0, 12.0, 0.8, 1.0, 0.0, balanced_splitter())  # default.json
+def test_shortcut_swing_is_the_plate_weighted_spectral_overlap(
+    sigma_a, sigma_b, k_alpha, detune, sign, d, bs
+):
+    # The swing over a sweep with antipodal rows is the diameter 2|a2|, and
+    # a2 = |t|^2 eps.  For Gaussians, |eps| is the closed form below: once
+    # the spectra, of widths 1/sigma, stop overlapping, so does the artifact.
+    alpha = GaussianPacket(0.0, sigma_a, k_alpha)
+    beta = GaussianPacket(d, sigma_b, k_alpha + sign * detune)
+    dk = beta.k0 - alpha.k0  # not detune: k_alpha + detune is rounded
+    s2 = sigma_a**2 + sigma_b**2
+    exponent = (dk * sigma_a * sigma_b) ** 2 / (2.0 * s2) + d**2 / (2.0 * s2)
+    assume(exponent < 600.0)  # |eps| stays a normal double
+    closed = math.sqrt(2.0 * sigma_a * sigma_b / s2) * math.exp(-exponent)
+    # 201 rows over two periods at c = 1: rows 50 apart are half a period apart
+    l2_values = np.linspace(1.0, 1.0 + 4.0 * math.pi / abs(dk), 201)
+    try:
+        result = sweep_d2(
+            alpha, beta, bs, ExperimentGeometry(1.0, 1.0, 1.0), l2_values, Preparation(0.0),
+            alpha.k0, beta.k0,
+        )
+    except DegeneratePreparationError:
+        assume(False)
+    # exp(-exponent) carries the exponent's rounding, a few ulps of it; the
+    # swing's terms, |r|^2|eps| and |t|^2|eps|, a few ulps of |eps| (worst
+    # of 20,000 random draws: 6.7 EPS (exponent + 4) |eps|).
+    tol = 16.0 * EPS * (exponent + 4.0) * closed
+    assert abs(result.spread("eps_plane_wave") - 2.0 * abs(bs.t) ** 2 * closed) <= tol
 
 
 # Phases where sums and products of the overlap terms land on exact
