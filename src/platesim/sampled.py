@@ -22,7 +22,7 @@ from .packets import DEFAULT_WRAP_TOL, GaussianPacket, Packet, ScaledGaussian, S
 from .packets import WraparoundError, _Record, _read_only, _require_flight
 
 __all__ = [
-    "GridPacket", "SpatialGrid", "fits_after", "gaussian_amplitude",
+    "GridPacket", "fits_after", "gaussian_amplitude",
     "negative_wavenumber_fraction", "normalize", "sample", "spectral_centroid",
 ]
 

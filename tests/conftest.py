@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from platesim.optics import BeamSplitter
-from platesim.packets import GaussianPacket
-from platesim.sampled import SpatialGrid
+from platesim.packets import GaussianPacket, SpatialGrid
 
 
 def random_gaussian(rng, centers=(-5.0, 5.0)) -> GaussianPacket:

@@ -1,10 +1,13 @@
-"""``simulate``'s bytes: every case of ``tools/cli_parity.py`` against its record."""
+"""``simulate``'s bytes and numbers: one pass of ``tools/cli_parity.py``'s cases,
+each against its record and each exit-0 output against the independent oracle."""
 
 from __future__ import annotations
 
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import cli_parity  # noqa: E402
@@ -13,9 +16,16 @@ CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
 README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
 
 
-def test_every_case_matches_its_record(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    diffs = cli_parity.compare(CONTRACT)[1]
+@pytest.fixture(scope="module")
+def contract_pass(tmp_path_factory):
+    """``cli_parity.compare`` run once here: records, diffs, oracle problems, unchecked."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("cli_contract"))
+        return cli_parity.compare(CONTRACT)
+
+
+def test_every_case_matches_its_record(contract_pass):
+    diffs = contract_pass[1]
     assert not diffs, "\n".join([
         f"cases differing: {len(diffs)}, the first 10 below; pinned with numpy "
         f"{CONTRACT['numpy']}, Python {CONTRACT['python']}; running {cli_parity.versions()}",
@@ -24,9 +34,34 @@ def test_every_case_matches_its_record(tmp_path, monkeypatch):
     ])
 
 
+def test_oracle_checks_every_successful_case_it_can(contract_pass):
+    problems, unchecked = contract_pass[2:]
+    assert not problems, "\n".join([f"{len(problems)} problems, the first 10:", *problems[:10]])
+    assert set(unchecked) == cli_parity.UNCHECKED.keys()
+
+
 def test_records_reach_every_documented_exit_code_and_names_are_unique():
     exits = {record["exit"] for record in CONTRACT["records"].values()}
     assert README_EXIT_CODES <= exits
     assert 1 not in exits  # an exception escaped main: a traceback
     names = [case["name"] for case in cli_parity.build_cases()]
     assert len(set(names)) == len(names)
+
+
+def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cases = {case["name"]: case for case in cli_parity.build_cases()}
+    for name, column, value in [
+        ("gaussian_sweep_200[0]", "eps_wss_re", lambda old: old * (1 + 1e-9)),
+        ("grid_invariance[0]", "abs_dev_from_t0", lambda old: 1e-3),
+    ]:
+        record = cli_parity.run_case(cases[name])
+        assert cli_parity.oracle(cases[name], record) == [], name
+        lines = Path("out.csv").read_text(encoding="utf-8").splitlines()
+        row = lines[1].split(",")
+        at = lines[0].split(",").index(column)
+        row[at] = repr(value(float(row[at])))  # the first data row
+        Path("out.csv").write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        assert cli_parity.oracle(cases[name], record), name
+    for name in ("version", "grid_sweep[0]"):
+        assert cli_parity.oracle(cases[name], cli_parity.run_case(cases[name])) is None, name

@@ -21,8 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from platesim.packets import GaussianPacket, inner_product, norm2, propagate, scale  # noqa: E402
-from platesim.sampled import GridPacket, SpatialGrid, _phases, fits_after  # noqa: E402
+from platesim.packets import GaussianPacket, SpatialGrid, inner_product, norm2  # noqa: E402
+from platesim.packets import propagate, scale  # noqa: E402
+from platesim.sampled import GridPacket, _phases, fits_after  # noqa: E402
 
 TINY = 5e-324  # the smallest subnormal
 

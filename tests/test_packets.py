@@ -14,6 +14,7 @@ from platesim.optics import TwoArmState
 from platesim.packets import (
     GaussianPacket,
     ScaledGaussian,
+    SpatialGrid,
     WraparoundError,
     inner_product,
     norm2,
@@ -22,7 +23,6 @@ from platesim.packets import (
 )
 from platesim.sampled import (
     GridPacket,
-    SpatialGrid,
     fits_after,
     gaussian_amplitude,
     negative_wavenumber_fraction,

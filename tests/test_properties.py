@@ -41,8 +41,8 @@ from platesim.cli import SWEEP_HEADER, run_sweep  # noqa: E402
 from platesim.models import PlaneWaveModel, counting_rate_d1, plane_wave_epsilon  # noqa: E402
 from platesim.config import ScenarioConfig  # noqa: E402
 from platesim.optics import BeamSplitter, overlap_post  # noqa: E402
-from platesim.packets import norm2  # noqa: E402
-from platesim.sampled import SpatialGrid, normalize, sample  # noqa: E402
+from platesim.packets import SpatialGrid, norm2  # noqa: E402
+from platesim.sampled import normalize, sample  # noqa: E402
 
 EPS = sys.float_info.epsilon
 BASE = parse_config(

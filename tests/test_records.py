@@ -12,8 +12,8 @@ import pytest
 from platesim.config import ScenarioConfig
 from platesim.models import PlaneWaveModel, Preparation, SweepResult
 from platesim.optics import BeamSplitter, ExperimentGeometry, TwoArmState
-from platesim.packets import GaussianPacket, ScaledGaussian
-from platesim.sampled import GridPacket, SpatialGrid
+from platesim.packets import GaussianPacket, ScaledGaussian, SpatialGrid
+from platesim.sampled import GridPacket
 
 G = GaussianPacket(0.5, 1.0, 12.0)
 G_REPR = "GaussianPacket(x0=0.5, sigma=1.0, k0=12.0, phase=0.0)"

@@ -1,13 +1,17 @@
-"""Pin ``simulate``'s bytes: run 559 cases and compare each with its record.
+"""Pin ``simulate``'s bytes and check its numbers: run 559 cases, compare each
+with its record and hand each exit-0 output to the independent oracle.
 
     PYTHONPATH=src python3 tools/cli_parity.py
 
 Runs every case through the imported ``platesim.cli.main`` in one process, in
 a temporary directory whose path it prints and which it removes afterwards,
 with warnings raised as errors.  The cases, over ``bench/scenario_gen.py``
-seeds, reach every exit code and every loader rule.  Prints each case that differs from
-``tests/cli_contract.json``, the exit tally and the number of records added,
-changed and removed, rewrites that file and exits 1 if any case differed:
+seeds, reach every exit code and every loader rule.  ``bench/output_check.py``
+re-derives each exit-0 output without platesim; ``UNCHECKED`` names the cases
+outside its domain.  Prints each case that differs from
+``tests/cli_contract.json``, the exit tally, the number of records added,
+changed and removed, and each oracle problem with the oracle's tally; rewrites
+that file and exits 1 if any case differed or the oracle found a problem:
 commit it after an intended change and name every changed case in CHANGES.md.
 Parity with another tree means ``PYTHONPATH=<tree>/src python3
 tools/cli_parity.py`` leaves ``git diff tests/cli_contract.json`` empty.
@@ -27,6 +31,9 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import output_check  # noqa: E402
+import scenario_gen  # noqa: E402
 GAUSSIAN_SEEDS = range(150)
 GRID_SEEDS = range(12)
 GAUSSIAN_TIMES = "0,-0,1,1e3,1e6,1e9,1e12,75,75,3.5"
@@ -158,9 +165,6 @@ def _case(name: str, argv: list[str], scenario: dict | None = None, text: str | 
 
 
 def build_cases() -> list[dict]:
-    sys.path.insert(0, str(ROOT / "bench"))
-    import scenario_gen
-
     sweep = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
     invariance = ["invariance", "--config", "scenario.json", "--out", "out.csv", "--times"]
     cases = []
@@ -238,9 +242,33 @@ def versions() -> dict:
     return {"numpy": importlib.metadata.version("numpy"), "python": sys.version.split()[0]}
 
 
-def compare(contract: dict) -> tuple[dict, list[str]]:
-    """Run every case here: the new records, and a DIFF block per differing record."""
-    records, diffs = {}, []
+GRID_SWEEP = "a grid sweep: the oracle's sweep check is the Gaussian closed form to 1e-12"
+UNCHECKED = {
+    **{f"grid_sweep[{seed}]": GRID_SWEEP for seed in GRID_SEEDS},
+    "grid_tolerance[sweep]": GRID_SWEEP,
+    "version": "no scenario",
+}
+
+
+def oracle(case: dict, record: dict) -> list[str] | None:
+    """The oracle's problems with the exit-0 output of ``case`` in the working
+    directory, or None outside its domain (named in ``UNCHECKED``)."""
+    if case["config"] is None:
+        return None
+    scn = json.loads(case["config"])
+    csv_text = Path("out.csv").read_text(encoding="utf-8")
+    if case["argv"][0] == "invariance":
+        times = [float(t) for t in case["argv"][-1].split(",")]
+        return output_check.check_invariance(csv_text, record["stdout"], scn, times)
+    if scn.get("representation") == "grid":
+        return None
+    return output_check.check_sweep(csv_text, scn)
+
+
+def compare(contract: dict) -> tuple[dict, list[str], list[str], list[str]]:
+    """Run every case here: the new records, a DIFF block per differing record,
+    the oracle's problems and the exit-0 cases outside its domain."""
+    records, diffs, problems, unchecked = {}, [], [], []
     for case in build_cases():
         old = contract["records"].get(case["name"])
         records[case["name"]] = new = run_case(case)
@@ -250,8 +278,13 @@ def compare(contract: dict) -> tuple[dict, list[str]]:
             fields = [f"{key}: {old[key]!r} -> {new[key]!r}" for key in new if old[key] != new[key]]
         if fields:
             diffs.append("\n  ".join([f"DIFF {case['name']}: {' '.join(case['argv'])}", *fields]))
+        found = oracle(case, new) if new["exit"] == 0 else []
+        if found is None:
+            unchecked.append(case["name"])
+        else:
+            problems += [f"ORACLE {case['name']}: {problem}" for problem in found]
     diffs += [f"DIFF {name}: no such case" for name in sorted(contract["records"].keys() - records)]
-    return records, diffs
+    return records, diffs, problems, unchecked
 
 
 def main() -> int:
@@ -261,7 +294,7 @@ def main() -> int:
         os.chdir(scratch)
         print(f"running every case in {scratch}")
         try:
-            records, diffs = compare(contract)
+            records, diffs, problems, unchecked = compare(contract)
         finally:
             os.chdir(previous)
     exits = sorted(record["exit"] for record in records.values())
@@ -271,9 +304,11 @@ def main() -> int:
     print(*diffs, f"{len(records)} cases ({tally}); {len(diffs)} differ", sep="\n")
     print(f"records: {len(records.keys() - old)} added, {changed} changed, "
           f"{len(old.keys() - records)} removed")
+    print(*problems, f"oracle: {len(problems)} problems, {len(unchecked)} exit-0 cases "
+          "outside its domain", sep="\n")
     text = json.dumps({**versions(), "records": records}, indent=1, sort_keys=True)
     CONTRACT.write_text(text + "\n", encoding="utf-8")
-    return 1 if diffs else 0
+    return 1 if diffs or problems else 0
 
 
 if __name__ == "__main__":
