@@ -22,7 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .config import InvariantError, ScenarioConfig, SchemaError, load_config
-from .models import DegeneratePreparationError, Preparation, spatial_period, sweep_d2
+from .models import (
+    DegeneratePreparationError, Preparation, carrier_detuning, spatial_period, sweep_d2,
+)
 from .optics import ExperimentGeometry, overlap_post, overlap_at_time, split
 from .packets import WraparoundError
 
@@ -111,7 +113,7 @@ def run_sweep(cfg: ScenarioConfig, out: Path) -> int:
     )
     _write_csv(out, SWEEP_HEADER, fixed, rows)
 
-    period = spatial_period(cfg.c * (k_alpha - k_beta), cfg.c)
+    period = spatial_period(carrier_detuning(k_alpha, k_beta, cfg.c), cfg.c)
     print(f"eps_exact_re: {eps.real:.6g}")
     print(f"eps_exact_im: {eps.imag:.6g}")
     print(f"max |d rate_exact|: {result.spread('rate_exact'):.6g}")

@@ -28,7 +28,7 @@ from array import array
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .models import spatial_period
+from .models import carrier_detuning, spatial_period
 from .optics import BeamSplitter, balanced_splitter
 from .packets import GaussianPacket, Packet, SpatialGrid, _Record, inner_product
 
@@ -274,7 +274,7 @@ def _flight_rules(
     """Rows refusing non-finite carrier frequencies c * k, flight times l / c and
     plane-wave phases d_omega * l / c for l in [l1, l2_max].  For positive carriers, finite
     c * k_alpha and c * k_beta bound d_omega.  Messages say k0 also for a sampled centroid."""
-    d_omega = c * k_alpha - c * k_beta
+    d_omega = carrier_detuning(k_alpha, k_beta, c)
     t1, t2 = l1 / c, l2_max / c
     ok = math.isfinite
     return (
@@ -297,7 +297,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
     default_l2_max = l2_max is None
     if default_l2_max:
         # Default sweep: two full periods of the plane-wave artifact.
-        period = spatial_period(c * (alpha.k0 - beta.k0), c)
+        period = spatial_period(carrier_detuning(alpha.k0, beta.k0, c), c)
         span = FALLBACK_L2_SPAN if math.isinf(period) else 2.0 * period
         l2_max = geometry["l2_max"] = l2_min + span
     # Rules across fields as (key path, message, holds), in check order.

@@ -43,8 +43,8 @@ from .packets import Packet, _Record, _require_finite, _require_positive, inner_
 
 __all__ = [
     "DEGENERACY_TOL", "DegeneratePreparationError", "PlaneWaveModel", "Preparation",
-    "SweepResult", "counting_rate_d1", "derive_plane_wave_model", "plane_wave_epsilon",
-    "spatial_period", "sweep_d2",
+    "SweepResult", "carrier_detuning", "counting_rate_d1", "derive_plane_wave_model",
+    "plane_wave_epsilon", "spatial_period", "sweep_d2",
 ]
 
 DEGENERACY_TOL = 1e-9
@@ -158,6 +158,12 @@ def counting_rate_d1(
     zero-norm preparation.
     """
     return _rate(*_rate_constants(n_a1, n_b1, x1, prep.phi), eps)
+
+
+def carrier_detuning(k_alpha: float, k_beta: float, c: float) -> float:
+    """The shortcut's d_omega = omega_alpha - omega_beta with omega = c * k, for every
+    caller; ``c * (k_alpha - k_beta)`` rounds otherwise and can be nonzero where this is 0."""
+    return c * k_alpha - c * k_beta
 
 
 def spatial_period(delta_omega: float, c: float = 1.0) -> float:

@@ -8,6 +8,10 @@ DegeneratePreparationError, and a Gaussian flown to an infinite offset.
 A lint: outside the two helpers of
 :mod:`platesim.packets`, the library spells no ``must be finite`` or
 ``must be positive`` refusal, except the messages the command line prints.
+Another: outside the module of ``carrier_detuning``, no module spells the
+carrier detuning, a difference of two carriers scaled by ``c`` or of two
+frequencies; ``c * (k_alpha - k_beta)`` rounds otherwise than the rows'
+``c * k_alpha - c * k_beta``.
 """
 
 from __future__ import annotations
@@ -196,3 +200,48 @@ def test_finite_and_positive_refusals_are_spelled_only_in_the_helpers():
         ]
     assert spelled == []
     assert sorted(defined) == [("packets.py", name) for name in HELPERS]
+
+
+CARRIERS = {"k0", "k_alpha", "k_beta", "omega_alpha", "omega_beta"}
+FREQUENCY = {"c", "omega_alpha", "omega_beta"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every variable and attribute name read under ``node``."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _is_carrier_difference(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and bool(_names(node.left) & CARRIERS)
+        and bool(_names(node.right) & CARRIERS)
+    )
+
+
+def test_the_carrier_detuning_is_spelled_only_in_its_helper():
+    spelled, defined = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == "carrier_detuning"
+            for node in ast.walk(tree)
+        ):
+            defined.append(path.name)
+            continue
+        # c * (k_alpha - k_beta) and c * k_alpha - c * k_beta alike; the
+        # closed-form overlap's k0 difference carries no c.
+        spelled |= {
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp)
+            and _names(node) & FREQUENCY
+            and any(map(_is_carrier_difference, ast.walk(node)))
+        }
+    assert sorted(spelled) == []
+    assert defined == ["models.py"]

@@ -9,7 +9,8 @@ within its closed-form bounds, by 2|t|^2 |eps| to rounding when the sweep
 holds antipodal rows, so the swing dies with the spectral overlap;
 splitting on a unitary plate keeps the overlap of two packets, Gaussian
 or sampled; ``run_sweep`` writes every value of ``sweep_d2`` with
-``%.17g``, its constant columns included.
+``%.17g``, its constant columns included; the printed period and the
+loader's default span come from the rows' d_omega.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from platesim import (  # noqa: E402
     sweep_d2,
 )
 from platesim.cli import SWEEP_HEADER, run_sweep  # noqa: E402
-from platesim.models import PlaneWaveModel, counting_rate_d1, plane_wave_epsilon  # noqa: E402
-from platesim.config import ScenarioConfig  # noqa: E402
+from platesim.models import (  # noqa: E402
+    PlaneWaveModel, carrier_detuning, counting_rate_d1, plane_wave_epsilon,
+)
+from platesim.config import FALLBACK_L2_SPAN, ScenarioConfig  # noqa: E402
 from platesim.optics import BeamSplitter, overlap_post  # noqa: E402
 from platesim.packets import SpatialGrid, norm2  # noqa: E402
 from platesim.sampled import normalize, sample  # noqa: E402
@@ -338,3 +341,50 @@ def test_sweep_csv_is_every_sweep_d2_value_in_percent_17g(tmp_path, capsys, raw)
     assert run_sweep(cfg, out) == 0
     capsys.readouterr()
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+def _near_carriers(raw: dict) -> dict:
+    """``raw`` with beta's k0 one ulp above alpha's, at alpha's sigma: the two
+    c * k0 round to one double or to two a few ulps apart."""
+    alpha = raw["packet_alpha"]
+    k0 = math.nextafter(alpha["k0"], math.inf)
+    beta = {**raw["packet_beta"], "sigma": alpha["sigma"], "k0": k0}
+    return {**raw, "packet_beta": beta}
+
+
+# The k0 differ, c * k0 does not; c * (k0_alpha - k0_beta) is -8.6e-16.
+CARRIERS_EQUAL = {
+    "packet_alpha": {"x0": 0, "sigma": 1, "k0": 12.0},
+    "packet_beta": {"x0": 0, "sigma": 1, "k0": 12.000000000000002},
+    "geometry": {"c": 0.4867311418958834},
+}
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(gaussian_scenarios() | gaussian_scenarios().map(_near_carriers))
+@example(CARRIERS_EQUAL)
+def test_printed_period_and_default_span_read_the_rows_d_omega(tmp_path, capsys, raw):
+    cfg = parse_config(raw)
+    alpha, beta, k_alpha, k_beta = cfg.realize_packets()
+    try:
+        assert run_sweep(cfg, tmp_path / "sweep.csv") == 0
+    except DegeneratePreparationError:
+        assume(False)
+    printed = capsys.readouterr().out.splitlines()[-1]
+    sa, sb = split(alpha, cfg.splitter), split(beta, cfg.splitter)
+    d_omega = derive_plane_wave_model(sa, sb, k_alpha, k_beta, cfg.c).delta_omega  # the rows'
+    assert d_omega.hex() == carrier_detuning(k_alpha, k_beta, cfg.c).hex()
+    default_span = "l2_max" not in raw.get("geometry", {})
+    if printed != "spatial period: inf":
+        assert d_omega != 0.0, printed
+        period = 2.0 * math.pi * cfg.c / abs(d_omega)
+        assert printed == f"spatial period: {period:.6g}"
+        assert not default_span or cfg.l2_max == cfg.l2_min + 2.0 * period
+    else:
+        assert d_omega == 0.0
+        assert not default_span or cfg.l2_max == cfg.l2_min + FALLBACK_L2_SPAN

@@ -21,6 +21,7 @@ import pytest
 
 from platesim.cli import main
 from platesim.config import parse_config
+from platesim.models import carrier_detuning
 from platesim.optics import split
 from platesim.packets import inner_product
 
@@ -57,7 +58,8 @@ def test_grid_and_gaussian_runs_of_one_scenario_agree(tmp_path, capsys, name):
     cfg = parse_config(grid)
     _, _, k_alpha, k_beta = cfg.realize_packets()
     d_omega_drift = abs(
-        cfg.c * (k_alpha - k_beta) - cfg.c * (cfg.packet_alpha.k0 - cfg.packet_beta.k0)
+        carrier_detuning(k_alpha, k_beta, cfg.c)
+        - carrier_detuning(cfg.packet_alpha.k0, cfg.packet_beta.k0, cfg.c)
     )
     sa, sb = (split(p, cfg.splitter) for p in (cfg.packet_alpha, cfg.packet_beta))
     a2 = abs(inner_product(sa.arm2, sb.arm2))
