@@ -24,12 +24,13 @@ the phase-tagged cross terms instead of the true ones.
 
 Only the standard library is used.  The scalar functions and
 ``sweep_d2`` share one implementation of the rate; the shortcut's terms
-are each one product a * e^{i theta}.  The sweep computes and checks
-what no row changes once (the arm-1 term at t1, e^{i phi}, the rate
-numerator, the largest row phase); each row then costs one cos/sin
-pair, one denominator, the degeneracy and range tests and the clamp.
-Real columns are ``array('d')``, complex ones lists of ``complex``.
-The value types are frozen records (see :mod:`platesim.packets`).
+are each one product a * e^{i theta}, with the one d_omega of
+``carrier_detuning``.  The sweep computes and checks what no row changes
+once (the arm-1 term at t1, e^{i phi}, the rate numerator, the largest
+row phase); each row then costs one cos/sin pair, one denominator, the
+degeneracy and range tests and the clamp.  Real columns are
+``array('d')``, complex ones lists of ``complex``.  The value types are
+frozen records (see :mod:`platesim.packets`).
 """
 
 from __future__ import annotations
@@ -55,20 +56,13 @@ class DegeneratePreparationError(ValueError):
 
 
 class PlaneWaveModel(_Record):
-    """Carrier frequencies and t = 0 term amplitudes of the shortcut.
+    """What the shortcut reads: ``carrier_detuning``'s delta_omega, and the
+    arm-1 and arm-2 overlap terms a1 and a2 at the split, which it evolves
+    by their own phase factors instead of keeping their sum fixed."""
 
-    a1 and a2 are the arm-1 and arm-2 overlap terms at the moment of the
-    split; the shortcut evolves each by its own phase factor instead of
-    keeping their sum fixed.
-    """
-
-    def __init__(self, omega_alpha: float, omega_beta: float, a1: complex, a2: complex) -> None:
-        _require_finite(omega_alpha=omega_alpha, omega_beta=omega_beta, a1=a1, a2=a2)
-        self.__dict__.update(omega_alpha=omega_alpha, omega_beta=omega_beta, a1=a1, a2=a2)
-
-    @property
-    def delta_omega(self) -> float:
-        return self.omega_alpha - self.omega_beta
+    def __init__(self, delta_omega: float, a1: complex, a2: complex) -> None:
+        _require_finite(delta_omega=delta_omega, a1=a1, a2=a2)
+        self.__dict__.update(delta_omega=delta_omega, a1=a1, a2=a2)
 
 
 class Preparation(_Record):
@@ -89,11 +83,9 @@ def derive_plane_wave_model(
     """
     _require_finite(k_alpha=k_alpha, k_beta=k_beta)
     _require_positive(c=c)
-    omega_alpha, omega_beta = c * k_alpha, c * k_beta
-    _require_finite(**{"c * k_alpha": omega_alpha, "c * k_beta": omega_beta})
+    _require_finite(**{"c * k_alpha": c * k_alpha, "c * k_beta": c * k_beta})
     return PlaneWaveModel(
-        omega_alpha=omega_alpha,
-        omega_beta=omega_beta,
+        delta_omega=carrier_detuning(k_alpha, k_beta, c),
         a1=inner_product(sa.arm1, sb.arm1),
         a2=inner_product(sa.arm2, sb.arm2),
     )

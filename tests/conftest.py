@@ -4,6 +4,11 @@ All factories draw from a caller-supplied Generator so each test pins its
 own seed; parameter ranges keep packets well clear of the validation
 limits (k0 * sigma >= 4) and, for the "close" pairs, keep overlaps large
 enough that relative comparisons stay meaningful.
+
+The suite's Hypothesis policy is set here, once: no deadline, since a
+call's time depends on the host, and no example database, so a run
+neither replays nor writes ``.hypothesis/``.  Each ``@settings`` names
+only its example count and health-check suppressions.
 """
 
 from __future__ import annotations
@@ -13,6 +18,14 @@ import pytest
 
 from platesim.optics import BeamSplitter
 from platesim.packets import GaussianPacket, SpatialGrid
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property modules skip themselves
+    pass
+else:
+    settings.register_profile("platesim", deadline=None, database=None)
+    settings.load_profile("platesim")
 
 
 def random_gaussian(rng, centers=(-5.0, 5.0)) -> GaussianPacket:

@@ -84,13 +84,13 @@ def _parses_or_refuses(raw) -> None:
     assert isinstance(cfg, ScenarioConfig)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(json_values)
 def test_any_json_value_parses_or_is_refused(raw):
     _parses_or_refuses(raw)
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=500)
 @given(perturbed_scenarios())
 def test_perturbed_committed_scenarios_parse_or_are_refused(raw):
     _parses_or_refuses(raw)
@@ -112,12 +112,7 @@ SAMPLED_PHASE_OVERFLOW["packet_beta"]["k0"] = 7
 SAMPLED_PHASE_OVERFLOW["geometry"]["l2_max"] = 1.7976931348623157e308
 
 
-@settings(
-    max_examples=500,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(perturbed_scenarios(sizes=SMALL_SIZES))
 @example(HUGE_GRID_PHASE)
 @example(SAMPLED_PHASE_OVERFLOW)

@@ -54,7 +54,7 @@ flights = st.tuples(
 )
 
 
-@settings(max_examples=400, deadline=None, database=None)
+@settings(max_examples=400)
 @given(gaussians(), gaussians(), coefs, coefs, flights)
 @example(
     GaussianPacket(0.0, 1.0, 12.0), GaussianPacket(0.3, 1.0, 12.8), None, None,
@@ -91,7 +91,7 @@ scalings = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(gaussians(), gaussians(), scalings, flights)
 def test_scaling_after_flight_equals_scaling_before(a, b, k, flight):
     # Equal by value: k * (1+0j) may turn the sign of a zero part of k.
@@ -115,14 +115,14 @@ shifts = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(grids, shifts)
 def test_half_spectrum_phases_equal_the_direct_exponential(grid, shift):
     direct = np.exp(-1j * grid.wavenumbers * shift)
     assert _phases(grid, shift).tobytes() == direct.tobytes()
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(
     grids.filter(lambda grid: grid.n <= 1024),
     st.integers(0, 2**32 - 1),

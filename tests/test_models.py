@@ -73,13 +73,13 @@ def test_plane_wave_epsilon_at_the_plate_matches_exact():
 
 
 def test_plane_wave_epsilon_degenerate_frequencies_constant():
-    m = PlaneWaveModel(omega_alpha=9.0, omega_beta=9.0, a1=0.3 + 0.1j, a2=0.4j)
+    m = PlaneWaveModel(delta_omega=0.0, a1=0.3 + 0.1j, a2=0.4j)
     for t1, t2 in [(0.0, 0.0), (1.0, 5.0), (2.5, 88.0)]:
         assert plane_wave_epsilon(m, t1, t2) == m.a1 + m.a2
 
 
 def test_plane_wave_epsilon_periodic_in_t2():
-    m = PlaneWaveModel(omega_alpha=12.0, omega_beta=12.8, a1=0.4, a2=0.45j)
+    m = PlaneWaveModel(delta_omega=12.0 - 12.8, a1=0.4, a2=0.45j)
     period = 2.0 * math.pi / abs(m.delta_omega)
     for t1, t2 in [(0.0, 0.0), (1.0, 2.0), (3.3, 7.7)]:
         assert plane_wave_epsilon(m, t1, t2 + period) == pytest.approx(
@@ -88,7 +88,7 @@ def test_plane_wave_epsilon_periodic_in_t2():
 
 
 def test_plane_wave_difference_identity():
-    m = PlaneWaveModel(omega_alpha=10.0, omega_beta=10.7, a1=0.2 - 0.1j, a2=0.35)
+    m = PlaneWaveModel(delta_omega=10.0 - 10.7, a1=0.2 - 0.1j, a2=0.35)
     d_omega = m.delta_omega
     for t1, t2, t2p in [(1.0, 2.0, 5.0), (0.3, 0.0, 9.2), (4.0, 7.0, 7.5)]:
         lhs = plane_wave_epsilon(m, t1, t2) - plane_wave_epsilon(m, t1, t2p)
@@ -428,6 +428,7 @@ def test_plane_wave_epsilon_refuses_non_finite_times(t1, t2, match):
         (12.0, 12.8, math.nan, "^c must be positive and finite$"),
         (12.0, 12.8, 0.0, "^c must be positive and finite$"),
         (1e308, 12.8, 10.0, r"^c \* k_alpha must be finite$"),
+        (1e308, -1e308, 1.0, "^delta_omega must be finite$"),  # each product finite
     ],
 )
 def test_derive_plane_wave_model_refuses_bad_carriers_and_speed(k_alpha, k_beta, c, match):
@@ -440,15 +441,15 @@ def test_derive_plane_wave_model_refuses_bad_carriers_and_speed(k_alpha, k_beta,
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: PlaneWaveModel(math.nan, 12.8, 0.5, 0.5j), "omega_alpha must be finite"),
-        (lambda: PlaneWaveModel(12.0, 12.8, 0.5, complex(0.0, math.inf)), "a2 must be finite"),
+        (lambda: PlaneWaveModel(math.nan, 0.5, 0.5j), "delta_omega must be finite"),
+        (lambda: PlaneWaveModel(-0.8, 0.5, complex(0.0, math.inf)), "a2 must be finite"),
         (lambda: Preparation(math.inf), "phi must be finite"),
         (
-            lambda: plane_wave_epsilon(PlaneWaveModel(1e308, -1e308, 0.5, 0.5j), 1.0, 1.0),
+            lambda: plane_wave_epsilon(PlaneWaveModel(1e308, 0.5, 0.5j), 10.0, 1.0),
             "plane-wave phase delta_omega * t1 must be finite",
         ),
         (
-            lambda: plane_wave_epsilon(PlaneWaveModel(1e308, 1e307, 0.5, 0.5j), 1.0, 10.0),
+            lambda: plane_wave_epsilon(PlaneWaveModel(9e307, 0.5, 0.5j), 1.0, 10.0),
             "plane-wave phase delta_omega * t2 must be finite",
         ),
     ],

@@ -40,8 +40,8 @@ CASES = [
         "ExperimentGeometry(l1=1.0, l2=2.0, c=1.0)",
     ),
     (
-        PlaneWaveModel, ("omega_alpha", "omega_beta", "a1", "a2"), (12.0, 12.8, 0.5 + 0j, 0.5j),
-        0, "PlaneWaveModel(omega_alpha=12.0, omega_beta=12.8, a1=(0.5+0j), a2=0.5j)",
+        PlaneWaveModel, ("delta_omega", "a1", "a2"), (-0.8, 0.5 + 0j, 0.5j), 0,
+        "PlaneWaveModel(delta_omega=-0.8, a1=(0.5+0j), a2=0.5j)",
     ),
     (Preparation, ("phi",), (0.0,), 1, "Preparation(phi=0.0)"),
     (
