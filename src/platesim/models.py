@@ -29,8 +29,9 @@ are each one product a * e^{i theta}, with the one d_omega of
 once (the arm-1 term at t1, e^{i phi}, the rate numerator, the largest
 row phase); each row then costs one cos/sin pair, one denominator, the
 degeneracy and range tests and the clamp.  Real columns are
-``array('d')``, complex ones lists of ``complex``.  The value types are
-frozen records (see :mod:`platesim.packets`).
+``array('d')``, complex ones lists of ``complex``; ``SweepResult.spread``
+reads only the real ones.  The value types are frozen records (see
+:mod:`platesim.packets`).
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def spatial_period(delta_omega: float, c: float = 1.0) -> float:
 class SweepResult(_Record):
     """Both predictions at each D2 position, one column per field, ordered
     as the requested l2 values.  Real columns are ``array('d')``, complex
-    ones lists of ``complex``."""
+    ones lists of ``complex``; ``spread`` takes only a real column."""
 
     def __init__(
         self, l2: array, t2: array, eps_exact: list, eps_plane_wave: list,
@@ -184,60 +185,14 @@ class SweepResult(_Record):
         )
 
     def spread(self, field: str) -> float:
-        """Largest |difference| between any two rows of the column."""
+        """Largest |difference| between any two rows of a real column;
+        ValueError for a complex one."""
         values = getattr(self, field)
-        if isinstance(values, array):
-            # Rounded subtraction is monotone, so max - min is the
-            # largest pairwise difference bit for bit.
-            return abs(max(values) - min(values))
-        return _complex_spread(values)
-
-
-# Rows per block of _complex_spread, and the factor by which a computed
-# |a - b| may exceed its exact bound through rounding.
-_SPREAD_BLOCK_ROWS = 32
-_SPREAD_SLACK = 1.0 + 2.0**-40
-
-
-def _reach(a: tuple, b: tuple) -> float:
-    """Largest distance between points of boxes (min re, max re, min im, max im)."""
-    (x0, x1, y0, y1), (u0, u1, v0, v1) = a, b
-    return math.hypot(max(u1 - x0, x1 - u0), max(v1 - y0, y1 - v0))
-
-
-def _complex_spread(values: list) -> float:
-    """``max(abs(a - b) for a in values for b in values)``, bit for bit.
-
-    The rows, sorted by angle around their centroid, are cut into blocks.
-    Block pairs, and rows against a block, are searched only while the
-    largest distance between their boxes, times the rounding slack, can
-    beat the best pair so far.  That starts from a real pair: the row
-    farthest from row 0 and the row farthest from it.
-    """
-    if len(values) <= _SPREAD_BLOCK_ROWS or not all(map(cmath.isfinite, values)):
-        # one block, or no finite box to bound a pair by
-        return max(abs(a - b) for a in values for b in values)
-    values = [complex(v) for v in values]
-    first = values[0]
-    far = max(values, key=lambda v: abs(v - first))
-    best = abs(max(values, key=lambda v: abs(v - far)) - far)
-    center = sum(values) / len(values)
-    cx, cy = center.real, center.imag
-    values.sort(key=lambda v: math.atan2(v.imag - cy, v.real - cx))
-    size = _SPREAD_BLOCK_ROWS
-    blocks = [values[i : i + size] for i in range(0, len(values), size)]
-    boxes = []
-    for block in blocks:
-        re, im = [v.real for v in block], [v.imag for v in block]
-        boxes.append((min(re), max(re), min(im), max(im)))
-    pairs = [(_reach(boxes[i], boxes[j]), i, j) for i in range(len(boxes)) for j in range(i + 1)]
-    for reach, i, j in sorted(pairs, reverse=True):
-        if reach * _SPREAD_SLACK <= best:
-            break
-        for a in blocks[i]:
-            if _reach((a.real, a.real, a.imag, a.imag), boxes[j]) * _SPREAD_SLACK > best:
-                best = max(best, max(map(abs, map(a.__sub__, blocks[j]))))
-    return best
+        if not isinstance(values, array):
+            raise ValueError(f"spread takes a real column; {field} is complex")
+        # Rounded subtraction is monotone, so max - min is the largest
+        # pairwise difference bit for bit.
+        return abs(max(values) - min(values))
 
 
 def sweep_d2(

@@ -1,4 +1,5 @@
-"""Shared randomized factories for the test suite.
+"""Shared randomized factories for the test suite, and the pairwise
+swing of a complex sweep column.
 
 All factories draw from a caller-supplied Generator so each test pins its
 own seed; parameter ranges keep packets well clear of the validation
@@ -65,6 +66,18 @@ def random_splitter(rng) -> BeamSplitter:
         r=complex(np.cos(theta) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))),
         t=complex(np.sin(theta) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))),
     )
+
+
+def pairwise_max_abs(values, rows=256) -> float:
+    """max |a - b| over every pair of a column, ``rows`` rows of the
+    difference matrix at a time; ``np.hypot`` of the parts is what ``abs``
+    of a complex computes, so this is the pairwise loop bit for bit."""
+    v = np.array(values, dtype=complex)
+    best = 0.0
+    for i in range(0, v.size, rows):
+        d = v[i : i + rows, None] - v[None, :]
+        best = max(best, float(np.hypot(d.real, d.imag).max()))
+    return best
 
 
 @pytest.fixture

@@ -5,12 +5,11 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from array import array
 
 import numpy as np
 import pytest
 
-from conftest import random_close_pair, random_gaussian, random_splitter
+from conftest import pairwise_max_abs, random_close_pair, random_gaussian, random_splitter
 from platesim import (
     DegeneratePreparationError,
     ExperimentGeometry,
@@ -23,7 +22,7 @@ from platesim import (
     split,
     sweep_d2,
 )
-from platesim.models import PlaneWaveModel, SweepResult, counting_rate_d1, spatial_period
+from platesim.models import PlaneWaveModel, counting_rate_d1, spatial_period
 from platesim.optics import BeamSplitter
 from platesim.packets import norm2
 
@@ -276,7 +275,7 @@ def test_sweep_rows_follow_l2_order():
 
 def test_sweep_exact_columns_constant():
     result = _demo_sweep(np.linspace(1.0, 16.7, 50))
-    assert result.spread("eps_exact") == 0.0
+    assert pairwise_max_abs(result.eps_exact) == 0.0
     assert result.spread("rate_exact") == 0.0
     rate_plane_wave = np.array(result.rate_plane_wave)
     assert np.all((0.0 <= rate_plane_wave) & (rate_plane_wave <= 1.0))
@@ -286,69 +285,23 @@ def test_sweep_exact_columns_constant():
 def test_spread_equals_pairwise_maximum(block):
     # the n x n difference matrix is the reference, reduced `block`
     # entries at a time: 64 takes one row per block (n = 50), 2**20 the
-    # whole matrix at once; hypot of the parts is exact for real columns too
+    # whole matrix at once
     n = 50
     result = _demo_sweep(np.linspace(1.0, 16.7, n), phi=0.7)
-    for field in ("eps_plane_wave", "rate_plane_wave", "l2"):
-        pairwise = _pairwise_max_abs(getattr(result, field), rows=max(1, block // n))
+    for field in ("rate_plane_wave", "l2"):
+        pairwise = pairwise_max_abs(getattr(result, field), rows=max(1, block // n))
         assert result.spread(field) == pairwise
 
 
-def _pairwise_max_abs(values, rows=256):
-    """max |a - b| over every pair, ``rows`` rows of the difference matrix
-    at a time; ``np.hypot`` of the parts is what ``abs`` of a complex computes."""
-    v = np.array(values, dtype=complex)
-    best = 0.0
-    for i in range(0, v.size, rows):
-        d = v[i : i + rows, None] - v[None, :]
-        best = max(best, float(np.hypot(d.real, d.imag).max()))
-    return best
-
-
-def _complex_column(values):
-    one = array("d", [0.0]) * len(values)
-    return SweepResult(one, one, list(values), list(values), one, one)
-
-
-def test_spread_of_a_4000_row_sweep_equals_pairwise_maximum():
-    # two periods of the shortcut: every row has a near-antipode
-    result = _demo_sweep(np.linspace(1.0, 16.7, 4000), phi=0.7)
-    assert result.spread("eps_plane_wave") == _pairwise_max_abs(result.eps_plane_wave)
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("shape", ["cloud", "circle", "lattice", "wide", "ends", "few"])
-def test_complex_spread_equals_pairwise_maximum(seed, shape):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(33, 1500))
-    if shape == "cloud":
-        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    elif shape == "circle":  # every pair near the diameter competes
-        values = 2.0 - 1j + 3.0 * np.exp(2j * np.pi * rng.random(n))
-    elif shape == "lattice":  # many tied pairs
-        values = rng.integers(0, 3, n) + 3j * rng.integers(0, 2, n)
-    elif shape == "wide":  # differences near the double range and subnormal
-        values = rng.uniform(-1e300, 1e300, n) + 1j * rng.uniform(-1e-300, 1e-300, n)
-    elif shape == "ends":
-        # The start pair (0 and 10) is 10 apart, but 5 +/- 8.6j are
-        # 17.2 apart and sort into one block with the rows at the centroid 5.
-        values = np.array([0.0, 10.0, 5 + 8.6j, 5 - 8.6j] + [5.0] * 29) * rng.uniform(0.5, 2.0)
-    else:  # a single block
-        values = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    values = [complex(v) for v in values]
-    assert _complex_column(values).spread("eps_plane_wave") == _pairwise_max_abs(values)
-
-
-@pytest.mark.parametrize("odd", [math.nan, math.inf, complex(0.0, -math.inf)])
-def test_complex_spread_of_a_non_finite_column_is_the_plain_pairwise_loop(odd):
-    values = [complex(i, -i) for i in range(40)] + [odd] + [1j] * 9
-    expected = max(abs(a - b) for a in values for b in values)
-    assert repr(_complex_column(values).spread("eps_exact")) == repr(expected)
+@pytest.mark.parametrize("field", ["eps_exact", "eps_plane_wave"])
+def test_spread_refuses_a_complex_column_by_name(field):
+    with pytest.raises(ValueError, match=f"real column; {field} is complex"):
+        _demo_sweep([1.0, 2.0]).spread(field)
 
 
 def test_sweep_equal_l2_rows_identical():
     result = _demo_sweep([2.0, 2.0, 2.0])
-    assert result.spread("eps_plane_wave") == 0.0
+    assert pairwise_max_abs(result.eps_plane_wave) == 0.0
     assert result.spread("rate_plane_wave") == 0.0
 
 

@@ -26,6 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import pairwise_max_abs  # noqa: E402
 from platesim import (  # noqa: E402
     DegeneratePreparationError,
     ExperimentGeometry,
@@ -204,7 +205,7 @@ def test_shortcut_swing_lies_within_its_closed_form(
     # Roundoff: the phases move each point by a relative 1e-9 at most, and
     # the sum x1 + a2 exp(...) by a few ulps of its terms.
     slack = 1e-9 * a2 + 8.0 * EPS * (abs(x1) + a2)
-    swing = result.spread("eps_plane_wave")
+    swing = pairwise_max_abs(result.eps_plane_wave)
     assert 2.0 * a2 * math.cos(delta / 4.0) - slack <= swing <= 2.0 * a2 + slack
 
     re_x1 = (cmath.exp(1j * phi) * x1).real
@@ -255,7 +256,7 @@ def test_shortcut_swing_is_the_plate_weighted_spectral_overlap(
     # swing's terms, |r|^2|eps| and |t|^2|eps|, a few ulps of |eps| (worst
     # of 20,000 random draws: 6.7 EPS (exponent + 4) |eps|).
     tol = 16.0 * EPS * (exponent + 4.0) * closed
-    assert abs(result.spread("eps_plane_wave") - 2.0 * abs(bs.t) ** 2 * closed) <= tol
+    assert abs(pairwise_max_abs(result.eps_plane_wave) - 2.0 * abs(bs.t) ** 2 * closed) <= tol
 
 
 # Phases where sums and products of the overlap terms land on exact
