@@ -220,23 +220,21 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> co
     A = 1.0 / (2.0 * a.sigma**2)
     B = 1.0 / (2.0 * b.sigma**2)
     p = A + B
-    if p == 0.0:  # both 2 sigma^2 overflow; the closed form has no value
+    if p == 0.0 or not math.isfinite(d):  # the closed form has no value
         return complex(math.nan, math.nan)
-    q = (B - A) * d + 1j * (b.k0 - a.k0)
-    c0 = (
-        -p * d * d / 4.0
-        - 0.5j * (a.k0 + b.k0) * d
-        + 1j * (b.phase - a.phase)
-    )
+    # The exponent without cancellation: its real part -d^2 A B / p - dk^2 / (4p)
+    # is at most 0, and 2A/p is exactly 1 for equal widths.
+    dk = b.k0 - a.k0
+    re = (-p * d * d / 4.0) * ((2.0 * A / p) * (2.0 * B / p)) - dk * dk / (4.0 * p)
+    im = (B - A) * d * dk / (2.0 * p) - 0.5 * (a.k0 + b.k0) * d + (b.phase - a.phase)
     pref = (
         (math.pi * a.sigma**2) ** -0.25
         * (math.pi * b.sigma**2) ** -0.25
         * math.sqrt(math.pi / p)
     )
     try:
-        return pref * cmath.exp(q * q / (4.0 * p) + c0)
-    except (OverflowError, ValueError):
-        # An exponent too large or not finite: no value, like an overflow.
+        return pref * cmath.exp(complex(re, im))
+    except ValueError:  # an infinite phase, where k_a + k_b overflows
         return complex(math.nan, math.nan)
 
 

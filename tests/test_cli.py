@@ -9,7 +9,9 @@ import csv
 import importlib
 import json
 import math
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -398,3 +400,14 @@ def test_version_flag(contract_case):
     record = contract_case("version")
     assert record["exit"] == 0
     assert record["stdout"] == f"simulate {platesim.__version__}\n"
+
+
+def test_module_runs_as_a_script():
+    # the __main__ guard: `python -m platesim.cli` is main() under sys.exit
+    src = str(Path(platesim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "platesim.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"simulate {platesim.__version__}\n")

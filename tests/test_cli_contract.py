@@ -65,3 +65,14 @@ def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(tmp_path, mo
         assert cli_parity.oracle(cases[name], record), name
     for name in ("version", "grid_sweep[0]"):
         assert cli_parity.oracle(cases[name], cli_parity.run_case(cases[name])) is None, name
+
+
+def test_an_oracle_crash_is_a_problem_of_its_case(tmp_path, monkeypatch):
+    # no geometry section: the oracle reads geometry.n_points and raises
+    sweep = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
+    case = cli_parity._case("no_geometry", sweep, cli_parity.WIDTH_RATIO_APART)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_parity, "build_cases", lambda: [case])
+    records, _, problems, unchecked = cli_parity.compare({"records": {}})
+    assert records["no_geometry"]["exit"] == 0
+    assert (problems, unchecked) == (["ORACLE no_geometry: KeyError: 'geometry'"], [])

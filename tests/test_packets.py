@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -218,6 +219,13 @@ def test_far_separated_overlap_vanishes():
     assert abs(inner_product(a, b)) < 1e-300
 
 
+def test_overlap_with_an_overflowing_carrier_sum_has_no_value():
+    # k_a + k_b overflows, so the phase (k_a + k_b) d / 2 is infinite
+    a = GaussianPacket(x0=0.0, sigma=1.0, k0=1e308)
+    b = GaussianPacket(x0=0.5, sigma=1.0, k0=1e308)
+    assert cmath.isnan(inner_product(a, b))
+
+
 def test_inner_product_hermitian():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -396,6 +404,12 @@ def test_spectral_centroid_recovers_carrier(wide_grid):
         g = random_gaussian(rng)
         sampled = normalize(sample(g, wide_grid))
         assert spectral_centroid(sampled) == pytest.approx(g.k0, abs=1e-8)
+
+
+def test_spectral_centroid_refuses_a_zero_packet(wide_grid):
+    zero = GridPacket(wide_grid, np.zeros(wide_grid.n, dtype=complex))
+    with pytest.raises(ValueError, match="degenerate packet"):
+        spectral_centroid(zero)
 
 
 def test_negative_wavenumber_weight_negligible(wide_grid):

@@ -1,4 +1,4 @@
-"""Pin ``simulate``'s bytes and check its numbers: run 560 cases, compare each
+"""Pin ``simulate``'s bytes and check its numbers: run 564 cases, compare each
 with its record and hand each exit-0 output to the independent oracle.
 
     PYTHONPATH=src python3 tools/cli_parity.py
@@ -8,12 +8,12 @@ a temporary directory whose path it prints and which it removes afterwards,
 with warnings raised as errors.  The cases, over ``bench/scenario_gen.py``
 seeds, reach every exit code and every loader rule.  ``bench/output_check.py``
 re-derives each exit-0 output without platesim; ``UNCHECKED`` names the cases
-outside its domain.  Prints each case that differs from
-``tests/cli_contract.json``, the exit tally, the number of records added,
-changed (with the count per changed field) and removed, and each oracle
-problem with the oracle's tally; rewrites that file and exits 1 if any case
-differed or the oracle found a problem: commit it after an intended change
-and name every changed case in CHANGES.md.
+outside its domain, and an exception the oracle raises is a problem of its case.
+Prints each case that differs from ``tests/cli_contract.json``, the exit tally,
+the number of records added, changed (with the count per changed field) and
+removed, and each oracle problem with the oracle's tally; rewrites that file
+and exits 1 if any case differed or the oracle found a problem: commit it after
+an intended change and name every changed case in CHANGES.md.
 Parity with another tree means ``PYTHONPATH=<tree>/src python3
 tools/cli_parity.py`` leaves ``git diff tests/cli_contract.json`` empty.
 """
@@ -48,6 +48,17 @@ GAUSSIAN = {
     "packet_beta": {"x0": 0.5, "sigma": 1.2, "k0": 12.8},
 }
 GRID = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
+# Widths 1e10 apart: the closed form's exponent used to cancel, writing
+# |eps| near 1e217 under exit 0 (invariance) or refusing a finite overlap.
+WIDTH_RATIO = {
+    "packet_alpha": {"x0": 0.0, "sigma": 1e-10, "k0": 43742131894.61201},
+    "packet_beta": {"x0": 0.5276682707669078, "sigma": 1.0, "k0": 43742131893.44328},
+    "geometry": {"l2_max": 20.0},
+}
+WIDTH_RATIO_APART = {
+    "packet_alpha": {"x0": 0.0, "sigma": 1e-10, "k0": 6e10},
+    "packet_beta": {"x0": 3.0, "sigma": 1.0, "k0": 12.0},
+}
 CARRIERS_EQUAL = {
     "packet_alpha": {"x0": 0, "sigma": 1, "k0": 12.0},
     "packet_beta": {"x0": 0, "sigma": 1, "k0": 12.000000000000002},
@@ -117,6 +128,11 @@ def _refusals() -> dict[str, dict]:
         "closed_form_overlap": _with(
             GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
         ),
+        # k_a + k_b overflows: the overlap's phase is infinite
+        "closed_form_overlap_carrier_sum": {
+            "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 1e308},
+            "packet_beta": {"x0": 0.5, "sigma": 1.0, "k0": 1e308},
+        },
         "closed_form_overlap_far_apart": {
             "packet_alpha": {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
             "packet_beta": {**centered_beta, "x0": 1e308},
@@ -196,6 +212,8 @@ def build_cases() -> list[dict]:
     # The k0 differ, but c * k0 is one double for both: the rows' d_omega is
     # 0, so the printed period is inf and the default span is the fallback.
     cases.append(_case("carriers_equal_in_floating_point[sweep]", sweep, CARRIERS_EQUAL))
+    cases.append(_case("width_ratio_1e10[invariance]", [*invariance, "0,5"], WIDTH_RATIO))
+    cases.append(_case("width_ratio_1e10_apart[sweep]", sweep, WIDTH_RATIO_APART))
     for name, scn in _refusals().items():
         cases.append(_case(f"{name}[sweep]", sweep, scn))
         cases.append(_case(f"{name}[invariance]", [*invariance, "0,40,120"], scn))
@@ -259,6 +277,11 @@ UNCHECKED = {
     "carriers_equal_in_floating_point[sweep]": (
         "d_omega is 0: the oracle's default span 2 * 2 pi c / |d_omega| divides by zero"
     ),
+    **dict.fromkeys(
+        ["width_ratio_1e10[invariance]", "width_ratio_1e10_apart[sweep]"],
+        "unequal widths: the oracle's closed form still cancels (output_check.py:50), "
+        "and it needs geometry.n_points",
+    ),
     "version": "no scenario",
 }
 
@@ -289,7 +312,10 @@ def compare(contract: dict) -> tuple[dict, list[str], list[str], list[str]]:
             fields = [f"{key}: {old[key]!r} -> {new[key]!r}" for key in new if old[key] != new[key]]
         if fields:
             diffs.append("\n  ".join([f"DIFF {case['name']}: {' '.join(case['argv'])}", *fields]))
-        found = oracle(case, new) if new["exit"] == 0 else []
+        try:
+            found = oracle(case, new) if new["exit"] == 0 else []
+        except Exception as exc:  # the oracle's own failure: a problem, not a crash
+            found = [f"{type(exc).__name__}: {exc}"]
         if found is None:
             unchecked.append(case["name"])
         else:
