@@ -220,7 +220,7 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> co
     A = 1.0 / (2.0 * a.sigma**2)
     B = 1.0 / (2.0 * b.sigma**2)
     p = A + B
-    if p == 0.0 or not math.isfinite(d):  # the closed form has no value
+    if p == 0.0 or not math.isfinite(d):  # both 2 sigma^2 overflow, or d: no value
         return complex(math.nan, math.nan)
     # The exponent without cancellation: its real part -d^2 A B / p - dk^2 / (4p)
     # is at most 0, and 2A/p is exactly 1 for equal widths.

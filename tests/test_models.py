@@ -285,7 +285,7 @@ def test_sweep_exact_columns_constant():
 def test_spread_equals_pairwise_maximum(block):
     # the n x n difference matrix is the reference, reduced `block`
     # entries at a time: 64 takes one row per block (n = 50), 2**20 the
-    # whole matrix at once
+    # whole matrix at once; hypot(x, 0) is |x|, so the helper is exact here
     n = 50
     result = _demo_sweep(np.linspace(1.0, 16.7, n), phi=0.7)
     for field in ("rate_plane_wave", "l2"):

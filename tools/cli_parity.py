@@ -48,8 +48,8 @@ GAUSSIAN = {
     "packet_beta": {"x0": 0.5, "sigma": 1.2, "k0": 12.8},
 }
 GRID = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
-# Widths 1e10 apart: the closed form's exponent used to cancel, writing
-# |eps| near 1e217 under exit 0 (invariance) or refusing a finite overlap.
+# Widths 1e10 apart, where the exponent's two terms near A d^2 / 4 must not be
+# formed and subtracted: |eps| is 1.23e-5 and 2.4e-15.
 WIDTH_RATIO = {
     "packet_alpha": {"x0": 0.0, "sigma": 1e-10, "k0": 43742131894.61201},
     "packet_beta": {"x0": 0.5276682707669078, "sigma": 1.0, "k0": 43742131893.44328},
