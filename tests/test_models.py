@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from platesim import (
     split,
     sweep_d2,
 )
-from platesim.models import PlaneWaveModel, counting_rate_d1, spatial_period
+from platesim.models import PlaneWaveModel, SweepResult, counting_rate_d1, spatial_period
 from platesim.optics import BeamSplitter
 from platesim.packets import norm2
 
@@ -291,6 +292,31 @@ def test_spread_equals_pairwise_maximum(block):
     for field in ("rate_plane_wave", "l2"):
         pairwise = pairwise_max_abs(getattr(result, field), rows=max(1, block // n))
         assert result.spread(field) == pairwise
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", ["cloud", "lattice", "scales", "huge", "tiny", "few"])
+def test_real_spread_equals_pairwise_maximum(seed, shape):
+    # max - min against the plain pairwise loop on columns no sweep makes:
+    # ties, magnitudes from 1e-300 to 1e300, differences that overflow to
+    # inf or are subnormal, and one to three rows
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(33, 400))
+    if shape == "cloud":
+        values = rng.standard_normal(n)
+    elif shape == "lattice":  # many tied pairs
+        values = rng.integers(0, 3, n) * 1.5
+    elif shape == "scales":
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    elif shape == "huge":  # the largest differences overflow
+        values = rng.uniform(-1.0, 1.0, n) * 1.7e308
+    elif shape == "tiny":  # subnormal differences
+        values = rng.uniform(-1.0, 1.0, n) * 1e-310
+    else:
+        values = rng.standard_normal(seed + 1)
+    column = array("d", values)
+    expected = max(abs(a - b) for a in column for b in column)
+    assert SweepResult(column, column, [], [], column, column).spread("l2") == expected
 
 
 @pytest.mark.parametrize("field", ["eps_exact", "eps_plane_wave"])

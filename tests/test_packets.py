@@ -5,6 +5,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +219,25 @@ def test_far_separated_overlap_vanishes():
     a = GaussianPacket(x0=-30.0, sigma=1.0, k0=10.0)
     b = GaussianPacket(x0=30.0, sigma=1.0, k0=10.0)
     assert abs(inner_product(a, b)) < 1e-300
+
+
+@pytest.mark.parametrize("decades", range(11))
+def test_closed_form_overlap_at_a_width_ratio(decades):
+    # sigma_b / sigma_a = 10**decades.  The exponent's real part is
+    # -d^2 A B / p - dk^2 / (4p); spelled as q^2/(4p) + c0 its first and
+    # last terms are each about A d^2 / 4 and cancel.  The reference
+    # evaluates it in exact rationals of the packets' doubles.
+    a = GaussianPacket(x0=0.0, sigma=10.0**-decades, k0=8.0 * 10.0**decades, phase=0.3)
+    b = GaussianPacket(x0=0.7, sigma=1.0, k0=8.0 * 10.0**decades + 0.4)
+    eps = inner_product(a, b)
+    sa, sb = Fraction(a.sigma), Fraction(b.sigma)
+    A, B = 1 / (2 * sa * sa), 1 / (2 * sb * sb)
+    sep, dk = Fraction(b.x0) - Fraction(a.x0), Fraction(b.k0) - Fraction(a.k0)
+    re = float(-sep * sep * A * B / (A + B) - dk * dk / (4 * (A + B)))
+    expected = 0.5 * math.log(2 * sa * sb / (sa * sa + sb * sb)) + re
+    eps_f = sys.float_info.epsilon
+    assert abs(eps) <= 1.0 + 8.0 * eps_f
+    assert abs(math.log(abs(eps)) - expected) <= 16.0 * eps_f * (abs(re) + 1.0)
 
 
 def test_overlap_with_an_overflowing_carrier_sum_has_no_value():
