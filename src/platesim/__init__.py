@@ -9,9 +9,9 @@ The top level holds the names of the README example, the scenario
 loader, the building blocks of a run, and the errors the command line
 maps to exit codes.  Everything else lives in its submodule:
 ``packets``, ``sampled``, ``optics``, ``models``, ``config`` and ``cli``.
-Only ``sampled`` (the grid representation) imports numpy, and its four
-names here load it on first use; so do a ``SpatialGrid``'s positions and
-wavenumbers.
+Only ``sampled`` (the grid representation, with a ``SpatialGrid``'s
+positions and wavenumbers) imports numpy, and its four names here load it
+on first use.
 """
 
 __version__ = "0.1.0"

@@ -26,20 +26,15 @@ Every packet inherits :class:`Packet`.  The two Gaussian kinds read alike as
 coefficient, flown ``offset``, and a bare :class:`GaussianPacket` is
 coefficient 1, base itself, offset 0.  They take the closed forms here; any
 other packet, such as a grid packet of :mod:`platesim.sampled` (numpy), is
-handed to its own methods.  Nothing here imports ``sampled``, and the grid
-record :class:`SpatialGrid` lives here, so a grid scenario loads without numpy.
+handed to its own methods.  Nothing here imports ``sampled`` or numpy, so a
+grid scenario, whose :class:`SpatialGrid` record lives here, loads without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 from operator import attrgetter, index
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "DEFAULT_WRAP_TOL", "GaussianPacket", "Packet", "ScaledGaussian", "SpatialGrid",
@@ -146,13 +141,8 @@ class ScaledGaussian(_Record, Packet):
         return self.base.x0 + self.offset
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class SpatialGrid(_Record):
-    """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; its arrays import numpy."""
+    """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; its arrays are ``sampled``'s."""
 
     def __init__(self, x_min: float, dx: float, n: int) -> None:
         _require_finite(**{"grid origin x_min": x_min})
@@ -171,18 +161,6 @@ class SpatialGrid(_Record):
     def x_end(self) -> float:
         """Periodic wrap point, one spacing past the last sample."""
         return self.x_min + self.n * self.dx
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Sample positions, ascending (read-only)."""
-        import numpy as np  # the grid's first array loads numpy
-        return _read_only(self.x_min + self.dx * np.arange(self.n))
-
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers in FFT ordering (read-only)."""
-        import numpy as np
-        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
 
 def _packet(p: object) -> Packet:

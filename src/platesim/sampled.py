@@ -5,10 +5,10 @@ Grid packets hold complex samples (units length^-1/2) on a uniform
 Riemann sum sum(conj(a) * b) * dx, spectrally accurate for packets that
 vanish at the window edges.  Free flight multiplies each Fourier mode by a
 unit-modulus phase, evaluated for modes 0..n//2 and conjugated for the
-rest, so it is unitary to machine precision.  A grid's positions and
-wavenumbers, a packet's spectrum, and the phases of the most recent
-(grid, c*t) are cached: their owners are frozen, the arrays read-only.  A
-flown packet owns the buffer its inverse transform ran in.
+rest, so it is unitary to machine precision.  A grid's :func:`positions`
+and :func:`wavenumbers`, a packet's spectrum, and the phases of the most
+recent (grid, c*t) are cached per grid value or frozen packet, the arrays
+read-only.  A flown packet owns the buffer its inverse transform ran in.
 """
 
 from __future__ import annotations
@@ -19,12 +19,29 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .packets import DEFAULT_WRAP_TOL, GaussianPacket, Packet, ScaledGaussian, SpatialGrid
-from .packets import WraparoundError, _Record, _read_only, _require_flight
+from .packets import WraparoundError, _Record, _require_flight
 
 __all__ = [
-    "GridPacket", "fits_after", "gaussian_amplitude",
-    "negative_wavenumber_fraction", "normalize", "sample", "spectral_centroid",
+    "GridPacket", "fits_after", "gaussian_amplitude", "negative_wavenumber_fraction",
+    "normalize", "positions", "sample", "spectral_centroid", "wavenumbers",
 ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=1)
+def positions(grid: SpatialGrid) -> np.ndarray:
+    """The grid's sample positions, ascending (read-only)."""
+    return _read_only(grid.x_min + grid.dx * np.arange(grid.n))
+
+
+@lru_cache(maxsize=1)
+def wavenumbers(grid: SpatialGrid) -> np.ndarray:
+    """The grid's angular wavenumbers in FFT ordering (read-only)."""
+    return _read_only(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx))
 
 
 class GridPacket(_Record, Packet):
@@ -81,7 +98,7 @@ def gaussian_amplitude(g: GaussianPacket | ScaledGaussian, x) -> np.ndarray:
 
 def sample(g: GaussianPacket | ScaledGaussian, grid: SpatialGrid) -> GridPacket:
     """Sample a (scaled, flown) Gaussian onto a grid."""
-    return GridPacket(grid, gaussian_amplitude(g, grid.positions))
+    return GridPacket(grid, gaussian_amplitude(g, positions(grid)))
 
 
 def normalize(p: GridPacket) -> GridPacket:
@@ -102,7 +119,7 @@ def fits_after(p: GridPacket, t: float, c: float, tail_tol: float) -> bool:
         raise ValueError("tail_tol must lie in (0, 1)")
     cut = p.grid.x_end - c * t
     # positions ascend, so the samples at or past the cut are a suffix
-    start = p.grid.positions.searchsorted(cut, "left")
+    start = positions(p.grid).searchsorted(cut, "left")
     mass = float((np.abs(p.amplitudes[start:]) ** 2).sum() * p.grid.dx)
     return mass < tail_tol
 
@@ -115,7 +132,7 @@ def _phases(grid: SpatialGrid, shift: float) -> np.ndarray:
     is the conjugate of mode m's, unless k * shift is 0 (for shifts 0.0,
     -0.0 or small enough to underflow), where both are 1 + 0j.
     """
-    k = grid.wavenumbers
+    k = wavenumbers(grid)
     if k[1] * shift == 0.0:  # k[1] has the smallest nonzero |k|
         return _read_only(np.exp(-1j * k * shift))
     n, half = grid.n, grid.n // 2 + 1
@@ -135,10 +152,10 @@ def _spectral_power(p: GridPacket) -> np.ndarray:
 def spectral_centroid(p: GridPacket) -> float:
     """Mean angular wavenumber of the packet's power spectrum (its carrier)."""
     power = _spectral_power(p)
-    return float((p.grid.wavenumbers * power).sum() / power.sum())
+    return float((wavenumbers(p.grid) * power).sum() / power.sum())
 
 
 def negative_wavenumber_fraction(p: GridPacket) -> float:
     """Spectral weight at k < 0; negligible for a right-moving packet."""
     power = _spectral_power(p)
-    return float(power[p.grid.wavenumbers < 0.0].sum() / power.sum())
+    return float(power[wavenumbers(p.grid) < 0.0].sum() / power.sum())

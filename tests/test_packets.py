@@ -30,8 +30,10 @@ from platesim.sampled import (
     gaussian_amplitude,
     negative_wavenumber_fraction,
     normalize,
+    positions,
     sample,
     spectral_centroid,
+    wavenumbers,
 )
 
 
@@ -135,7 +137,7 @@ def test_grid_takes_a_numpy_integer_size():
 def test_grid_packet_is_immutable(wide_grid):
     g = sample(GaussianPacket(x0=0.0, sigma=1.0, k0=10.0), wide_grid)
     # the cached arrays are shared by every later caller
-    for shared in (g.amplitudes, g.spectrum, wide_grid.positions, wide_grid.wavenumbers):
+    for shared in (g.amplitudes, g.spectrum, positions(wide_grid), wavenumbers(wide_grid)):
         with pytest.raises(ValueError):
             shared[0] = 1.0
 
@@ -154,13 +156,13 @@ def test_sampling_a_flown_gaussian_samples_its_moved_center(wide_grid):
 
 
 def test_replaced_grid_gets_its_own_arrays(wide_grid):
-    positions, wavenumbers = wide_grid.positions, wide_grid.wavenumbers
+    wide_x, wide_k = positions(wide_grid), wavenumbers(wide_grid)
     finer = SpatialGrid(wide_grid.x_min, wide_grid.dx / 2.0, wide_grid.n)
-    assert finer.positions is not positions
-    assert finer.wavenumbers is not wavenumbers
-    assert np.array_equal(finer.positions, finer.x_min + finer.dx * np.arange(finer.n))
+    assert positions(finer) is not wide_x
+    assert wavenumbers(finer) is not wide_k
+    assert np.array_equal(positions(finer), finer.x_min + finer.dx * np.arange(finer.n))
     assert np.array_equal(
-        finer.wavenumbers, 2.0 * np.pi * np.fft.fftfreq(finer.n, d=finer.dx)
+        wavenumbers(finer), 2.0 * np.pi * np.fft.fftfreq(finer.n, d=finer.dx)
     )
 
 
