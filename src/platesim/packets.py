@@ -201,18 +201,29 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> co
     if p == 0.0 or not math.isfinite(d):  # both 2 sigma^2 overflow, or d: no value
         return complex(math.nan, math.nan)
     # The exponent without cancellation: its real part -d^2 A B / p - dk^2 / (4p)
-    # is at most 0, and 2A/p is exactly 1 for equal widths.
+    # is at most 0, its imaginary part -d (k_a B + k_b A) / p weighs each carrier
+    # by a share in [0, 1], and 2A/p is exactly 1 for equal widths.
     dk = b.k0 - a.k0
     re = (-p * d * d / 4.0) * ((2.0 * A / p) * (2.0 * B / p)) - dk * dk / (4.0 * p)
-    im = (B - A) * d * dk / (2.0 * p) - 0.5 * (a.k0 + b.k0) * d + (b.phase - a.phase)
+    im = -d * (a.k0 * (B / p) + b.k0 * (A / p))
     pref = (
         (math.pi * a.sigma**2) ** -0.25
         * (math.pi * b.sigma**2) ** -0.25
         * math.sqrt(math.pi / p)
     )
+    if not math.isfinite(re):
+        # A packet so narrow that A, 4p, p d^2 or dk^2 overflows.  The same
+        # three parts over h = hypot(sigma_a, sigma_b), where u^2 = B/p and
+        # v^2 = A/p, form no intermediate beyond the result.
+        h = math.hypot(a.sigma, b.sigma)
+        u, v = a.sigma / h, b.sigma / h
+        t = dk * u * b.sigma  # dk sigma_a sigma_b / h
+        re = -0.5 * ((d / h) * (d / h) + t * t)
+        im = -d * (a.k0 * u * u + b.k0 * v * v)
+        pref = math.sqrt(2.0 * u * v)
     try:
-        return pref * cmath.exp(complex(re, im))
-    except ValueError:  # an infinite phase, where k_a + k_b overflows
+        return pref * cmath.exp(complex(re, im + (b.phase - a.phase)))
+    except ValueError:  # an infinite phase, where d k overflows
         return complex(math.nan, math.nan)
 
 

@@ -1,5 +1,5 @@
-"""Shared randomized factories for the test suite, and the pairwise
-swing of a complex sweep column.
+"""Shared randomized factories for the test suite, the pairwise swing of
+a complex sweep column, and the closed-form overlap in exact rationals.
 
 All factories draw from a caller-supplied Generator so each test pins its
 own seed; parameter ranges keep packets well clear of the validation
@@ -14,6 +14,11 @@ only its example count and health-check suppressions.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,6 +32,8 @@ except ImportError:  # the property modules skip themselves
 else:
     settings.register_profile("platesim", deadline=None, database=None)
     settings.load_profile("platesim")
+
+EPS = sys.float_info.epsilon
 
 
 def random_gaussian(rng, centers=(-5.0, 5.0)) -> GaussianPacket:
@@ -78,6 +85,45 @@ def pairwise_max_abs(values, rows=256) -> float:
         d = v[i : i + rows, None] - v[None, :]
         best = max(best, float(np.hypot(d.real, d.imag).max()))
     return best
+
+
+def exact_overlap(a: GaussianPacket, b: GaussianPacket):
+    """``(pref, re, im, scale)`` with <a|b> = pref exp(re + i im), for two
+    Gaussian packets.
+
+    With h^2 = sigma_a^2 + sigma_b^2, pref = sqrt(2 sigma_a sigma_b / h^2),
+    re = -(d^2 + dk^2 sigma_a^2 sigma_b^2) / (2 h^2) and im = -d (k_a
+    sigma_a^2 + k_b sigma_b^2) / h^2 + phase_b - phase_a, each evaluated in
+    exact rationals of the packets' doubles and rounded once (pref twice).
+    ``scale`` is the largest magnitude among the three terms of im, the
+    size its rounding scales with.
+    """
+    sa, sb = Fraction(a.sigma), Fraction(b.sigma)
+    h2 = sa * sa + sb * sb
+    d, dk = Fraction(b.x0) - Fraction(a.x0), Fraction(b.k0) - Fraction(a.k0)
+    re = -(d * d + dk * dk * sa * sa * sb * sb) / (2 * h2)
+    terms = (
+        -d * Fraction(a.k0) * sa * sa / h2,
+        -d * Fraction(b.k0) * sb * sb / h2,
+        Fraction(b.phase) - Fraction(a.phase),
+    )
+    pref = math.sqrt(2 * sa * sb / h2)
+    return pref, float(re), float(sum(terms)), float(max(map(abs, terms)))
+
+
+def phase_error(eps: complex, im: float) -> float:
+    """|arg eps - im|, reduced modulo 2 pi into [0, pi]."""
+    return abs(math.remainder(cmath.phase(eps) - im, 2.0 * math.pi))
+
+
+def assert_overlap_is_exact(eps: complex, a: GaussianPacket, b: GaussianPacket) -> None:
+    """``eps`` is <a|b> in size and phase: within a few EPS of the exponent's
+    real part and of the largest term of its imaginary part."""
+    pref, re, im, scale = exact_overlap(a, b)
+    assert abs(eps) <= 1.0 + 8.0 * EPS  # Cauchy-Schwarz, to rounding
+    assert abs(math.log(abs(eps) / pref) - re) <= 16.0 * EPS * (abs(re) + 1.0)
+    # a few roundings of im's largest term, then cmath.phase's of pi
+    assert phase_error(eps, im) <= 8.0 * EPS * (scale + math.pi)
 
 
 @pytest.fixture

@@ -18,11 +18,12 @@ from pathlib import Path
 import pytest
 
 import platesim
+from conftest import assert_overlap_is_exact
 from platesim import cli
 from platesim.cli import main
 from platesim.config import ConfigError, InvariantError, SchemaError
 from platesim.models import DegeneratePreparationError
-from platesim.packets import WraparoundError
+from platesim.packets import GaussianPacket, WraparoundError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import cli_parity  # noqa: E402
@@ -348,12 +349,25 @@ def test_size_above_ceiling_exits_4(contract_case, name):
 
 @pytest.mark.parametrize("command", ["sweep", "invariance"])
 @pytest.mark.parametrize(
-    "name", ["closed_form_overlap", "closed_form_overlap_far_apart"], ids=["narrow", "far-apart"]
+    "name", ["closed_form_overlap_carrier_sum", "closed_form_overlap_far_apart"],
+    ids=["infinite-phase", "far-apart"],
 )
 def test_non_finite_closed_form_overlap_exits_4(contract_case, command, name):
     record = contract_case(f"{name}[{command}]")
     assert _refused(record, 4)
     assert record["stdout"] == ""
+
+
+@pytest.mark.parametrize("command, column", [("sweep", "eps_exact"), ("invariance", "eps")])
+@pytest.mark.parametrize("sigma", cli_parity.NARROW_ALPHA)
+def test_narrow_packet_writes_the_exact_overlap(contract_case, command, column, sigma):
+    name = f"narrow_alpha_{sigma}[{command}]"
+    assert contract_case(name)["exit"] == 0
+    with open("out.csv", newline="", encoding="utf-8") as fh:
+        row = next(csv.DictReader(fh))
+    scn = json.loads(CASES[name]["config"])
+    a, b = (GaussianPacket(**scn[key]) for key in ("packet_alpha", "packet_beta"))
+    assert_overlap_is_exact(complex(float(row[f"{column}_re"]), float(row[f"{column}_im"])), a, b)
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_overlap_is_exact
 from platesim import (
     InvariantError,
     SchemaError,
     balanced_splitter,
+    inner_product,
     load_config,
     parse_config,
 )
@@ -179,34 +181,40 @@ def test_non_finite_plane_wave_phase_rejected(length):
         parse_config(raw)
 
 
-# Non-finite closed forms: a packet so narrow that 4 * (1/(2 sigma^2)) is
-# inf, centers so far apart that their separation is inf, and two packets
-# so wide that both 1/(2 sigma^2) are 0.
+# Closed forms with no value: centers so far apart that their separation is
+# inf, and two packets so wide that both 1/(2 sigma^2) are 0.
+NO_OVERLAP = {
+    "far-apart": (
+        {"x0": -1e308, "sigma": 1.0, "k0": 12.0}, {"x0": 1e308, "sigma": 1.0, "k0": 12.8}
+    ),
+    "both-wide": (
+        {"x0": 0.0, "sigma": 1e154, "k0": 1.0}, {"x0": 0.0, "sigma": 1e154, "k0": 1.1}
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha, beta", NO_OVERLAP.values(), ids=NO_OVERLAP.keys())
+def test_non_finite_closed_form_overlap_rejected(alpha, beta):
+    match = "^packet_alpha: closed-form overlap <packet_alpha\\|packet_beta> is not finite$"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(_scenario(packet_alpha=alpha, packet_beta=beta))
+
+
+# A packet so narrow that 4 * (1/(2 sigma^2)) and dk^2 overflow: the loader
+# once refused its finite overlap, about 2.3e-99, as "not finite".
 NARROW = {"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
+WIDE = {"x0": 0.5, "sigma": 1.2, "k0": 12.8}
 
 
 @pytest.mark.parametrize(
-    "alpha, beta, narrower",
-    [
-        (NARROW, MINIMAL["packet_beta"], "packet_alpha"),
-        (MINIMAL["packet_alpha"], NARROW, "packet_beta"),
-        (
-            {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
-            {"x0": 1e308, "sigma": 1.0, "k0": 12.8},
-            "packet_alpha",
-        ),
-        (
-            {"x0": 0.0, "sigma": 1e154, "k0": 1.0},
-            {"x0": 0.0, "sigma": 1e154, "k0": 1.1},
-            "packet_alpha",
-        ),
-    ],
-    ids=["narrow-alpha", "narrow-beta", "far-apart", "both-wide"],
+    "alpha, beta", [(NARROW, WIDE), (WIDE, NARROW)], ids=["narrow-alpha", "narrow-beta"]
 )
-def test_non_finite_closed_form_overlap_rejected(alpha, beta, narrower):
-    match = f"^{narrower}: closed-form overlap <packet_alpha\\|packet_beta> is not finite$"
-    with pytest.raises(InvariantError, match=match):
-        parse_config(_scenario(packet_alpha=alpha, packet_beta=beta))
+def test_narrow_packet_loads_with_the_exact_overlap(alpha, beta):
+    # an explicit l2_max: the default span, two periods of a carrier near
+    # 1e155, rounds away
+    cfg = parse_config(_scenario(packet_alpha=alpha, packet_beta=beta, geometry={"l2_max": 2.0}))
+    a, b = cfg.packet_alpha, cfg.packet_beta
+    assert_overlap_is_exact(inner_product(a, b), a, b)
 
 
 def test_phase_difference_beyond_double_range_rejected():
@@ -306,7 +314,11 @@ NYQUIST_GRID = {"x_min": -40.0, "dx": 0.5, "n": 512}  # resolves k up to 2 pi
             "must be >= l2_min",
         ),
         (
-            {"packet_alpha": NARROW, "geometry": {"c": 1e-320}},
+            {
+                "packet_alpha": NO_OVERLAP["both-wide"][0],
+                "packet_beta": NO_OVERLAP["both-wide"][1],
+                "geometry": {"c": 1e-320},
+            },
             "geometry.c",
             "flight time l1 / c is not finite",
         ),

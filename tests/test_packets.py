@@ -5,14 +5,12 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_close_pair, random_gaussian
+from conftest import assert_overlap_is_exact, random_close_pair, random_gaussian
 from platesim.optics import TwoArmState
 from platesim.packets import (
     GaussianPacket,
@@ -223,29 +221,55 @@ def test_far_separated_overlap_vanishes():
     assert abs(inner_product(a, b)) < 1e-300
 
 
-@pytest.mark.parametrize("decades", range(11))
-def test_closed_form_overlap_at_a_width_ratio(decades):
+WIDTH_RATIOS = [("near", decades) for decades in range(11)] + [
+    ("far", decades) for decades in (*range(11), 50, 100, 150)
+]
+
+
+@pytest.mark.parametrize(
+    "carriers, decades", WIDTH_RATIOS, ids=[f"{c}-{d}" for c, d in WIDTH_RATIOS]
+)
+def test_closed_form_overlap_at_a_width_ratio(carriers, decades):
     # sigma_b / sigma_a = 10**decades.  The exponent's real part is
     # -d^2 A B / p - dk^2 / (4p); spelled as q^2/(4p) + c0 its first and
-    # last terms are each about A d^2 / 4 and cancel.  The reference
-    # evaluates it in exact rationals of the packets' doubles.
-    a = GaussianPacket(x0=0.0, sigma=10.0**-decades, k0=8.0 * 10.0**decades, phase=0.3)
-    b = GaussianPacket(x0=0.7, sigma=1.0, k0=8.0 * 10.0**decades + 0.4)
-    eps = inner_product(a, b)
-    sa, sb = Fraction(a.sigma), Fraction(b.sigma)
-    A, B = 1 / (2 * sa * sa), 1 / (2 * sb * sb)
-    sep, dk = Fraction(b.x0) - Fraction(a.x0), Fraction(b.k0) - Fraction(a.k0)
-    re = float(-sep * sep * A * B / (A + B) - dk * dk / (4 * (A + B)))
-    expected = 0.5 * math.log(2 * sa * sb / (sa * sa + sb * sb)) + re
-    eps_f = sys.float_info.epsilon
-    assert abs(eps) <= 1.0 + 8.0 * eps_f
-    assert abs(math.log(abs(eps)) - expected) <= 16.0 * eps_f * (abs(re) + 1.0)
+    # last terms are each about A d^2 / 4 and cancel.  Its imaginary part is
+    # -d (k_a B + k_b A) / p; spelled as (B - A) d dk / (2p) - (k_a + k_b) d / 2
+    # its two terms are each about k_a d / 2 and cancel when k_a dominates,
+    # as with the "far" carriers.  The reference is in exact rationals.
+    if carriers == "near":  # 0.4 apart, the phase near k_a d
+        a = GaussianPacket(x0=0.0, sigma=10.0**-decades, k0=8.0 * 10.0**decades, phase=0.3)
+        b = GaussianPacket(x0=0.7, sigma=1.0, k0=8.0 * 10.0**decades + 0.4)
+    else:  # dk near -k_a, the phase near -k_b d
+        a = GaussianPacket(x0=0.0, sigma=10.0**-decades, k0=4.0 * 10.0**decades, phase=0.3)
+        b = GaussianPacket(x0=0.5, sigma=1.2, k0=12.8)
+    assert_overlap_is_exact(inner_product(a, b), a, b)
+
+
+NARROW = GaussianPacket(x0=0.0, sigma=1e-160, k0=4e160, phase=0.3)  # sigma^2 is subnormal
+NARROW_PAIRS = {
+    # 4p and dk^2 overflow: the real part was NaN
+    "1e-154": (GaussianPacket(x0=0.0, sigma=1e-154, k0=1e155), GaussianPacket(0.5, 1.2, 12.8)),
+    # p d^2 overflows: the real part was -inf, and the overlap 0
+    "2e-154": (GaussianPacket(x0=0.0, sigma=2e-154, k0=2e154), GaussianPacket(0.5, 1.2, 12.8)),
+    # 1 / (2 sigma^2) overflows, and sigma^2 is subnormal
+    "1e-160": (NARROW, GaussianPacket(0.5, 1.2, 12.8)),
+    "both-1e-160": (NARROW, GaussianPacket(x0=2e-160, sigma=1.5e-160, k0=3e160)),
+    # an equal narrow width, where A/p would be inf/inf
+    "equal-1e-160": (NARROW, GaussianPacket(x0=1e-160, sigma=1e-160, k0=5e160, phase=-1.0)),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["alpha", "beta"])
+@pytest.mark.parametrize("pair", NARROW_PAIRS.values(), ids=NARROW_PAIRS.keys())
+def test_closed_form_overlap_of_a_narrow_packet(pair, swap):
+    a, b = reversed(pair) if swap else pair
+    assert_overlap_is_exact(inner_product(a, b), a, b)
 
 
 def test_overlap_with_an_overflowing_carrier_sum_has_no_value():
-    # k_a + k_b overflows, so the phase (k_a + k_b) d / 2 is infinite
+    # d k overflows, so the phase -d (k_a B + k_b A) / p is infinite
     a = GaussianPacket(x0=0.0, sigma=1.0, k0=1e308)
-    b = GaussianPacket(x0=0.5, sigma=1.0, k0=1e308)
+    b = GaussianPacket(x0=3.0, sigma=1.0, k0=1e308)
     assert cmath.isnan(inner_product(a, b))
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import pairwise_max_abs  # noqa: E402
+from conftest import exact_overlap, pairwise_max_abs, phase_error  # noqa: E402
 from platesim import (  # noqa: E402
     DegeneratePreparationError,
     ExperimentGeometry,
@@ -129,7 +128,7 @@ def test_split_keeps_the_gaussian_overlap(alpha, beta, bs):
 @settings(max_examples=300)
 @given(
     st.floats(0.5, 2.0),  # the wider sigma
-    st.floats(0.0, 10.0),  # log10 of the width ratio
+    st.floats(0.0, 150.0),  # log10 of the width ratio
     st.floats(5.0, 16.0),  # k0 * sigma of the narrower packet
     st.floats(-1.0, 1.0),  # detuning times the narrower sigma
     st.floats(-3.0, 3.0),  # separation over the wider sigma
@@ -145,18 +144,15 @@ def test_closed_form_overlap_holds_at_any_width_ratio(
     a, b = (b, a) if swap else (a, b)
     eps = inner_product(a, b)
     assert abs(eps) <= 1.0 + 8.0 * EPS  # Cauchy-Schwarz, to rounding
-    # ln|eps| = ln sqrt(2 sa sb / (sa^2 + sb^2)) + the exponent's real part
-    # -d^2 A B / p - dk^2 / (4p), here in exact rationals of the packets'
-    # doubles; only the two logarithms and the float of the exponent round.
-    sa, sb = Fraction(a.sigma), Fraction(b.sigma)
-    A, B = 1 / (2 * sa * sa), 1 / (2 * sb * sb)
-    sep, dk = Fraction(b.x0) - Fraction(a.x0), Fraction(b.k0) - Fraction(a.k0)
-    re = float(-sep * sep * A * B / (A + B) - dk * dk / (4 * (A + B)))
-    expected = 0.5 * math.log(2 * sa * sb / (sa * sa + sb * sb)) + re
-    assume(expected > -700.0)  # |eps| stays a normal double
-    # Each rounding moves ln|eps| by a few EPS of the exponent's terms,
-    # both at most 0 (worst of 20,000 random draws: 8.0 EPS (|re| + 1)).
-    assert abs(math.log(abs(eps)) - expected) <= 16.0 * EPS * (abs(re) + 1.0)
+    # eps = pref exp(re + i im), each part in exact rationals of the packets'
+    # doubles (conftest); only the logarithm and the floats round.
+    pref, re, im, scale = exact_overlap(a, b)
+    assume(math.log(pref) + re > -700.0)  # |eps| stays a normal double
+    # Each rounding moves ln|eps / pref| by a few EPS of the exponent's real
+    # terms, both at most 0, and the phase by a few EPS of im's largest term
+    # (worst of 100,000 random draws: 2.3 EPS (|re| + 1) and 2.6 EPS (scale + pi)).
+    assert abs(math.log(abs(eps) / pref) - re) <= 16.0 * EPS * (abs(re) + 1.0)
+    assert phase_error(eps, im) <= 8.0 * EPS * (scale + math.pi)
 
 
 WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)  # acceptance criterion 2's window

@@ -1,4 +1,4 @@
-"""Pin ``simulate``'s bytes and check its numbers: run 564 cases, compare each
+"""Pin ``simulate``'s bytes and check its numbers: run 574 cases, compare each
 with its record and hand each exit-0 output to the independent oracle.
 
     PYTHONPATH=src python3 tools/cli_parity.py
@@ -58,6 +58,17 @@ WIDTH_RATIO = {
 WIDTH_RATIO_APART = {
     "packet_alpha": {"x0": 0.0, "sigma": 1e-10, "k0": 6e10},
     "packet_beta": {"x0": 3.0, "sigma": 1.0, "k0": 12.0},
+}
+# alpha narrower than GAUSSIAN's beta by a factor up to 1e160, its carrier
+# k0 = 4 / sigma or 10 / sigma dominating: the exponent's phase must not be
+# formed from two cancelling terms, its real part overflows for sigma below
+# about 2e-154 and 1 / (2 sigma^2) below about 5e-155.
+NARROW_ALPHA = {
+    "1e-50": {"x0": 0.0, "sigma": 1e-50, "k0": 4e50},
+    "1e-150": {"x0": 0.0, "sigma": 1e-150, "k0": 4e150},
+    "1e-154": {"x0": 0.0, "sigma": 1e-154, "k0": 1e155},
+    "2e-154": {"x0": 0.0, "sigma": 2e-154, "k0": 2e154},
+    "1e-160": {"x0": 0.0, "sigma": 1e-160, "k0": 4e160},
 }
 CARRIERS_EQUAL = {
     "packet_alpha": {"x0": 0, "sigma": 1, "k0": 12.0},
@@ -128,10 +139,10 @@ def _refusals() -> dict[str, dict]:
         "closed_form_overlap": _with(
             GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
         ),
-        # k_a + k_b overflows: the overlap's phase is infinite
+        # d k overflows: the overlap's phase is infinite
         "closed_form_overlap_carrier_sum": {
             "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 1e308},
-            "packet_beta": {"x0": 0.5, "sigma": 1.0, "k0": 1e308},
+            "packet_beta": {"x0": 3.0, "sigma": 1.0, "k0": 1e308},
         },
         "closed_form_overlap_far_apart": {
             "packet_alpha": {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
@@ -214,6 +225,10 @@ def build_cases() -> list[dict]:
     cases.append(_case("carriers_equal_in_floating_point[sweep]", sweep, CARRIERS_EQUAL))
     cases.append(_case("width_ratio_1e10[invariance]", [*invariance, "0,5"], WIDTH_RATIO))
     cases.append(_case("width_ratio_1e10_apart[sweep]", sweep, WIDTH_RATIO_APART))
+    for sigma, alpha in NARROW_ALPHA.items():
+        scn = _with(GAUSSIAN, packet_alpha=alpha, geometry={"l2_max": 2.0})
+        cases.append(_case(f"narrow_alpha_{sigma}[sweep]", sweep, scn))
+        cases.append(_case(f"narrow_alpha_{sigma}[invariance]", [*invariance, "0,5"], scn))
     for name, scn in _refusals().items():
         cases.append(_case(f"{name}[sweep]", sweep, scn))
         cases.append(_case(f"{name}[invariance]", [*invariance, "0,40,120"], scn))
@@ -278,9 +293,14 @@ UNCHECKED = {
         "d_omega is 0: the oracle's default span 2 * 2 pi c / |d_omega| divides by zero"
     ),
     **dict.fromkeys(
-        ["width_ratio_1e10[invariance]", "width_ratio_1e10_apart[sweep]"],
-        "unequal widths: the oracle's closed form still cancels (output_check.py:50), "
-        "and it needs geometry.n_points",
+        [
+            "width_ratio_1e10[invariance]", "width_ratio_1e10_apart[sweep]",
+            *(f"narrow_alpha_{sigma}[{command}]"
+              for sigma in NARROW_ALPHA for command in ("sweep", "invariance")),
+        ],
+        "unequal widths: the oracle's closed form still cancels in its exponent's real"
+        " part and phase and overflows below sigma 2e-154 (output_check.py:50),"
+        " and it needs geometry.n_points",
     ),
     "version": "no scenario",
 }
