@@ -142,7 +142,7 @@ class ScaledGaussian(_Record, Packet):
 
 
 class SpatialGrid(_Record):
-    """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; its arrays are ``sampled``'s."""
+    """Uniform 1D grid: ``n`` samples at x_min, x_min + dx, ...; ``sampled`` builds its arrays."""
 
     def __init__(self, x_min: float, dx: float, n: int) -> None:
         _require_finite(**{"grid origin x_min": x_min})
@@ -214,7 +214,7 @@ def _gaussian_overlap(a: GaussianPacket, b: GaussianPacket, flight: float) -> co
     if not math.isfinite(re):
         # A packet so narrow that A, 4p, p d^2 or dk^2 overflows.  The same
         # three parts over h = hypot(sigma_a, sigma_b), where u^2 = B/p and
-        # v^2 = A/p, form no intermediate beyond the result.
+        # v^2 = A/p, overflow only where the result itself does.
         h = math.hypot(a.sigma, b.sigma)
         u, v = a.sigma / h, b.sigma / h
         t = dk * u * b.sigma  # dk sigma_a sigma_b / h

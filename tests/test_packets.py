@@ -227,7 +227,8 @@ WIDTH_RATIOS = [("near", decades) for decades in range(11)] + [
 
 
 @pytest.mark.parametrize(
-    "carriers, decades", WIDTH_RATIOS, ids=[f"{c}-{d}" for c, d in WIDTH_RATIOS]
+    "carriers, decades", WIDTH_RATIOS,
+    ids=[str(d) if c == "near" else f"far-{d}" for c, d in WIDTH_RATIOS],
 )
 def test_closed_form_overlap_at_a_width_ratio(carriers, decades):
     # sigma_b / sigma_a = 10**decades.  The exponent's real part is
@@ -236,10 +237,10 @@ def test_closed_form_overlap_at_a_width_ratio(carriers, decades):
     # -d (k_a B + k_b A) / p; spelled as (B - A) d dk / (2p) - (k_a + k_b) d / 2
     # its two terms are each about k_a d / 2 and cancel when k_a dominates,
     # as with the "far" carriers.  The reference is in exact rationals.
-    if carriers == "near":  # 0.4 apart, the phase near k_a d
+    if carriers == "near":  # 0.4 apart
         a = GaussianPacket(x0=0.0, sigma=10.0**-decades, k0=8.0 * 10.0**decades, phase=0.3)
         b = GaussianPacket(x0=0.7, sigma=1.0, k0=8.0 * 10.0**decades + 0.4)
-    else:  # dk near -k_a, the phase near -k_b d
+    else:  # dk near -k_a
         a = GaussianPacket(x0=0.0, sigma=10.0**-decades, k0=4.0 * 10.0**decades, phase=0.3)
         b = GaussianPacket(x0=0.5, sigma=1.2, k0=12.8)
     assert_overlap_is_exact(inner_product(a, b), a, b)
