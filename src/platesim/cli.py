@@ -7,9 +7,10 @@ overlap at user-chosen times and reports the deviation from its value at
 the moment of the split.  All numbers are written with 17 significant
 digits so the CSV round-trips doubles exactly; summaries use 6.
 
-Exit codes: 0 success; 2 missing or unreadable config file; 3 schema error; 4
-invariant violation; 5 unwritable output; 6 degenerate preparation; 7
-invariance deviation above tolerance; 8 grid wraparound.
+Exit codes: 0 success; 2 missing or unreadable config file, or an ``argparse``
+usage error; 3 schema error; 4 invariant violation; 5 unwritable output; 6
+degenerate preparation; 7 invariance deviation above tolerance; 8 grid
+wraparound.
 """
 
 from __future__ import annotations

@@ -45,9 +45,9 @@ FALLBACK_L2_SPAN = 10.0
 # Size ceilings: each size may take half of a 1 GiB peak, so a grid sweep
 # at both stays under it.  Per-unit costs are at least twice what
 # test_memory.py measures, rounded up to a power of 2: about 95 bytes a
-# sweep row (it bounds run_sweep at 147 at 200k rows) and about 194 bytes a
-# grid sample for invariance, 162 for a sweep (it bounds runs on the
-# committed grid at GRID_SAMPLE_BYTES / 2).
+# sweep row (it bounds run_sweep at 200k rows at SWEEP_ROW_BYTES / 2) and
+# about 194 bytes a grid sample for invariance, 162 for a sweep (it bounds
+# runs on the committed grid at GRID_SAMPLE_BYTES / 2).
 SWEEP_ROW_BYTES = 256
 GRID_SAMPLE_BYTES = 1024
 MAX_N_POINTS = 2**29 // SWEEP_ROW_BYTES  # 2,097,152 rows

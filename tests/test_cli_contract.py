@@ -4,16 +4,60 @@ each against its record and each exit-0 output against the independent oracle.""
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import platesim
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import cli_parity  # noqa: E402
 
 CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
+
+# Each case's exit code and whether it writes a CSV, pinned apart from the
+# records: a re-pin that moves one of these refusals to another exit fails here.
+EXITS = {
+    **dict.fromkeys(
+        ["missing_config", "config_directory", "junk_times", "negative_time"], (2, False)
+    ),
+    **dict.fromkeys(["unknown_key[sweep]", "integer_beyond_double_range[sweep]"], (3, False)),
+    **dict.fromkeys([
+        f"{name}[sweep]" for name in (
+            "lossy_splitter", "flight_time", "carrier_frequency", "phase_at_l1",
+            "phase_at_l2_max", "sigma_square", "sigma_square_overflow",
+            "plate_amplitude_overflow", "phase_difference", "n_points_ceiling",
+            "grid_n_ceiling", "vanishing_default_span", "vanishing_default_span_narrow",
+        )
+    ], (4, False)),
+    **dict.fromkeys([
+        f"{name}[{command}]"
+        for name in (
+            "grid_phase", "grid_sampled_carrier_phase", "closed_form_overlap_carrier_sum",
+            "closed_form_overlap_far_apart",
+        )
+        for command in ("sweep", "invariance")
+    ], (4, False)),
+    "unwritable_output": (5, False),
+    "degenerate_preparation[sweep]": (6, False),
+    "shortcut_degenerate_preparation[sweep]": (6, False),
+    "shortcut_degenerate_preparation[invariance]": (0, True),
+    "grid_tolerance[invariance]": (7, True),  # the report is still written
+    **dict.fromkeys(
+        [f"grid_wraparound[{seed}]" for seed in cli_parity.GRID_SEEDS]
+        + ["grid_wraparound_beta_only"],
+        (8, False),
+    ),
+    "version": (0, False),
+}
+STDOUT = {
+    **dict.fromkeys([name for name in EXITS if name.startswith("closed_form_overlap_")], ""),
+    "version": f"simulate {platesim.__version__}\n",
+}
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +90,16 @@ def test_records_reach_every_documented_exit_code_and_names_are_unique():
     assert 1 not in exits  # an exception escaped main: a traceback
     names = [case["name"] for case in cli_parity.build_cases()]
     assert len(set(names)) == len(names)
+    documented = re.search(r"output for (\d+) cases", README.read_text(encoding="utf-8"))
+    assert documented and int(documented.group(1)) == len(names)
+
+
+@pytest.mark.parametrize("name", EXITS)
+def test_each_refusal_keeps_its_exit_code(name):
+    record = CONTRACT["records"][name]
+    assert (record["exit"], record["csv_sha256"] is not None) == EXITS[name]
+    if name in STDOUT:
+        assert record["stdout"] == STDOUT[name]
 
 
 def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(tmp_path, monkeypatch):

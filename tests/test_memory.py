@@ -1,7 +1,8 @@
 """Memory stays linear in the row count with a small constant.
 
 Peaks are traced with ``tracemalloc``, which sees numpy's array buffers.
-A pairwise ``spread`` would need an n x n matrix: 8 TB at a million rows.
+A pairwise ``spread`` would need an n x n matrix: 320 GB at the 200k rows
+whose sweep, spreads and CSV writer are held to ``SWEEP_ROW_BYTES / 2`` a row.
 An invariance cache that kept one phase array per time would grow by
 64 KB a time on the committed grid.
 """
@@ -17,9 +18,9 @@ import numpy as np
 import numpy.fft  # noqa: F401  loaded here, so that no traced peak counts loading it
 import platesim.sampled  # noqa: F401  likewise
 
-from platesim import ExperimentGeometry, Preparation, load_config, parse_config, sweep_d2
+from platesim import load_config, parse_config
 from platesim.cli import SWEEP_HEADER, _write_csv, run_invariance_report, run_sweep
-from platesim.config import GRID_SAMPLE_BYTES
+from platesim.config import GRID_SAMPLE_BYTES, SWEEP_ROW_BYTES
 from platesim.optics import overlap_at_time, split
 
 GRID_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "grid.json"
@@ -44,10 +45,6 @@ def _traced_peak(fn) -> float:
     return peak - base
 
 
-def _config(n_points: int):
-    return parse_config({**SCENARIO, "geometry": {"n_points": n_points}})
-
-
 def _invariance_peak(tmp_path: Path, count: int) -> float:
     """Traced peak of a grid invariance run at ``count`` times, from a fresh load."""
     cfg = load_config(GRID_SCENARIO)
@@ -58,31 +55,17 @@ def _invariance_peak(tmp_path: Path, count: int) -> float:
         return _traced_peak(lambda: run_invariance_report(cfg, times, out))
 
 
-def test_sweep_and_summary_spreads_at_a_million_rows():
-    cfg = _config(10**6)
-    geom = ExperimentGeometry(l1=cfg.l1, l2=cfg.l2_min, c=cfg.c)
-
-    def sweep_and_spreads():
-        result = sweep_d2(
-            cfg.packet_alpha, cfg.packet_beta, cfg.splitter, geom, cfg.l2_values(),
-            Preparation(phi=cfg.preparation_phi), cfg.packet_alpha.k0, cfg.packet_beta.k0,
-        )
-        result.spread("rate_exact")
-        result.spread("rate_plane_wave")
-
-    assert _traced_peak(sweep_and_spreads) < 200 * MB
-
-
 def test_run_sweep_peak_at_200k_rows(tmp_path):
-    # Measured 17.1 MB (x86-64 Linux, Python 3.11.7): l2_values() and the
-    # sweep's array('d') and complex-list columns, about 89 bytes a row.
-    # The CSV writer streams its rows and holds one formatted line,
-    # whatever the row count.  The bound leaves over 50% headroom.
-    cfg = _config(200_000)
+    # config.MAX_N_POINTS allows SWEEP_ROW_BYTES a row, twice this bound.
+    # Measured 17.1 MiB, 89.5 bytes a row (x86-64 Linux, Python 3.11.7):
+    # l2_values() and the sweep's array('d') and complex-list columns.  The
+    # CSV writer streams its rows and holds one formatted line, whatever
+    # the row count.
+    cfg = parse_config({**SCENARIO, "geometry": {"n_points": 200_000}})
     out = tmp_path / "sweep.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         peak = _traced_peak(lambda: run_sweep(cfg, out))
-    assert peak < 28 * MB
+    assert peak / cfg.n_points < SWEEP_ROW_BYTES / 2
 
 
 def test_csv_writer_holds_one_line_at_a_time(tmp_path):

@@ -24,6 +24,7 @@ from platesim.packets import (
 )
 from platesim.sampled import (
     GridPacket,
+    _phases,
     fits_after,
     gaussian_amplitude,
     negative_wavenumber_fraction,
@@ -134,8 +135,10 @@ def test_grid_takes_a_numpy_integer_size():
 
 def test_grid_packet_is_immutable(wide_grid):
     g = sample(GaussianPacket(x0=0.0, sigma=1.0, k0=10.0), wide_grid)
-    # the cached arrays are shared by every later caller
-    for shared in (g.amplitudes, g.spectrum, positions(wide_grid), wavenumbers(wide_grid)):
+    # the cached arrays are shared by every later caller; the four arms
+    # flown to one time share one phase vector
+    phases = _phases(wide_grid, 1.0)
+    for shared in (g.amplitudes, g.spectrum, positions(wide_grid), wavenumbers(wide_grid), phases):
         with pytest.raises(ValueError):
             shared[0] = 1.0
 

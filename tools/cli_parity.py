@@ -1,4 +1,4 @@
-"""Pin ``simulate``'s bytes and check its numbers: run 574 cases, compare each
+"""Pin ``simulate``'s bytes and check its numbers: run every case, compare each
 with its record and hand each exit-0 output to the independent oracle.
 
     PYTHONPATH=src python3 tools/cli_parity.py
