@@ -8,8 +8,9 @@ enough that relative comparisons stay meaningful.
 
 The suite's Hypothesis policy is set here, once: no deadline, since a
 call's time depends on the host, and no example database, so a run
-neither replays nor writes ``.hypothesis/``.  Each ``@settings`` names
-only its example count and health-check suppressions.
+replays no earlier example; Hypothesis still writes its caches under the
+git-ignored ``.hypothesis/`` (``constants/``, ``unicode_data/``).  Each
+``@settings`` names only its example count and health-check suppressions.
 """
 
 from __future__ import annotations

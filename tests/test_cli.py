@@ -1,7 +1,7 @@
 """Command line: CSV shape, summaries, the narrow-packet overlap, and the paths
 that ``tests/cli_contract.json`` cannot reach (an unreadable file, an injected
-error or NaN).  Every refusal's bytes live in that file, and its exit code and
-whether it writes a CSV in ``test_cli_contract.py``'s ``EXITS`` table.
+error or NaN).  Every refusal's bytes live in that file, and each case declares
+its exit code where ``tools/cli_parity.py`` builds it.
 Byte-identical reruns are acceptance criterion 6."""
 
 from __future__ import annotations
@@ -253,27 +253,14 @@ def test_help_lists_subcommands(capsys):
     assert "sweep" in out and "invariance" in out
 
 
-@pytest.fixture
-def contract_case(tmp_path, monkeypatch):
-    """Run a case of ``tools/cli_parity.py`` here, warnings raised as errors;
-    its record, which must equal the committed one."""
-    monkeypatch.chdir(tmp_path)
-
-    def run(name):
-        record = cli_parity.run_case(CASES[name])
-        assert record == CONTRACT[name], (
-            "re-pin if intended: PYTHONPATH=src python3 tools/cli_parity.py"
-        )
-        return record
-
-    return run
-
-
 @pytest.mark.parametrize("command, column", [("sweep", "eps_exact"), ("invariance", "eps")])
 @pytest.mark.parametrize("sigma", cli_parity.NARROW_ALPHA)
-def test_narrow_packet_writes_the_exact_overlap(contract_case, command, column, sigma):
+def test_narrow_packet_writes_the_exact_overlap(tmp_path, monkeypatch, command, column, sigma):
     name = f"narrow_alpha_{sigma}[{command}]"
-    assert contract_case(name)["exit"] == 0
+    monkeypatch.chdir(tmp_path)  # run_case writes here, warnings raised as errors
+    assert cli_parity.run_case(CASES[name]) == CONTRACT[name], (
+        "re-pin if intended: PYTHONPATH=src python3 tools/cli_parity.py"
+    )
     with open("out.csv", newline="", encoding="utf-8") as fh:
         row = next(csv.DictReader(fh))
     scn = json.loads(CASES[name]["config"])

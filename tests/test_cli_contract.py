@@ -1,5 +1,6 @@
 """``simulate``'s bytes and numbers: one pass of ``tools/cli_parity.py``'s cases,
-each against its record and each exit-0 output against the independent oracle."""
+each against its record, its declared exit code and the stream rule, and each
+exit-0 output against the independent oracle."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import platesim
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import cli_parity  # noqa: E402
 
@@ -19,50 +18,10 @@ CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
 
-# Each case's exit code and whether it writes a CSV, pinned apart from the
-# records: a re-pin that moves one of these refusals to another exit fails here.
-EXITS = {
-    **dict.fromkeys(
-        ["missing_config", "config_directory", "junk_times", "negative_time"], (2, False)
-    ),
-    **dict.fromkeys(["unknown_key[sweep]", "integer_beyond_double_range[sweep]"], (3, False)),
-    **dict.fromkeys([
-        f"{name}[sweep]" for name in (
-            "lossy_splitter", "flight_time", "carrier_frequency", "phase_at_l1",
-            "phase_at_l2_max", "sigma_square", "sigma_square_overflow",
-            "plate_amplitude_overflow", "phase_difference", "n_points_ceiling",
-            "grid_n_ceiling", "vanishing_default_span", "vanishing_default_span_narrow",
-        )
-    ], (4, False)),
-    **dict.fromkeys([
-        f"{name}[{command}]"
-        for name in (
-            "grid_phase", "grid_sampled_carrier_phase", "closed_form_overlap_carrier_sum",
-            "closed_form_overlap_far_apart",
-        )
-        for command in ("sweep", "invariance")
-    ], (4, False)),
-    "unwritable_output": (5, False),
-    "degenerate_preparation[sweep]": (6, False),
-    "shortcut_degenerate_preparation[sweep]": (6, False),
-    "shortcut_degenerate_preparation[invariance]": (0, True),
-    "grid_tolerance[invariance]": (7, True),  # the report is still written
-    **dict.fromkeys(
-        [f"grid_wraparound[{seed}]" for seed in cli_parity.GRID_SEEDS]
-        + ["grid_wraparound_beta_only"],
-        (8, False),
-    ),
-    "version": (0, False),
-}
-STDOUT = {
-    **dict.fromkeys([name for name in EXITS if name.startswith("closed_form_overlap_")], ""),
-    "version": f"simulate {platesim.__version__}\n",
-}
-
 
 @pytest.fixture(scope="module")
 def contract_pass(tmp_path_factory):
-    """``cli_parity.compare`` run once here: records, diffs, oracle problems, unchecked."""
+    """``cli_parity.compare`` run once here: records, diffs, problems, unchecked."""
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(tmp_path_factory.mktemp("cli_contract"))
         return cli_parity.compare(CONTRACT)
@@ -78,7 +37,7 @@ def test_every_case_matches_its_record(contract_pass):
     ])
 
 
-def test_oracle_checks_every_successful_case_it_can(contract_pass):
+def test_no_case_has_an_exit_stream_or_oracle_problem(contract_pass):
     problems, unchecked = contract_pass[2:]
     assert not problems, "\n".join([f"{len(problems)} problems, the first 10:", *problems[:10]])
     assert set(unchecked) == cli_parity.UNCHECKED.keys()
@@ -87,22 +46,29 @@ def test_oracle_checks_every_successful_case_it_can(contract_pass):
 def test_records_reach_every_documented_exit_code_and_names_are_unique():
     exits = {record["exit"] for record in CONTRACT["records"].values()}
     assert README_EXIT_CODES <= exits
-    assert 1 not in exits  # an exception escaped main: a traceback
-    names = [case["name"] for case in cli_parity.build_cases()]
+    cases = cli_parity.build_cases()
+    assert all(case["exit"] != 1 for case in cases)  # an exception escaped main: a traceback
+    names = [case["name"] for case in cases]
     assert len(set(names)) == len(names)
     documented = re.search(r"output for (\d+) cases", README.read_text(encoding="utf-8"))
     assert documented and int(documented.group(1)) == len(names)
 
 
-@pytest.mark.parametrize("name", EXITS)
-def test_each_refusal_keeps_its_exit_code(name):
-    record = CONTRACT["records"][name]
-    assert (record["exit"], record["csv_sha256"] is not None) == EXITS[name]
-    if name in STDOUT:
-        assert record["stdout"] == STDOUT[name]
+def test_an_output_off_the_stream_rule_is_a_problem_of_its_case():
+    case = cli_parity._case("refused", 4, ["sweep"], text="{}")
+    record = {"exit": 4, "csv_sha256": None, "stdout": "", "stderr": "error: refused\n"}
+    assert cli_parity.exit_and_stream_problems(case, record) == []
+    written = {**record, "csv_sha256": "0" * 64, "stdout": "eps: 1\n"}
+    assert cli_parity.exit_and_stream_problems(case, written) == [
+        "STREAM refused: CSV written under exit 4", "STREAM refused: stdout written under exit 4",
+    ]
+    assert cli_parity.exit_and_stream_problems({**case, "exit": 0}, {**record, "exit": 0}) == [
+        "STREAM refused: CSV missing under exit 0", "STREAM refused: stdout missing under exit 0",
+        "STREAM refused: stderr written under exit 0",
+    ]
 
 
-def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(tmp_path, monkeypatch):
+def test_the_oracle_reports_a_corrupted_output(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cases = {case["name"]: case for case in cli_parity.build_cases()}
     for name, column, value in [
@@ -117,16 +83,16 @@ def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(tmp_path, mo
         row[at] = repr(value(float(row[at])))  # the first data row
         Path("out.csv").write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
         assert cli_parity.oracle(cases[name], record), name
-    for name in ("version", "grid_sweep[0]"):
-        assert cli_parity.oracle(cases[name], cli_parity.run_case(cases[name])) is None, name
 
 
-def test_an_oracle_crash_is_a_problem_of_its_case(tmp_path, monkeypatch):
+def test_an_oracle_crash_or_a_moved_exit_is_a_problem_of_its_case(tmp_path, monkeypatch):
     # no geometry section: the oracle reads geometry.n_points and raises
     sweep = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
-    case = cli_parity._case("no_geometry", sweep, cli_parity.WIDTH_RATIO_APART)
+    case = cli_parity._case("no_geometry", 0, sweep, cli_parity.WIDTH_RATIO_APART)
+    moved = cli_parity._case("not_json", 4, sweep, text="{")  # the loader exits 3
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli_parity, "build_cases", lambda: [case])
-    records, _, problems, unchecked = cli_parity.compare({"records": {}})
-    assert records["no_geometry"]["exit"] == 0
-    assert (problems, unchecked) == (["ORACLE no_geometry: KeyError: 'geometry'"], [])
+    monkeypatch.setattr(cli_parity, "build_cases", lambda: [case, moved])
+    _, _, problems, unchecked = cli_parity.compare({"records": {}})
+    assert (problems, unchecked) == (
+        ["ORACLE no_geometry: KeyError: 'geometry'", "EXIT not_json: declared 4, ran 3"], []
+    )

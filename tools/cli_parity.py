@@ -1,19 +1,24 @@
 """Pin ``simulate``'s bytes and check its numbers: run every case, compare each
-with its record and hand each exit-0 output to the independent oracle.
+with its record, its declared exit code and the stream rule, and hand each
+exit-0 output to the independent oracle.
 
     PYTHONPATH=src python3 tools/cli_parity.py
 
 Runs every case through the imported ``platesim.cli.main`` in one process, in
 a temporary directory whose path it prints and which it removes afterwards,
 with warnings raised as errors.  The cases, over ``bench/scenario_gen.py``
-seeds, reach every exit code and every loader rule.  ``bench/output_check.py``
-re-derives each exit-0 output without platesim; ``UNCHECKED`` names the cases
-outside its domain, and an exception the oracle raises is a problem of its case.
+seeds, reach every exit code and every loader rule.  Each declares its exit
+code where it is built, a ``(sweep, invariance)`` pair per group of
+``_refusals``; ``exit_and_stream_problems`` states the stream rule.
+``bench/output_check.py`` re-derives each exit-0 output without platesim;
+``UNCHECKED`` names the cases outside its domain, and an exception the oracle
+raises is a problem of its case.
 Prints each case that differs from ``tests/cli_contract.json``, the exit tally,
 the number of records added, changed (with the count per changed field) and
-removed, and each oracle problem with the oracle's tally; rewrites that file
-and exits 1 if any case differed or the oracle found a problem: commit it after
-an intended change and name every changed case in CHANGES.md.
+removed, and each exit, stream and oracle problem with their count; rewrites
+that file and exits 1 if any case differed or had a problem, so a re-pin never
+accepts a moved exit: commit it after an intended change and name every
+changed case in CHANGES.md.
 Parity with another tree means ``PYTHONPATH=<tree>/src python3
 tools/cli_parity.py`` leaves ``git diff tests/cli_contract.json`` empty.
 """
@@ -82,121 +87,130 @@ def _with(base: dict, **sections) -> dict:
     return {**json.loads(json.dumps(base)), **sections}
 
 
-def _refusals() -> dict[str, dict]:
-    """One scenario for each refusal the loader or a run documents."""
+def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
+    """One scenario for each refusal the loader or a run documents, under the
+    exit codes its ``sweep`` and its ``invariance`` run declare."""
     alpha, beta = GAUSSIAN["packet_alpha"], GAUSSIAN["packet_beta"]
     centered_beta = {"x0": 0.0, "sigma": 1.0, "k0": 12.8}
     grid = _with(GAUSSIAN, representation="grid", grid=GRID)
     committed_grid = json.loads((ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8"))
     return {
-        "unknown_key": _with(GAUSSIAN, extra=1),
-        "wrong_type": _with(GAUSSIAN, packet_alpha={**alpha, "sigma": "1"}),
-        "integer_beyond_double_range": _with(GAUSSIAN, packet_alpha={**alpha, "x0": 10**400}),
-        "missing_grid": _with(GAUSSIAN, representation="grid"),
-        "lossy_splitter": _with(
-            GAUSSIAN, splitter={"r_re": 0.7, "r_im": 0.0, "t_re": 0.6, "t_im": 0.0}
-        ),
-        "inverted_range": _with(GAUSSIAN, geometry={"l2_min": 5.0, "l2_max": 1.0}),
-        "inverted_range_and_flight_time": _with(
-            GAUSSIAN, geometry={"c": 1e-320, "l2_min": 5.0, "l2_max": 1.0}
-        ),
-        "nonpositive_speed": _with(GAUSSIAN, geometry={"c": 0.0}),
-        # l1 / c overflows: writing rows would put inf and NaN under exit 0
-        "flight_time": _with(GAUSSIAN, geometry={"c": 1e-320}),
-        "flight_time_l2_min": _with(
-            GAUSSIAN, geometry={"c": 1e-300, "l1": 1e-10, "l2_min": 1e10, "l2_max": 2e10}
-        ),
-        "flight_time_l2_max": _with(GAUSSIAN, geometry={"c": 1e-10, "l2_max": 1e300}),
-        # c * k0 overflows: the plane-wave phase would be inf - inf
-        "carrier_frequency": _with(GAUSSIAN, geometry={"c": 1e308}),
-        "carrier_frequency_beta": _with(
-            GAUSSIAN, packet_beta={**beta, "k0": 1e300}, geometry={"c": 1e10}
-        ),
-        # d_omega * l / c overflows: the sweep's phase factor has no value
-        "phase_at_l1": _with(
-            GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l1": 1e308}
-        ),
-        "phase_at_l2_max": _with(
-            GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l2_max": 1e308}
-        ),
-        "sigma_square": _with(GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e-300, "k0": 1e301}),
-        # its square overflows, where sigma_square's underflows
-        "sigma_square_overflow": _with(
-            GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e200, "k0": 12.0}
-        ),
-        # |r|^2 + |t|^2 overflows
-        "plate_amplitude_overflow": _with(
-            GAUSSIAN, packet_beta=centered_beta,
-            splitter={"r_re": 0.0, "r_im": 0.0, "t_re": 0.0, "t_im": 1e155},
-        ),
-        "phase_difference": _with(
-            GAUSSIAN,
-            packet_alpha={**alpha, "phase": 1e308},
-            packet_beta={**beta, "phase": -1e308},
-        ),
-        # The overlap, about 2.3e-99, is finite (narrow_alpha_1e-154 runs it),
-        # but two periods of a carrier near 1e155 round away: the default
-        # l2_max is refused.
-        "closed_form_overlap": _with(
-            GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
-        ),
-        # d k overflows: the overlap's phase is infinite
-        "closed_form_overlap_carrier_sum": {
-            "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 1e308},
-            "packet_beta": {"x0": 3.0, "sigma": 1.0, "k0": 1e308},
+        (3, 3): {
+            "unknown_key": _with(GAUSSIAN, extra=1),
+            "wrong_type": _with(GAUSSIAN, packet_alpha={**alpha, "sigma": "1"}),
+            "integer_beyond_double_range": _with(GAUSSIAN, packet_alpha={**alpha, "x0": 10**400}),
+            "missing_grid": _with(GAUSSIAN, representation="grid"),
         },
-        "closed_form_overlap_far_apart": {
-            "packet_alpha": {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
-            "packet_beta": {**centered_beta, "x0": 1e308},
+        (4, 4): {
+            "lossy_splitter": _with(
+                GAUSSIAN, splitter={"r_re": 0.7, "r_im": 0.0, "t_re": 0.6, "t_im": 0.0}
+            ),
+            "inverted_range": _with(GAUSSIAN, geometry={"l2_min": 5.0, "l2_max": 1.0}),
+            "inverted_range_and_flight_time": _with(
+                GAUSSIAN, geometry={"c": 1e-320, "l2_min": 5.0, "l2_max": 1.0}
+            ),
+            "nonpositive_speed": _with(GAUSSIAN, geometry={"c": 0.0}),
+            # l1 / c overflows: writing rows would put inf and NaN under exit 0
+            "flight_time": _with(GAUSSIAN, geometry={"c": 1e-320}),
+            "flight_time_l2_min": _with(
+                GAUSSIAN, geometry={"c": 1e-300, "l1": 1e-10, "l2_min": 1e10, "l2_max": 2e10}
+            ),
+            "flight_time_l2_max": _with(GAUSSIAN, geometry={"c": 1e-10, "l2_max": 1e300}),
+            # c * k0 overflows: the plane-wave phase would be inf - inf
+            "carrier_frequency": _with(GAUSSIAN, geometry={"c": 1e308}),
+            "carrier_frequency_beta": _with(
+                GAUSSIAN, packet_beta={**beta, "k0": 1e300}, geometry={"c": 1e10}
+            ),
+            # d_omega * l / c overflows: the sweep's phase factor has no value
+            "phase_at_l1": _with(
+                GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l1": 1e308}
+            ),
+            "phase_at_l2_max": _with(
+                GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l2_max": 1e308}
+            ),
+            "sigma_square": _with(GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e-300, "k0": 1e301}),
+            # its square overflows, where sigma_square's underflows
+            "sigma_square_overflow": _with(
+                GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e200, "k0": 12.0}
+            ),
+            # |r|^2 + |t|^2 overflows
+            "plate_amplitude_overflow": _with(
+                GAUSSIAN, packet_beta=centered_beta,
+                splitter={"r_re": 0.0, "r_im": 0.0, "t_re": 0.0, "t_im": 1e155},
+            ),
+            "phase_difference": _with(
+                GAUSSIAN,
+                packet_alpha={**alpha, "phase": 1e308},
+                packet_beta={**beta, "phase": -1e308},
+            ),
+            # The overlap, about 2.3e-99, is finite (narrow_alpha_1e-154 runs it),
+            # but two periods of a carrier near 1e155 round away: the default
+            # l2_max is refused.
+            "closed_form_overlap": _with(
+                GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
+            ),
+            # d k overflows: the overlap's phase is infinite
+            "closed_form_overlap_carrier_sum": {
+                "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 1e308},
+                "packet_beta": {"x0": 3.0, "sigma": 1.0, "k0": 1e308},
+            },
+            "closed_form_overlap_far_apart": {
+                "packet_alpha": {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
+                "packet_beta": {**centered_beta, "x0": 1e308},
+            },
+            # Without the loader's refusal, every row had l2 = 1 and the summary
+            # printed "max |d rate_wss|: 0" under exit 0.
+            "vanishing_default_span": _with(
+                GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1.0, "k0": 1e308}
+            ),
+            "vanishing_default_span_narrow": _with(
+                GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-150, "k0": 1e151},
+                packet_beta=centered_beta,
+            ),
+            "n_points_ceiling": _with(GAUSSIAN, geometry={"n_points": 2**21 + 1}),
+            "grid_n_ceiling": _with(grid, grid={**GRID, "n": 2**19 + 1}),
+            "grid_window": _with(grid, grid={"x_min": -2.0, "dx": 0.0625, "n": 64}),
+            "grid_nyquist": _with(grid, grid={"x_min": -40.0, "dx": 0.5, "n": 512}),
+            # Without the loader's refusal, the sampled beta lost its carrier, the
+            # spectral centroid moved, and sweep stopped with "ValueError: math
+            # domain error" under exit 1.
+            "grid_phase": _with(
+                grid, packet_beta={**beta, "phase": -1.5e308}, geometry={"l2_max": 1e308}
+            ),
+            # The nominal carriers pass the loader's plane-wave phase check at the
+            # largest l2_max (d_omega = -1.0); the sampled centroids the run uses
+            # do not (d_omega = -1.0000000000000009).  Without the re-check at
+            # realizing, sweep stopped with "ValueError: math domain error" under
+            # exit 1.
+            "grid_sampled_carrier_phase": _with(
+                committed_grid,
+                packet_alpha={**committed_grid["packet_alpha"], "k0": 6},
+                packet_beta={**committed_grid["packet_beta"], "k0": 7},
+                geometry={**committed_grid["geometry"], "l2_max": 1.7976931348623157e308},
+            ),
         },
-        # Without the loader's refusal, every row had l2 = 1 and the summary
-        # printed "max |d rate_wss|: 0" under exit 0.
-        "vanishing_default_span": _with(
-            GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1.0, "k0": 1e308}
-        ),
-        "vanishing_default_span_narrow": _with(
-            GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-150, "k0": 1e151},
-            packet_beta=centered_beta,
-        ),
-        "n_points_ceiling": _with(GAUSSIAN, geometry={"n_points": 2**21 + 1}),
-        "grid_n_ceiling": _with(grid, grid={**GRID, "n": 2**19 + 1}),
-        "grid_window": _with(grid, grid={"x_min": -2.0, "dx": 0.0625, "n": 64}),
-        "grid_nyquist": _with(grid, grid={"x_min": -40.0, "dx": 0.5, "n": 512}),
-        # Without the loader's refusal, the sampled beta lost its carrier, the
-        # spectral centroid moved, and sweep stopped with "ValueError: math
-        # domain error" under exit 1.
-        "grid_phase": _with(
-            grid, packet_beta={**beta, "phase": -1.5e308}, geometry={"l2_max": 1e308}
-        ),
-        # The nominal carriers pass the loader's plane-wave phase check at the
-        # largest l2_max (d_omega = -1.0); the sampled centroids the run uses
-        # do not (d_omega = -1.0000000000000009).  Without the re-check at
-        # realizing, sweep stopped with "ValueError: math domain error" under
-        # exit 1.
-        "grid_sampled_carrier_phase": _with(
-            committed_grid,
-            packet_alpha={**committed_grid["packet_alpha"], "k0": 6},
-            packet_beta={**committed_grid["packet_beta"], "k0": 7},
-            geometry={**committed_grid["geometry"], "l2_max": 1.7976931348623157e308},
-        ),
-        "degenerate_preparation": _with(
-            GAUSSIAN, packet_beta={**alpha, "phase": 3.141592653589793}
-        ),
-        # the exact denominator is 3.99999999995, the shortcut's about 5e-11
-        "shortcut_degenerate_preparation": _with(
-            GAUSSIAN,
-            packet_beta={**alpha, "k0": 12.00001},
-            geometry={"l1": 314159.2653589793, "l2_min": 314159.2653589793,
-                      "l2_max": 314159.2653589793, "n_points": 1},
-        ),
-        "grid_tolerance": _with(grid, tolerances={"grid_tol": 1e-18}),
+        (6, 0): {
+            "degenerate_preparation": _with(
+                GAUSSIAN, packet_beta={**alpha, "phase": 3.141592653589793}
+            ),
+            # the exact denominator is 3.99999999995, the shortcut's about 5e-11
+            "shortcut_degenerate_preparation": _with(
+                GAUSSIAN,
+                packet_beta={**alpha, "k0": 12.00001},
+                geometry={"l1": 314159.2653589793, "l2_min": 314159.2653589793,
+                          "l2_max": 314159.2653589793, "n_points": 1},
+            ),
+        },
+        (0, 7): {"grid_tolerance": _with(grid, tolerances={"grid_tol": 1e-18})},
     }
 
 
-def _case(name: str, argv: list[str], scenario: dict | None = None, text: str | None = None):
+def _case(name: str, code: int, argv: list[str], scenario: dict | None = None,
+          text: str | None = None):
+    """A case: its name, the exit code it declares, its argv and its config text."""
     if scenario is not None:
         text = json.dumps(scenario)
-    return {"name": name, "argv": argv, "config": text}
+    return {"name": name, "argv": argv, "config": text, "exit": code}
 
 
 def build_cases() -> list[dict]:
@@ -206,42 +220,44 @@ def build_cases() -> list[dict]:
     for seed in GAUSSIAN_SEEDS:
         for rows in (200, 4000):
             scn = scenario_gen.scenario(seed, rows)
-            cases.append(_case(f"gaussian_sweep_{rows}[{seed}]", sweep, scn))
+            cases.append(_case(f"gaussian_sweep_{rows}[{seed}]", 0, sweep, scn))
         scn = scenario_gen.scenario(seed)
-        cases.append(_case(f"gaussian_invariance[{seed}]", [*invariance, GAUSSIAN_TIMES], scn))
+        cases.append(_case(f"gaussian_invariance[{seed}]", 0, [*invariance, GAUSSIAN_TIMES], scn))
     for seed in GRID_SEEDS:
         scn = scenario_gen.scenario(seed, grid=True)
         times = ",".join(repr(t) for t in scenario_gen.invariance_times(seed, scn, GRID_TIMES))
-        cases.append(_case(f"grid_sweep[{seed}]", sweep, scn))
-        cases.append(_case(f"grid_invariance[{seed}]", [*invariance, times], scn))
-        cases.append(_case(f"grid_wraparound[{seed}]", [*invariance, WRAPAROUND_TIMES], scn))
+        cases.append(_case(f"grid_sweep[{seed}]", 0, sweep, scn))
+        cases.append(_case(f"grid_invariance[{seed}]", 0, [*invariance, times], scn))
+        cases.append(_case(f"grid_wraparound[{seed}]", 8, [*invariance, WRAPAROUND_TIMES], scn))
     # beta at x0 = 40 crosses the edge at 216 by t = 176; alpha, 40 behind it, does not
     beta_edge = _with(
         GAUSSIAN, representation="grid", grid=GRID,
         packet_beta={**GAUSSIAN["packet_beta"], "x0": 40.0},
     )
-    cases.append(_case("grid_wraparound_beta_only", [*invariance, BETA_EDGE_TIMES], beta_edge))
+    cases.append(_case("grid_wraparound_beta_only", 8, [*invariance, BETA_EDGE_TIMES], beta_edge))
     # The k0 differ, but c * k0 is one double for both: the rows' d_omega is
     # 0, so the printed period is inf and the default span is the fallback.
-    cases.append(_case("carriers_equal_in_floating_point[sweep]", sweep, CARRIERS_EQUAL))
-    cases.append(_case("width_ratio_1e10[invariance]", [*invariance, "0,5"], WIDTH_RATIO))
-    cases.append(_case("width_ratio_1e10_apart[sweep]", sweep, WIDTH_RATIO_APART))
+    cases.append(_case("carriers_equal_in_floating_point[sweep]", 0, sweep, CARRIERS_EQUAL))
+    cases.append(_case("width_ratio_1e10[invariance]", 0, [*invariance, "0,5"], WIDTH_RATIO))
+    cases.append(_case("width_ratio_1e10_apart[sweep]", 0, sweep, WIDTH_RATIO_APART))
     for sigma, alpha in NARROW_ALPHA.items():
         scn = _with(GAUSSIAN, packet_alpha=alpha, geometry={"l2_max": 2.0})
-        cases.append(_case(f"narrow_alpha_{sigma}[sweep]", sweep, scn))
-        cases.append(_case(f"narrow_alpha_{sigma}[invariance]", [*invariance, "0,5"], scn))
-    for name, scn in _refusals().items():
-        cases.append(_case(f"{name}[sweep]", sweep, scn))
-        cases.append(_case(f"{name}[invariance]", [*invariance, "0,40,120"], scn))
+        cases.append(_case(f"narrow_alpha_{sigma}[sweep]", 0, sweep, scn))
+        cases.append(_case(f"narrow_alpha_{sigma}[invariance]", 0, [*invariance, "0,5"], scn))
+    refused_at = [*invariance, "0,40,120"]
+    for (sweep_exit, invariance_exit), refusals in _refusals().items():
+        for name, scn in refusals.items():
+            cases.append(_case(f"{name}[sweep]", sweep_exit, sweep, scn))
+            cases.append(_case(f"{name}[invariance]", invariance_exit, refused_at, scn))
     cases += [
-        _case("missing_config", ["sweep", "--config", "missing.json", "--out", "out.csv"]),
-        _case("config_directory", ["sweep", "--config", ".", "--out", "out.csv"]),
-        _case("not_json", sweep, text="{"),
-        _case("unwritable_output", [*sweep[:-1], "no/out.csv"], GAUSSIAN),
-        _case("negative_time", [*invariance, "-1"], GAUSSIAN),
-        _case("junk_times", [*invariance, "0,x"], GAUSSIAN),
-        _case("missing_subcommand", []),
-        _case("version", ["--version"]),
+        _case("missing_config", 2, ["sweep", "--config", "missing.json", "--out", "out.csv"]),
+        _case("config_directory", 2, ["sweep", "--config", ".", "--out", "out.csv"]),
+        _case("not_json", 3, sweep, text="{"),
+        _case("unwritable_output", 5, [*sweep[:-1], "no/out.csv"], GAUSSIAN),
+        _case("negative_time", 2, [*invariance, "-1"], GAUSSIAN),
+        _case("junk_times", 2, [*invariance, "0,x"], GAUSSIAN),
+        _case("missing_subcommand", 2, []),
+        _case("version", 0, ["--version"]),
     ]
     return cases
 
@@ -272,12 +288,13 @@ def run_case(case: dict) -> dict:
             code = 1
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     out = Path("out.csv")
+    inputs = {key: case[key] for key in ("name", "argv", "config")}  # not the declared exit
     return {
         "exit": code,
         "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None,
         "stdout": stdout.getvalue(),
         "stderr": stderr.getvalue(),
-        "input_sha256": hashlib.sha256(json.dumps(case).encode()).hexdigest(),
+        "input_sha256": hashlib.sha256(json.dumps(inputs).encode()).hexdigest(),
     }
 
 
@@ -320,9 +337,28 @@ def oracle(case: dict, record: dict) -> list[str] | None:
     return output_check.check_sweep(csv_text, scn)
 
 
+def exit_and_stream_problems(case: dict, record: dict) -> list[str]:
+    """How ``record`` breaks the exit code its case declares or the stream rule:
+    a CSV exactly when a subcommand ran and exited 0 or 7, stdout exactly when
+    the exit is 0 or 7, stderr exactly when it is not 0."""
+    name, code = case["name"], record["exit"]
+    problems = [f"EXIT {name}: declared {case['exit']}, ran {code}"] if code != case["exit"] else []
+    subcommand = case["argv"][:1] in (["sweep"], ["invariance"])
+    streams = {  # stream: (written, expected)
+        "CSV": (record["csv_sha256"] is not None, code in (0, 7) and subcommand),
+        "stdout": (record["stdout"] != "", code in (0, 7)),
+        "stderr": (record["stderr"] != "", code != 0),
+    }
+    return problems + [
+        f"STREAM {name}: {stream} {'written' if written else 'missing'} under exit {code}"
+        for stream, (written, expected) in streams.items() if written != expected
+    ]
+
+
 def compare(contract: dict) -> tuple[dict, list[str], list[str], list[str]]:
     """Run every case here: the new records, a DIFF block per differing record,
-    the oracle's problems and the exit-0 cases outside its domain."""
+    the exit, stream and oracle problems, and the exit-0 cases outside the
+    oracle's domain."""
     records, diffs, problems, unchecked = {}, [], [], []
     for case in build_cases():
         old = contract["records"].get(case["name"])
@@ -333,6 +369,7 @@ def compare(contract: dict) -> tuple[dict, list[str], list[str], list[str]]:
             fields = [f"{key}: {old[key]!r} -> {new[key]!r}" for key in new if old[key] != new[key]]
         if fields:
             diffs.append("\n  ".join([f"DIFF {case['name']}: {' '.join(case['argv'])}", *fields]))
+        problems += exit_and_stream_problems(case, new)
         try:
             found = oracle(case, new) if new["exit"] == 0 else []
         except Exception as exc:  # the oracle's own failure: a problem, not a crash
@@ -367,8 +404,8 @@ def main() -> int:
     print(*diffs, f"{len(records)} cases ({tally}); {len(diffs)} differ", sep="\n")
     print(f"records: {len(records.keys() - old)} added, {changed} changed"
           f"{f' ({per_field})' if per_field else ''}, {len(old.keys() - records)} removed")
-    print(*problems, f"oracle: {len(problems)} problems, {len(unchecked)} exit-0 cases "
-          "outside its domain", sep="\n")
+    print(*problems, f"exit, stream and oracle problems: {len(problems)}; {len(unchecked)} "
+          "exit-0 cases outside the oracle's domain", sep="\n")
     text = json.dumps({**versions(), "records": records}, indent=1, sort_keys=True)
     CONTRACT.write_text(text + "\n", encoding="utf-8")
     return 1 if diffs or problems else 0
