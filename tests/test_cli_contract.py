@@ -1,6 +1,7 @@
 """``simulate``'s bytes and numbers: one pass of ``tools/cli_parity.py``'s cases,
 each against its record, its declared exit code and the stream rule, and each
-exit-0 output against the independent oracle."""
+exit-0 output against the independent oracle; and each refusal's committed
+record against its declaration, without running."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import cli_parity  # noqa: E402
 CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
+REFUSALS = [case for case in cli_parity.build_cases() if case["exit"] != 0]
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,14 @@ def test_records_reach_every_documented_exit_code_and_names_are_unique():
     assert documented and int(documented.group(1)) == len(names)
 
 
+@pytest.mark.parametrize("case", REFUSALS, ids=[case["name"] for case in REFUSALS])
+def test_each_refusal_keeps_its_exit_code(case):
+    # the committed record, read without running: a hand edit of the file
+    # that moves a refusal's exit or streams fails here under its own name
+    record = CONTRACT["records"][case["name"]]
+    assert cli_parity.exit_and_stream_problems(case, record) == []
+
+
 def test_an_output_off_the_stream_rule_is_a_problem_of_its_case():
     case = cli_parity._case("refused", 4, ["sweep"], text="{}")
     record = {"exit": 4, "csv_sha256": None, "stdout": "", "stderr": "error: refused\n"}
@@ -68,7 +78,7 @@ def test_an_output_off_the_stream_rule_is_a_problem_of_its_case():
     ]
 
 
-def test_the_oracle_reports_a_corrupted_output(tmp_path, monkeypatch):
+def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cases = {case["name"]: case for case in cli_parity.build_cases()}
     for name, column, value in [
@@ -83,6 +93,8 @@ def test_the_oracle_reports_a_corrupted_output(tmp_path, monkeypatch):
         row[at] = repr(value(float(row[at])))  # the first data row
         Path("out.csv").write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
         assert cli_parity.oracle(cases[name], record), name
+    for name in ("version", "grid_sweep[0]"):
+        assert cli_parity.oracle(cases[name], cli_parity.run_case(cases[name])) is None, name
 
 
 def test_an_oracle_crash_or_a_moved_exit_is_a_problem_of_its_case(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from platesim import ConfigError, cli, parse_config  # noqa: E402
@@ -100,10 +100,22 @@ def test_perturbed_committed_scenarios_parse_or_are_refused(raw):
 # accepted size runs the same code.
 SMALL_SIZES = st.one_of(st.integers(-2, 40), st.sampled_from(EDGES))
 COMMANDS = (["sweep"], ["invariance", "--times", "0,5,25"])
+# The sampled carrier of a phase this large rounds away; the loader refuses it.
+HUGE_GRID_PHASE = copy.deepcopy(SCENARIOS["grid.json"])
+HUGE_GRID_PHASE["packet_beta"]["phase"] = -1.5e308
+HUGE_GRID_PHASE["geometry"]["l2_max"] = 1e308
+# The loader passes the nominal carriers' plane-wave phases; the sampled
+# centroids' d_omega * l2_max / c overflows, which realizing refuses.
+SAMPLED_PHASE_OVERFLOW = copy.deepcopy(SCENARIOS["grid.json"])
+SAMPLED_PHASE_OVERFLOW["packet_alpha"]["k0"] = 6
+SAMPLED_PHASE_OVERFLOW["packet_beta"]["k0"] = 7
+SAMPLED_PHASE_OVERFLOW["geometry"]["l2_max"] = 1.7976931348623157e308
 
 
 @settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(perturbed_scenarios(sizes=SMALL_SIZES))
+@example(HUGE_GRID_PHASE)
+@example(SAMPLED_PHASE_OVERFLOW)
 def test_perturbed_committed_scenarios_run_or_exit_documented(tmp_path, raw):
     config, out = tmp_path / "scenario.json", tmp_path / "out.csv"
     config.write_text(json.dumps(raw), encoding="utf-8")
