@@ -8,7 +8,12 @@ plate sum to 1; the plane-wave overlap repeats in t2 with period
 within its closed-form bounds, by 2|t|^2 |eps| to rounding when the sweep
 holds antipodal rows, so the swing dies with the spectral overlap;
 splitting on a unitary plate keeps the overlap of two packets, Gaussian
-or sampled; the closed-form overlap holds at width ratios up to 1e10;
+or sampled; flown term by term, each arm pair to its own detector's time
+as the shortcut does, the overlap is still eps on every row of both
+committed sweeps and over drawn (t1, t2), and a drawn grid pair flown to
+a drawn time keeps its overlap or refuses the flight; on a plate at the
+unitarity edge both rates stay in [0, 1]; the closed-form overlap holds
+at width ratios up to 1e10;
 ``run_sweep`` writes every value of ``sweep_d2`` with ``%.17g``, its
 constant columns included; the printed period and the loader's default
 span come from the rows' d_omega.
@@ -19,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,12 +48,14 @@ from platesim import (  # noqa: E402
 )
 from platesim.cli import SWEEP_HEADER, run_sweep  # noqa: E402
 from platesim.models import PlaneWaveModel, counting_rate_d1, plane_wave_epsilon  # noqa: E402
-from platesim.config import FALLBACK_L2_SPAN, ScenarioConfig  # noqa: E402
-from platesim.optics import BeamSplitter, overlap_post  # noqa: E402
-from platesim.packets import SpatialGrid, norm2  # noqa: E402
+from platesim.config import FALLBACK_L2_SPAN, ScenarioConfig, load_config  # noqa: E402
+from platesim.optics import UNITARITY_TOL, BeamSplitter, overlap_post  # noqa: E402
+from platesim.packets import SpatialGrid, WraparoundError, norm2, propagate  # noqa: E402
 from platesim.sampled import normalize, sample  # noqa: E402
 
+ROOT = Path(__file__).resolve().parents[1]
 EPS = sys.float_info.epsilon
+DEFAULT_GRID_TOL = 1e-8  # tolerances.grid_tol's default
 BASE = parse_config(
     {
         "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -163,6 +171,89 @@ WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)  # acceptance criter
 def test_split_keeps_the_grid_overlap(alpha, beta, bs):
     a, b = (normalize(sample(p, WIDE_GRID)) for p in (alpha, beta))
     assert abs(overlap_post(split(a, bs), split(b, bs)) - inner_product(a, b)) <= 1e-12
+
+
+def term_wise_overlap(sa, sb, t1: float, t2: float, c: float) -> complex:
+    """<a1(t1)|b1(t1)> + <a2(t2)|b2(t2)>: each arm pair flown to its own detector's time,
+    the step the shortcut takes, with the real propagator."""
+    arm1 = inner_product(propagate(sa.arm1, t1, c), propagate(sb.arm1, t1, c))
+    return arm1 + inner_product(propagate(sa.arm2, t2, c), propagate(sb.arm2, t2, c))
+
+
+def gaussian_term_wise_bound(bs: BeamSplitter, eps: complex) -> float:
+    # |r|^2 + |t|^2 is 1 within the defect; the products and the sum add a few ulps.
+    return 2.0 * bs.unitarity_defect() * abs(eps) + 4.0 * math.ulp(abs(eps))
+
+
+@pytest.mark.parametrize("name", ["default", "grid"])
+def test_each_committed_sweep_row_flown_term_by_term_keeps_eps(name):
+    # README's claim: evaluated at (t1, t2) = (l1 / c, l2 / c), each arm pair
+    # flown to its own time, the overlap is still eps on every row.
+    cfg = load_config(ROOT / "scenarios" / f"{name}.json")
+    alpha, beta = cfg.realize_packets()[:2]
+    eps = inner_product(alpha, beta)
+    sa, sb = split(alpha, cfg.splitter), split(beta, cfg.splitter)
+    t1 = cfg.l1 / cfg.c
+    rows = [term_wise_overlap(sa, sb, t1, l2 / cfg.c, cfg.c) for l2 in cfg.l2_values()]
+    bound = gaussian_term_wise_bound(cfg.splitter, eps) if cfg.grid is None else cfg.invariance_tol
+    assert max(abs(row - eps) for row in rows) <= bound
+
+
+flight_times = st.floats(0.0, 1e12)
+
+
+@settings(max_examples=100)
+@given(packets(), packets(), unitary_splitters(), flight_times, flight_times, st.floats(0.5, 2.0))
+def test_gaussian_arms_flown_to_their_own_times_keep_eps(alpha, beta, bs, t1, t2, c):
+    eps = inner_product(alpha, beta)
+    deviation = abs(term_wise_overlap(split(alpha, bs), split(beta, bs), t1, t2, c) - eps)
+    assert deviation <= gaussian_term_wise_bound(bs, eps)
+
+
+@settings(max_examples=20)
+@given(packets(), packets(), st.floats(0.0, 300.0), st.floats(0.5, 2.0))
+def test_a_grid_pair_flown_keeps_its_overlap_or_refuses(alpha, beta, t, c):
+    # the loader's rule: carriers inside the grid's Nyquist band (x0 +/- 8 sigma fits)
+    assume(all(p.k0 + 4.0 / p.sigma <= math.pi / WIDE_GRID.dx for p in (alpha, beta)))
+    a, b = (normalize(sample(p, WIDE_GRID)) for p in (alpha, beta))
+    try:
+        flown = inner_product(propagate(a, t, c), propagate(b, t, c))
+    except WraparoundError:
+        return
+    assert abs(flown - inner_product(a, b)) <= DEFAULT_GRID_TOL
+
+
+defects = st.one_of(
+    st.sampled_from([-UNITARITY_TOL, UNITARITY_TOL]), st.floats(-UNITARITY_TOL, UNITARITY_TOL)
+)
+
+
+@st.composite
+def edge_splitters(draw):
+    """A unitary plate scaled so that |r|^2 + |t|^2 - 1 lies anywhere in
+    [-UNITARITY_TOL, UNITARITY_TOL], the ends included."""
+    bs, size = draw(unitary_splitters()), math.sqrt(1.0 + draw(defects))
+    try:
+        return BeamSplitter(size * bs.r, size * bs.t)
+    except ValueError:  # the square root or the products rounded past the edge
+        assume(False)
+
+
+@settings(max_examples=100)
+@given(packets(), packets(), edge_splitters(), st.floats(0.0, 2.0 * math.pi))
+def test_rates_on_the_unitarity_edge_lie_in_the_unit_interval(alpha, beta, bs, phi):
+    # With t = 0 the exact rate is |r|^2, up to 1 + UNITARITY_TOL, and the
+    # shortcut's is above 1 too: only the clamp keeps them in [0, 1].
+    l2_values = [1.0 + 0.5 * i for i in range(20)]
+    try:
+        result = sweep_d2(
+            alpha, beta, bs, ExperimentGeometry(l1=1.0, l2=1.0), l2_values, Preparation(phi),
+            alpha.k0, beta.k0,
+        )
+    except DegeneratePreparationError:
+        assume(False)
+    for rates in (result.rate_exact, result.rate_plane_wave):
+        assert all(0.0 <= rate <= 1.0 for rate in rates)
 
 
 parts = st.floats(-1.0, 1.0, allow_subnormal=False)  # else the bound underflows to 0

@@ -146,7 +146,7 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
             # The overlap, about 2.3e-99, is finite (narrow_alpha_1e-154 runs it),
             # but two periods of a carrier near 1e155 round away: the default
             # l2_max is refused.
-            "closed_form_overlap": _with(
+            "vanishing_default_span_1e-154": _with(
                 GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-154, "k0": 1e155}
             ),
             # d k overflows: the overlap's phase is infinite
@@ -218,9 +218,8 @@ def build_cases() -> list[dict]:
     invariance = ["invariance", "--config", "scenario.json", "--out", "out.csv", "--times"]
     cases = []
     for seed in GAUSSIAN_SEEDS:
-        for rows in (200, 4000):
-            scn = scenario_gen.scenario(seed, rows)
-            cases.append(_case(f"gaussian_sweep_{rows}[{seed}]", 0, sweep, scn))
+        scn = scenario_gen.scenario(seed, 200)
+        cases.append(_case(f"gaussian_sweep_200[{seed}]", 0, sweep, scn))
         scn = scenario_gen.scenario(seed)
         cases.append(_case(f"gaussian_invariance[{seed}]", 0, [*invariance, GAUSSIAN_TIMES], scn))
     for seed in GRID_SEEDS:
@@ -244,6 +243,14 @@ def build_cases() -> list[dict]:
         scn = _with(GAUSSIAN, packet_alpha=alpha, geometry={"l2_max": 2.0})
         cases.append(_case(f"narrow_alpha_{sigma}[sweep]", 0, sweep, scn))
         cases.append(_case(f"narrow_alpha_{sigma}[invariance]", 0, [*invariance, "0,5"], scn))
+    # |r|^2 + |t|^2 is 1 + 4e-10, inside UNITARITY_TOL: both rates come out
+    # above 1, and are written as 1 only because the rate is clamped to [0, 1].
+    edge = _with(
+        GAUSSIAN, splitter={"r_re": 1.0000000002, "r_im": 0.0, "t_re": 0.0, "t_im": 0.0},
+        geometry={"l1": 1.0, "l2_min": 1.0, "n_points": 200, "c": 1.0}, preparation_phi=0.0,
+    )
+    cases.append(_case("unitarity_edge_plate[sweep]", 0, sweep, edge))
+    cases.append(_case("unitarity_edge_plate[invariance]", 0, [*invariance, "0,5"], edge))
     refused_at = [*invariance, "0,40,120"]
     for (sweep_exit, invariance_exit), refusals in _refusals().items():
         for name, scn in refusals.items():
