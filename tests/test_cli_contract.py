@@ -1,7 +1,8 @@
 """``simulate``'s bytes and numbers: one pass of ``tools/cli_parity.py``'s cases,
 each against its record, its declared exit code and the stream rule, and each
-exit-0 output against the independent oracle; and each refusal's committed
-record against its declaration, without running."""
+exit-0 output against the independent oracle; each refusal's committed record
+against its declaration, without running; and how the pass reports a problem,
+one line a case."""
 
 from __future__ import annotations
 
@@ -102,9 +103,21 @@ def test_an_oracle_crash_or_a_moved_exit_is_a_problem_of_its_case(tmp_path, monk
     sweep = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
     case = cli_parity._case("no_geometry", 0, sweep, cli_parity.WIDTH_RATIO_APART)
     moved = cli_parity._case("not_json", 4, sweep, text="{")  # the loader exits 3
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli_parity, "build_cases", lambda: [case, moved])
-    _, _, problems, unchecked = cli_parity.compare({"records": {}})
-    assert (problems, unchecked) == (
-        ["ORACLE no_geometry: KeyError: 'geometry'", "EXIT not_json: declared 4, ran 3"], []
+    # The oracle expects the default span, so rows 2 and 3 of this one are off it.
+    # With beta 100 away eps is 0, and every other column is exact whatever the
+    # overlap or rate code computes: only the two l2 rows are wrong.
+    s = 0.5**0.5
+    short = cli_parity._with(
+        cli_parity.GAUSSIAN, packet_beta={"x0": 100.0, "sigma": 1.2, "k0": 12.8},
+        splitter={"r_re": s, "r_im": 0.0, "t_re": 0.0, "t_im": s},
+        geometry={"l1": 1.0, "l2_min": 1.0, "l2_max": 2.0, "n_points": 3, "c": 1.0},
+        preparation_phi=0.0,
     )
+    two_bad_rows = cli_parity._case("two_bad_rows", 0, sweep, short)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_parity, "build_cases", lambda: [case, moved, two_bad_rows])
+    _, _, problems, unchecked = cli_parity.compare({"records": {}})
+    assert (problems, unchecked) == ([
+        "ORACLE no_geometry: KeyError: 'geometry'", "EXIT not_json: declared 4, ran 3",
+        "ORACLE two_bad_rows: row 2: l2 1.5 off the requested range (+1 more)",
+    ], [])

@@ -3,8 +3,9 @@ over drawn inputs.
 
 ``ScenarioConfig.l2_values`` must reproduce ``numpy.linspace`` bit for bit
 (the golden CSVs were written with it); the D1 and D2 rates of a lossless
-plate sum to 1; the plane-wave overlap repeats in t2 with period
-``2*pi/|d_omega|``, and over a sweep of at least one period it swings
+plate sum to 1, exact and under the shortcut at drawn (t1, t2); the
+plane-wave overlap repeats in t2 with period ``2*pi/|d_omega|``, and over a
+sweep of at least one period it swings
 within its closed-form bounds, by 2|t|^2 |eps| to rounding when the sweep
 holds antipodal rows, so the swing dies with the spectral overlap;
 splitting on a unitary plate keeps the overlap of two packets, Gaussian
@@ -106,22 +107,33 @@ def unitary_splitters(draw):
     )
 
 
+flight_times = st.floats(0.0, 1e12)
+
+
 @settings(max_examples=300)
-@given(packets(), packets(), unitary_splitters(), st.floats(0.0, 2.0 * math.pi))
-def test_d1_and_d2_rates_sum_to_one(alpha, beta, bs, phi):
+@given(
+    packets(), packets(), unitary_splitters(), st.floats(0.0, 2.0 * math.pi), flight_times,
+    flight_times,
+)
+def test_d1_and_d2_rates_sum_to_one(alpha, beta, bs, phi, t1, t2):
+    # Exact: both rates over eps.  The shortcut's: D1 fed x1 = a1 e^{i d_omega t1}
+    # and D2 fed x2 = a2 e^{i d_omega t2}, both over eps_wss = x1 + x2, so moving
+    # D2 moves D1's rate but loses no probability.
     prep = Preparation(phi=phi)
+    rot = complex(math.cos(phi), math.sin(phi))
     eps = inner_product(alpha, beta)
-    # Far from a degenerate preparation, where roundoff in the numerators
-    # is divided by a denominator near 0.
-    assume(2.0 + 2.0 * (complex(math.cos(phi), math.sin(phi)) * eps).real > 1e-2)
     sa, sb = split(alpha, bs), split(beta, bs)
-    r1 = counting_rate_d1(
-        eps, norm2(sa.arm1), norm2(sb.arm1), inner_product(sa.arm1, sb.arm1), prep
-    )
-    r2 = counting_rate_d1(
-        eps, norm2(sa.arm2), norm2(sb.arm2), inner_product(sa.arm2, sb.arm2), prep
-    )
-    assert abs(r1 + r2 - 1.0) <= 1e-12
+    m = derive_plane_wave_model(sa, sb, alpha.k0, beta.k0)
+    x1 = m.a1 * cmath.rect(1.0, m.delta_omega * t1)
+    x2 = m.a2 * cmath.rect(1.0, m.delta_omega * t2)
+    eps_wss = plane_wave_epsilon(m, t1, t2)
+    for overlap, arm1_term, arm2_term in ((eps, m.a1, m.a2), (eps_wss, x1, x2)):
+        # Far from a degenerate preparation, where roundoff in the numerators
+        # is divided by a denominator near 0.
+        assume(2.0 + 2.0 * (rot * overlap).real > 1e-2)
+        r1 = counting_rate_d1(overlap, norm2(sa.arm1), norm2(sb.arm1), arm1_term, prep)
+        r2 = counting_rate_d1(overlap, norm2(sa.arm2), norm2(sb.arm2), arm2_term, prep)
+        assert abs(r1 + r2 - 1.0) <= 1e-12
 
 
 @settings(max_examples=300)
@@ -197,9 +209,6 @@ def test_each_committed_sweep_row_flown_term_by_term_keeps_eps(name):
     rows = [term_wise_overlap(sa, sb, t1, l2 / cfg.c, cfg.c) for l2 in cfg.l2_values()]
     bound = gaussian_term_wise_bound(cfg.splitter, eps) if cfg.grid is None else cfg.invariance_tol
     assert max(abs(row - eps) for row in rows) <= bound
-
-
-flight_times = st.floats(0.0, 1e12)
 
 
 @settings(max_examples=100)

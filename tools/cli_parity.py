@@ -364,8 +364,8 @@ def exit_and_stream_problems(case: dict, record: dict) -> list[str]:
 
 def compare(contract: dict) -> tuple[dict, list[str], list[str], list[str]]:
     """Run every case here: the new records, a DIFF block per differing record,
-    the exit, stream and oracle problems, and the exit-0 cases outside the
-    oracle's domain."""
+    the exit, stream and oracle problems (one oracle line a case: its first
+    problem and how many more), and the exit-0 cases outside the oracle's domain."""
     records, diffs, problems, unchecked = {}, [], [], []
     for case in build_cases():
         old = contract["records"].get(case["name"])
@@ -383,8 +383,9 @@ def compare(contract: dict) -> tuple[dict, list[str], list[str], list[str]]:
             found = [f"{type(exc).__name__}: {exc}"]
         if found is None:
             unchecked.append(case["name"])
-        else:
-            problems += [f"ORACLE {case['name']}: {problem}" for problem in found]
+        elif found:  # one line a case, however many of its rows are wrong
+            more = f" (+{len(found) - 1} more)" if len(found) > 1 else ""
+            problems.append(f"ORACLE {case['name']}: {found[0]}{more}")
     diffs += [f"DIFF {name}: no such case" for name in sorted(contract["records"].keys() - records)]
     return records, diffs, problems, unchecked
 

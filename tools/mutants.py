@@ -4,7 +4,9 @@ of ``src/`` and print, for each, the test ids and contract families that kill it
     python3 tools/mutants.py [NAME ...]
 
 Each mutant in ``MUTANTS`` is one (old text, new text) replacement in one file
-of ``src/platesim``, placed where a wrong number could go out under exit 0.
+of ``src/platesim``, placed where a wrong number could go out under exit 0, or
+in one of the loader's refusal rules, so the matrix judges the refusal tests
+too.  No mutant lets a size above the memory ceilings through to a run.
 For each mutant, every one or those named, the checkout is copied without
 ``.git`` and caches into a temporary directory and the mutant applied there.
 Two runs follow in the copy, with ``PYTHONPATH=<copy>/src``:
@@ -20,7 +22,7 @@ Two runs follow in the copy, with ``PYTHONPATH=<copy>/src``:
 The copy is removed afterwards, so the checkout is left as it was.  Prints one
 row per mutant with its killing test ids and families, then the survivors.
 The harness is not part of tier-1: each mutant costs one tier-1 run and one
-contract pass, about 45 s on 2 vCPUs, so the whole list takes about 19
+contract pass, about 50 s on 2 vCPUs, so the whole list of 31 takes about 25
 minutes there.
 """
 
@@ -119,6 +121,21 @@ MUTANTS = [
     Mutant("grid_inner_product_conjugates_second", "sampled.py",
            "np.vdot(self.amplitudes, other.amplitudes)",
            "np.vdot(other.amplitudes, self.amplitudes)"),
+    # config: the loader's refusal rules, each made to accept what it refuses, but the
+    # ceiling, made to refuse its own value
+    Mutant("flight_rule_carrier_alpha_dropped", "config.py",
+           "ok(c * k_alpha)),", "True),"),
+    Mutant("grid_rule_window_dropped", "config.py",
+           "not (lo < grid.x_min or hi > grid.x_end)", "True"),
+    Mutant("size_ceiling_exclusive", "config.py",
+           "(key_path, above, out <= ceiling)", "(key_path, above, out < ceiling)"),
+    Mutant("inverted_range_accepted", "config.py",
+           "default_l2_max or not l2_min > l2_max", "True"),
+    Mutant("grid_phase_rule_dropped", "config.py",
+           "gaussian or abs(packet.phase) <= MAX_GRID_PHASE", "True"),
+    Mutant("sampled_carriers_unchecked", "config.py",
+           "_refuse_first(_flight_rules(self.c, self.l1, self.l2_min, self.l2_max, "
+           "k_alpha, k_beta))", "pass"),
 ]
 
 
