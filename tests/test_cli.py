@@ -1,9 +1,8 @@
-"""Command line: CSV shape, summaries, and the paths that
-``tests/cli_contract.json`` cannot reach (an unreadable file, an injected error
-or NaN).  Every refusal's bytes live in that file, and each case declares its
-exit code where ``tools/cli_parity.py`` builds it; the narrow packets' CSVs are
-pinned there by hash, and their overlap by ``test_packets.py`` and
-``test_config.py``.  Byte-identical reruns are acceptance criterion 6."""
+"""Command line: CSV shape, summaries, the narrow-packet overlap, and the paths
+that ``tests/cli_contract.json`` cannot reach (an unreadable file, an injected
+error or NaN).  Every refusal's bytes live in that file, and each case declares
+its exit code where ``tools/cli_parity.py`` builds it.
+Byte-identical reruns are acceptance criterion 6."""
 
 from __future__ import annotations
 
@@ -20,11 +19,18 @@ from pathlib import Path
 import pytest
 
 import platesim
+from conftest import assert_overlap_is_exact
 from platesim import cli
 from platesim.cli import main
 from platesim.config import ConfigError, InvariantError, SchemaError
 from platesim.models import DegeneratePreparationError
-from platesim.packets import WraparoundError
+from platesim.packets import GaussianPacket, WraparoundError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import cli_parity  # noqa: E402
+
+CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))["records"]
+CASES = {case["name"]: case for case in cli_parity.build_cases()}
 
 GAUSSIAN_SCENARIO = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -245,6 +251,21 @@ def test_help_lists_subcommands(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "sweep" in out and "invariance" in out
+
+
+@pytest.mark.parametrize("command, column", [("sweep", "eps_exact"), ("invariance", "eps")])
+@pytest.mark.parametrize("sigma", cli_parity.NARROW_ALPHA)
+def test_narrow_packet_writes_the_exact_overlap(tmp_path, monkeypatch, command, column, sigma):
+    name = f"narrow_alpha_{sigma}[{command}]"
+    monkeypatch.chdir(tmp_path)  # run_case writes here, warnings raised as errors
+    assert cli_parity.run_case(CASES[name]) == CONTRACT[name], (
+        "re-pin if intended: PYTHONPATH=src python3 tools/cli_parity.py"
+    )
+    with open("out.csv", newline="", encoding="utf-8") as fh:
+        row = next(csv.DictReader(fh))
+    scn = json.loads(CASES[name]["config"])
+    a, b = (GaussianPacket(**scn[key]) for key in ("packet_alpha", "packet_beta"))
+    assert_overlap_is_exact(complex(float(row[f"{column}_re"]), float(row[f"{column}_im"])), a, b)
 
 
 def test_module_runs_as_a_script():

@@ -1,8 +1,4 @@
-"""Scenario parsing: defaults, what loads, the order of the loader's rules, and
-the refusals that ``tests/cli_contract.json`` does not pin through ``main`` (a
-parameter it lacks, a key path read off the exception, a value that must still
-load).  A refusal whose inputs, key path and message a contract record pins byte
-for byte is checked there alone."""
+"""Scenario parsing: defaults, schema rejection, invariant rejection."""
 
 from __future__ import annotations
 
@@ -61,6 +57,11 @@ def test_degenerate_carriers_fall_back_to_fixed_span():
     assert cfg.l2_max == pytest.approx(cfg.l2_min + 10.0)
 
 
+def test_unknown_top_level_key_rejected():
+    with pytest.raises(SchemaError, match="bogus"):
+        parse_config(_scenario(bogus=1))
+
+
 def test_unknown_nested_key_rejected():
     with pytest.raises(SchemaError, match="geometry.tilt"):
         parse_config(_scenario(geometry={"tilt": 0.4}))
@@ -80,6 +81,13 @@ def test_missing_packet_field_rejected():
         parse_config(raw)
 
 
+def test_wrong_type_rejected():
+    raw = _scenario()
+    raw["packet_alpha"]["sigma"] = "wide"
+    with pytest.raises(SchemaError, match="packet_alpha.sigma"):
+        parse_config(raw)
+
+
 def test_bool_is_not_a_number():
     raw = _scenario()
     raw["packet_alpha"]["x0"] = True
@@ -95,6 +103,12 @@ def test_non_object_config_rejected():
 def test_unknown_representation_rejected():
     with pytest.raises(SchemaError, match="representation"):
         parse_config(_scenario(representation="matrix"))
+
+
+def test_lossy_splitter_rejected():
+    bad = {"r_re": 0.7, "r_im": 0.0, "t_re": 0.6, "t_im": 0.0}  # budget 0.85
+    with pytest.raises(InvariantError, match="splitter"):
+        parse_config(_scenario(splitter=bad))
 
 
 def test_nonpositive_sigma_rejected():
@@ -119,6 +133,11 @@ def test_slow_carrier_rejected():
         parse_config(raw)
 
 
+def test_inverted_sweep_range_rejected():
+    with pytest.raises(InvariantError, match="geometry.l2_max"):
+        parse_config(_scenario(geometry={"l2_min": 5.0, "l2_max": 2.0}))
+
+
 @pytest.mark.parametrize(
     "geometry, length",
     [
@@ -131,6 +150,35 @@ def test_slow_carrier_rejected():
 def test_non_finite_flight_time_rejected(geometry, length):
     with pytest.raises(InvariantError, match=f"geometry.c: flight time {length} / c"):
         parse_config(_scenario(geometry=geometry))
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"geometry": {"c": 1e308}}, "packet_alpha"),
+        (
+            {
+                "geometry": {"c": 1e10},
+                "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 1e300},
+            },
+            "packet_beta",
+        ),
+    ],
+)
+def test_non_finite_carrier_frequency_rejected(overrides, name):
+    match = f"geometry.c: carrier frequency c \\* {name}.k0"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(_scenario(**overrides))
+
+
+@pytest.mark.parametrize("length", ["l1", "l2_max"])
+def test_non_finite_plane_wave_phase_rejected(length):
+    # Every flight time and carrier is finite, but d_omega * l / c is not.
+    raw = _scenario(geometry={length: 1e308})
+    raw["packet_beta"]["k0"] = 100.0
+    match = f"geometry.{length}: plane-wave phase d_omega \\* {length} / c"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(raw)
 
 
 # Closed forms with no value: centers so far apart that their separation is
@@ -167,6 +215,17 @@ def test_narrow_packet_loads_with_the_exact_overlap(alpha, beta):
     cfg = parse_config(_scenario(packet_alpha=alpha, packet_beta=beta, geometry={"l2_max": 2.0}))
     a, b = cfg.packet_alpha, cfg.packet_beta
     assert_overlap_is_exact(inner_product(a, b), a, b)
+
+
+def test_phase_difference_beyond_double_range_rejected():
+    # Each phase is finite, their difference is not: the closed form's
+    # exponent has no value.
+    raw = _scenario()
+    raw["packet_alpha"]["phase"] = 1e308
+    raw["packet_beta"]["phase"] = -1e308
+    match = "^packet_beta.phase: phase difference .* is not finite$"
+    with pytest.raises(InvariantError, match=match):
+        parse_config(raw)
 
 
 GRID = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
@@ -341,6 +400,11 @@ def test_n_points_must_be_integer():
         parse_config(_scenario(geometry={"n_points": 2.5}))
 
 
+def test_grid_section_required_for_grid_representation():
+    with pytest.raises(SchemaError, match="grid"):
+        parse_config(_scenario(representation="grid"))
+
+
 def test_grid_representation_parses():
     cfg = parse_config(
         _scenario(
@@ -350,6 +414,24 @@ def test_grid_representation_parses():
     assert cfg.grid is not None
     assert cfg.grid.n == 4096
     assert cfg.invariance_tol == 1e-8
+
+
+def test_grid_window_must_hold_packets():
+    with pytest.raises(InvariantError, match="does not fit"):
+        parse_config(
+            _scenario(
+                representation="grid", grid={"x_min": -2.0, "dx": 0.0625, "n": 64}
+            )
+        )
+
+
+def test_grid_spacing_must_resolve_carrier():
+    with pytest.raises(InvariantError, match="decrease dx"):
+        parse_config(
+            _scenario(
+                representation="grid", grid={"x_min": -40.0, "dx": 0.5, "n": 512}
+            )
+        )
 
 
 def test_grid_invariants_checked():
@@ -396,6 +478,18 @@ def test_explicit_splitter_accepted():
         _scenario(splitter={"r_re": s, "r_im": 0.0, "t_re": 0.0, "t_im": -s})
     )
     assert cfg.splitter.t == complex(0.0, -s)
+
+
+def test_load_config_missing_file(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_config(tmp_path / "nope.json")
+
+
+def test_load_config_bad_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(SchemaError, match="JSON"):
+        load_config(path)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,4 @@
-"""Exact vs plane-wave predictions and the D2 sweep, at fixed points: the
-shortcut's model and overlap (at the plate, with a zeroed arm, with equal
-carriers, the difference identity), the rate's values and refusals, the sweep's
-spread, its period in l2 and its refusals.  Every sweep column against a
-row-by-row reference is ``test_sweep_reference.py``; the rates summing to 1 and
-the shortcut's period in t2, over drawn inputs, are ``test_properties.py``."""
+"""Exact vs plane-wave predictions and the D2 sweep."""
 
 from __future__ import annotations
 
@@ -15,7 +10,7 @@ from array import array
 import numpy as np
 import pytest
 
-from conftest import pairwise_max_abs, random_gaussian, random_splitter
+from conftest import pairwise_max_abs, random_close_pair, random_gaussian, random_splitter
 from platesim import (
     DegeneratePreparationError,
     ExperimentGeometry,
@@ -83,6 +78,15 @@ def test_plane_wave_epsilon_degenerate_frequencies_constant():
         assert plane_wave_epsilon(m, t1, t2) == m.a1 + m.a2
 
 
+def test_plane_wave_epsilon_periodic_in_t2():
+    m = PlaneWaveModel(delta_omega=12.0 - 12.8, a1=0.4, a2=0.45j)
+    period = 2.0 * math.pi / abs(m.delta_omega)
+    for t1, t2 in [(0.0, 0.0), (1.0, 2.0), (3.3, 7.7)]:
+        assert plane_wave_epsilon(m, t1, t2 + period) == pytest.approx(
+            plane_wave_epsilon(m, t1, t2), abs=1e-12
+        )
+
+
 def test_plane_wave_difference_identity():
     m = PlaneWaveModel(delta_omega=10.0 - 10.7, a1=0.2 - 0.1j, a2=0.35)
     d_omega = m.delta_omega
@@ -130,6 +134,25 @@ def test_rate_zero_reflectivity():
         Preparation(phi=1.1),
     )
     assert rate == 0.0
+
+
+def test_rates_lie_in_unit_interval_and_sum_to_one():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        a, b = random_close_pair(rng)
+        bs = random_splitter(rng)
+        prep = Preparation(phi=rng.uniform(0.0, 2.0 * math.pi))
+        sa, sb = split(a, bs), split(b, bs)
+        eps = inner_product(a, b)
+        r1 = counting_rate_d1(
+            eps, norm2(sa.arm1), norm2(sb.arm1), inner_product(sa.arm1, sb.arm1), prep
+        )
+        r2 = counting_rate_d1(
+            eps, norm2(sa.arm2), norm2(sb.arm2), inner_product(sa.arm2, sb.arm2), prep
+        )
+        assert 0.0 <= r1 <= 1.0
+        assert 0.0 <= r2 <= 1.0
+        assert r1 + r2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_degenerate_preparation_rejected():
@@ -242,6 +265,21 @@ def _demo_sweep(l2_values, phi=0.0):
         alpha.k0,
         beta.k0,
     )
+
+
+def test_sweep_rows_follow_l2_order():
+    values = [3.0, 1.0, 2.0]
+    result = _demo_sweep(values)
+    assert result.l2.tolist() == values
+    assert result.t2.tolist() == values  # c = 1
+
+
+def test_sweep_exact_columns_constant():
+    result = _demo_sweep(np.linspace(1.0, 16.7, 50))
+    assert pairwise_max_abs(result.eps_exact) == 0.0
+    assert result.spread("rate_exact") == 0.0
+    rate_plane_wave = np.array(result.rate_plane_wave)
+    assert np.all((0.0 <= rate_plane_wave) & (rate_plane_wave <= 1.0))
 
 
 @pytest.mark.parametrize("block", [64, 1 << 20])
@@ -400,3 +438,11 @@ def test_shortcut_records_refuse_non_finite_numbers(call, message):
     # Built or returned, each would make the shortcut's overlap nan+nanj.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_sweep_scaled_inputs_keep_rates_bounded():
+    # a slightly asymmetric preparation still yields physical rates
+    result = _demo_sweep(np.linspace(1.0, 20.0, 40), phi=2.0)
+    rate_plane_wave, rate_exact = np.array(result.rate_plane_wave), np.array(result.rate_exact)
+    assert np.all((0.0 <= rate_plane_wave) & (rate_plane_wave <= 1.0))
+    assert np.all((0.0 <= rate_exact) & (rate_exact <= 1.0))

@@ -1,8 +1,4 @@
-"""The plate and the two arms: the unitarity check and its refusals, the norm a
-split keeps, a fully reflecting plate, flight of both arms, and the geometry's
-refusals.  That splitting keeps the overlap is acceptance criterion 2 and
-``test_properties.py::test_split_keeps_the_{gaussian,grid}_overlap``; that flight
-keeps it is criterion 1 and ``test_flight.py``."""
+"""Plate splitting and the overlap identities it preserves."""
 
 from __future__ import annotations
 
@@ -17,10 +13,13 @@ from platesim import (
     GaussianPacket,
     balanced_splitter,
     inner_product,
+    normalize,
+    overlap_at_time,
     propagate,
+    sample,
     split,
 )
-from platesim.optics import BeamSplitter
+from platesim.optics import BeamSplitter, overlap_post
 from platesim.packets import norm2
 
 
@@ -37,6 +36,12 @@ def _defect_message(defect: str) -> str:
 def test_unitarity_defect_value():
     with pytest.raises(ValueError, match=_defect_message("0.15")):
         BeamSplitter(r=0.7, t=0.6)
+
+
+def test_split_rejects_lossy_plate():
+    g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
+    with pytest.raises(ValueError, match="non-unitary plate"):
+        split(g, BeamSplitter(r=0.7, t=0.6))
 
 
 def test_nan_plate_rejected():
@@ -67,6 +72,36 @@ def test_fully_reflecting_plate_passes_packet_to_arm1():
     state = split(g, BeamSplitter(r=1.0, t=0.0))
     assert inner_product(state.arm1, g) == pytest.approx(1.0 + 0.0j, abs=1e-14)
     assert norm2(state.arm2) == 0.0
+
+
+def test_overlap_post_equals_pre_analytic():
+    rng = np.random.default_rng(22)
+    for _ in range(25):
+        a, b = random_gaussian(rng), random_gaussian(rng)
+        bs = random_splitter(rng)
+        pre = inner_product(a, b)
+        post = overlap_post(split(a, bs), split(b, bs))
+        assert abs(post - pre) < 1e-12
+
+
+def test_overlap_post_equals_pre_grid(wide_grid):
+    rng = np.random.default_rng(23)
+    a = normalize(sample(random_gaussian(rng), wide_grid))
+    b = normalize(sample(random_gaussian(rng), wide_grid))
+    bs = random_splitter(rng)
+    pre = inner_product(a, b)
+    post = overlap_post(split(a, bs), split(b, bs))
+    assert abs(post - pre) < 1e-8
+
+
+def test_overlap_constant_in_time():
+    rng = np.random.default_rng(24)
+    a, b = random_gaussian(rng), random_gaussian(rng)
+    bs = random_splitter(rng)
+    sa, sb = split(a, bs), split(b, bs)
+    at_zero = overlap_post(sa, sb)
+    for t in (0.0, 0.5, 3.0, 17.0, 120.0):
+        assert abs(overlap_at_time(sa, sb, t) - at_zero) < 1e-12
 
 
 def test_propagate_moves_both_arms():

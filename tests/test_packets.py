@@ -1,9 +1,4 @@
-"""Packet representations and their refusals, closed-form overlaps in exact
-rationals at width ratios up to 1e150, the inner product's symmetries, and
-free flight of Gaussian and grid packets, with its wraparound guard.  The
-closed form against quadrature and the grid inner product against the closed
-form are acceptance criterion 5; the overlap under a common flight is
-criterion 1."""
+"""Packet representations, overlaps, and free flight."""
 
 from __future__ import annotations
 
@@ -31,6 +26,7 @@ from platesim.sampled import (
     GridPacket,
     _phases,
     fits_after,
+    gaussian_amplitude,
     negative_wavenumber_fraction,
     normalize,
     positions,
@@ -296,6 +292,42 @@ def test_inner_product_sesquilinear():
     base = inner_product(a, b)
     assert inner_product(scale(a, 2.0j), b) == pytest.approx(-2.0j * base, rel=1e-13)
     assert inner_product(a, scale(b, 0.5j)) == pytest.approx(0.5j * base, rel=1e-13)
+
+
+def test_closed_form_matches_quadrature():
+    """Spot check against direct numerical integration of conj(a) * b."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        a, b = random_close_pair(rng)
+        lo = min(a.x0, b.x0) - 12.0 * max(a.sigma, b.sigma)
+        hi = max(a.x0, b.x0) + 12.0 * max(a.sigma, b.sigma)
+
+        def integrand(x):
+            return np.conj(gaussian_amplitude(a, x)) * gaussian_amplitude(b, x)
+
+        re = quad(lambda x: integrand(x).real, lo, hi, limit=600)[0]
+        im = quad(lambda x: integrand(x).imag, lo, hi, limit=600)[0]
+        assert inner_product(a, b) == pytest.approx(complex(re, im), abs=1e-9)
+
+
+def test_grid_inner_product_matches_closed_form(wide_grid):
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        a, b = random_close_pair(rng)
+        exact = inner_product(a, b)
+        sampled = inner_product(sample(a, wide_grid), sample(b, wide_grid))
+        assert abs(sampled - exact) / abs(exact) < 1e-6
+
+
+def test_overlap_invariant_under_common_translation():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a, b = random_gaussian(rng), random_gaussian(rng)
+        before = inner_product(a, b)
+        t = rng.uniform(0.0, 120.0)
+        after = inner_product(propagate(a, t), propagate(b, t))
+        assert abs(after - before) < 1e-12
 
 
 def test_mixed_representations_rejected(wide_grid):
