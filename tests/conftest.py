@@ -11,6 +11,9 @@ call's time depends on the host, and no example database, so a run
 replays no earlier example; Hypothesis still writes its caches under the
 git-ignored ``.hypothesis/`` (``constants/``, ``unicode_data/``).  Each
 ``@settings`` names only its example count and health-check suppressions.
+
+The repository's ``tools/`` and ``bench/`` are put on ``sys.path`` here, once,
+so tests import ``cli_parity``, ``mutants`` and ``scenario_gen`` by name.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,9 @@ except ImportError:  # the property modules skip themselves
 else:
     settings.register_profile("platesim", deadline=None, database=None)
     settings.load_profile("platesim")
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
 
 EPS = sys.float_info.epsilon
 

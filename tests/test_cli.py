@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_parity
 import platesim
 from conftest import assert_overlap_is_exact
 from platesim import cli
@@ -26,10 +27,6 @@ from platesim.config import ConfigError, InvariantError, SchemaError
 from platesim.models import DegeneratePreparationError
 from platesim.packets import GaussianPacket, WraparoundError
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import cli_parity  # noqa: E402
-
-CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))["records"]
 CASES = {case["name"]: case for case in cli_parity.build_cases()}
 
 GAUSSIAN_SCENARIO = {
@@ -258,9 +255,7 @@ def test_help_lists_subcommands(capsys):
 def test_narrow_packet_writes_the_exact_overlap(tmp_path, monkeypatch, command, column, sigma):
     name = f"narrow_alpha_{sigma}[{command}]"
     monkeypatch.chdir(tmp_path)  # run_case writes here, warnings raised as errors
-    assert cli_parity.run_case(CASES[name]) == CONTRACT[name], (
-        "re-pin if intended: PYTHONPATH=src python3 tools/cli_parity.py"
-    )
+    cli_parity.run_case(CASES[name])  # its record is test_cli_contract.py's id of that name
     with open("out.csv", newline="", encoding="utf-8") as fh:
         row = next(csv.DictReader(fh))
     scn = json.loads(CASES[name]["config"])

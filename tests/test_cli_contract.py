@@ -1,68 +1,54 @@
 """``simulate``'s bytes and numbers: one pass of ``tools/cli_parity.py``'s cases,
-each against its record, its declared exit code and the stream rule, and each
-exit-0 output against the independent oracle; each refusal's committed record
-against its declaration, without running; and how the pass reports a problem,
-one line a case."""
+each its own test id, against its record, its declared exit code and the stream
+rule, and each exit-0 output against the independent oracle; and how the pass
+reports a problem, under the name of its case only."""
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import cli_parity  # noqa: E402
+import cli_parity
 
 CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
-REFUSALS = [case for case in cli_parity.build_cases() if case["exit"] != 0]
+CASES = cli_parity.build_cases()
 
 
 @pytest.fixture(scope="module")
 def contract_pass(tmp_path_factory):
-    """``cli_parity.compare`` run once here: records, diffs, problems, unchecked."""
+    """``cli_parity.compare`` run once here: records, findings by case, unchecked."""
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(tmp_path_factory.mktemp("cli_contract"))
         return cli_parity.compare(CONTRACT)
 
 
-def test_every_case_matches_its_record(contract_pass):
-    diffs = contract_pass[1]
-    assert not diffs, "\n".join([
-        f"cases differing: {len(diffs)}, the first 10 below; pinned with numpy "
-        f"{CONTRACT['numpy']}, Python {CONTRACT['python']}; running {cli_parity.versions()}",
-        *diffs[:10],
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_case_keeps_its_contract(contract_pass, case):
+    findings = contract_pass[1][case["name"]]
+    assert not findings, "\n".join([
+        *findings,
+        f"pinned with numpy {CONTRACT['numpy']}, Python {CONTRACT['python']}; "
+        f"running {cli_parity.versions()}",
         "re-pin if intended: PYTHONPATH=src python3 tools/cli_parity.py (see its docstring)",
     ])
-
-
-def test_no_case_has_an_exit_stream_or_oracle_problem(contract_pass):
-    problems, unchecked = contract_pass[2:]
-    assert not problems, "\n".join([f"{len(problems)} problems, the first 10:", *problems[:10]])
-    assert set(unchecked) == cli_parity.UNCHECKED.keys()
 
 
 def test_records_reach_every_documented_exit_code_and_names_are_unique():
     exits = {record["exit"] for record in CONTRACT["records"].values()}
     assert README_EXIT_CODES <= exits
-    cases = cli_parity.build_cases()
-    assert all(case["exit"] != 1 for case in cases)  # an exception escaped main: a traceback
-    names = [case["name"] for case in cases]
+    assert all(case["exit"] != 1 for case in CASES)  # an exception escaped main: a traceback
+    names = [case["name"] for case in CASES]
     assert len(set(names)) == len(names)
+    assert CONTRACT["records"].keys() == set(names)  # no record outlives its case
+    # the oracle's domain gap names only cases that declare exit 0
+    assert cli_parity.UNCHECKED.keys() <= {case["name"] for case in CASES if case["exit"] == 0}
     documented = re.search(r"output for (\d+) cases", README.read_text(encoding="utf-8"))
     assert documented and int(documented.group(1)) == len(names)
-
-
-@pytest.mark.parametrize("case", REFUSALS, ids=[case["name"] for case in REFUSALS])
-def test_each_refusal_keeps_its_exit_code(case):
-    # the committed record, read without running: a hand edit of the file
-    # that moves a refusal's exit or streams fails here under its own name
-    record = CONTRACT["records"][case["name"]]
-    assert cli_parity.exit_and_stream_problems(case, record) == []
 
 
 def test_an_output_off_the_stream_rule_is_a_problem_of_its_case():
@@ -116,8 +102,15 @@ def test_an_oracle_crash_or_a_moved_exit_is_a_problem_of_its_case(tmp_path, monk
     two_bad_rows = cli_parity._case("two_bad_rows", 0, sweep, short)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli_parity, "build_cases", lambda: [case, moved, two_bad_rows])
-    _, _, problems, unchecked = cli_parity.compare({"records": {}})
-    assert (problems, unchecked) == ([
-        "ORACLE no_geometry: KeyError: 'geometry'", "EXIT not_json: declared 4, ran 3",
-        "ORACLE two_bad_rows: row 2: l2 1.5 off the requested range (+1 more)",
-    ], [])
+    _, findings, unchecked = cli_parity.compare({"records": {"gone": {}}})
+    unpinned = {c["name"]: f"DIFF {c['name']}: {' '.join(c['argv'])}\n  no record"
+                for c in (case, moved, two_bad_rows)}
+    assert (findings, unchecked) == ({
+        "no_geometry": [unpinned["no_geometry"], "ORACLE no_geometry: KeyError: 'geometry'"],
+        "not_json": [unpinned["not_json"], "EXIT not_json: declared 4, ran 3"],
+        "two_bad_rows": [
+            unpinned["two_bad_rows"],
+            "ORACLE two_bad_rows: row 2: l2 1.5 off the requested range (+1 more)",
+        ],
+        "gone": ["DIFF gone: no such case"],
+    }, [])

@@ -34,6 +34,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import cli_parity  # noqa: E402
 from conftest import exact_overlap, pairwise_max_abs, phase_error  # noqa: E402
 from platesim import (  # noqa: E402
     DegeneratePreparationError,
@@ -477,17 +478,10 @@ def _near_carriers(raw: dict) -> dict:
     return {**raw, "packet_beta": beta}
 
 
-# The k0 differ, c * k0 does not; c * (k0_alpha - k0_beta) is -8.6e-16.
-CARRIERS_EQUAL = {
-    "packet_alpha": {"x0": 0, "sigma": 1, "k0": 12.0},
-    "packet_beta": {"x0": 0, "sigma": 1, "k0": 12.000000000000002},
-    "geometry": {"c": 0.4867311418958834},
-}
-
-
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(gaussian_scenarios() | gaussian_scenarios().map(_near_carriers))
-@example(CARRIERS_EQUAL)
+# The k0 differ, c * k0 does not; c * (k0_alpha - k0_beta) is -8.6e-16.
+@example(cli_parity.CARRIERS_EQUAL)
 def test_printed_period_and_default_span_read_the_rows_d_omega(tmp_path, capsys, raw):
     cfg = parse_config(raw)
     alpha, beta, k_alpha, k_beta = cfg.realize_packets()

@@ -18,12 +18,12 @@ within 1e-12 relative.
 from __future__ import annotations
 
 import csv
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+import scenario_gen
 from platesim.cli import main
 from platesim.config import parse_config
 from platesim.models import carrier_detuning, spatial_period
@@ -31,9 +31,6 @@ from platesim.optics import split
 from platesim.packets import inner_product
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("scenario_gen", ROOT / "bench" / "scenario_gen.py")
-scenario_gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(scenario_gen)
 
 SCENARIOS = {
     "grid.json": json.loads((ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8")),

@@ -13,6 +13,9 @@ code where it is built, a ``(sweep, invariance)`` pair per group of
 ``bench/output_check.py`` re-derives each exit-0 output without platesim;
 ``UNCHECKED`` names the cases outside its domain, and an exception the oracle
 raises is a problem of its case.
+``compare`` keys each finding, a DIFF or an exit, stream or oracle problem, by
+the name of its case, so ``tests/test_cli_contract.py`` checks every case under
+its own test id and ``tools/mutants.py`` counts killing cases by family.
 Prints each case that differs from ``tests/cli_contract.json``, the exit tally,
 the number of records added, changed (with the count per changed field) and
 removed, and each exit, stream and oracle problem with their count; rewrites
@@ -362,32 +365,36 @@ def exit_and_stream_problems(case: dict, record: dict) -> list[str]:
     ]
 
 
-def compare(contract: dict) -> tuple[dict, list[str], list[str], list[str]]:
-    """Run every case here: the new records, a DIFF block per differing record,
-    the exit, stream and oracle problems (one oracle line a case: its first
-    problem and how many more), and the exit-0 cases outside the oracle's domain."""
-    records, diffs, problems, unchecked = {}, [], [], []
+def compare(contract: dict) -> tuple[dict, dict[str, list[str]], list[str]]:
+    """Run every case here: the new records; the findings of each case, keyed by
+    its name, a DIFF block if its record differs, then its exit, stream and oracle
+    problems (one oracle line a case: its first problem and how many more), and a
+    DIFF line under the name of each record of no case; and the exit-0 cases
+    outside the oracle's domain."""
+    records, findings, unchecked = {}, {}, []
     for case in build_cases():
-        old = contract["records"].get(case["name"])
-        records[case["name"]] = new = run_case(case)
+        name = case["name"]
+        old = contract["records"].get(name)
+        records[name] = new = run_case(case)
         if old is None or old["input_sha256"] != new["input_sha256"]:
             fields = ["input changed, outputs not compared" if old else "no record"]
         else:
             fields = [f"{key}: {old[key]!r} -> {new[key]!r}" for key in new if old[key] != new[key]]
-        if fields:
-            diffs.append("\n  ".join([f"DIFF {case['name']}: {' '.join(case['argv'])}", *fields]))
-        problems += exit_and_stream_problems(case, new)
+        lines = ["\n  ".join([f"DIFF {name}: {' '.join(case['argv'])}", *fields])] if fields else []
+        lines += exit_and_stream_problems(case, new)
         try:
             found = oracle(case, new) if new["exit"] == 0 else []
         except Exception as exc:  # the oracle's own failure: a problem, not a crash
             found = [f"{type(exc).__name__}: {exc}"]
         if found is None:
-            unchecked.append(case["name"])
+            unchecked.append(name)
         elif found:  # one line a case, however many of its rows are wrong
             more = f" (+{len(found) - 1} more)" if len(found) > 1 else ""
-            problems.append(f"ORACLE {case['name']}: {found[0]}{more}")
-    diffs += [f"DIFF {name}: no such case" for name in sorted(contract["records"].keys() - records)]
-    return records, diffs, problems, unchecked
+            lines.append(f"ORACLE {name}: {found[0]}{more}")
+        findings[name] = lines
+    for name in sorted(contract["records"].keys() - records):
+        findings[name] = [f"DIFF {name}: no such case"]
+    return records, findings, unchecked
 
 
 def main() -> int:
@@ -397,9 +404,12 @@ def main() -> int:
         os.chdir(scratch)
         print(f"running every case in {scratch}")
         try:
-            records, diffs, problems, unchecked = compare(contract)
+            records, findings, unchecked = compare(contract)
         finally:
             os.chdir(previous)
+    lines = [line for found in findings.values() for line in found]
+    diffs = [line for line in lines if line.startswith("DIFF ")]
+    problems = [line for line in lines if not line.startswith("DIFF ")]
     exits = sorted(record["exit"] for record in records.values())
     tally = ", ".join(f"{exits.count(code)} exit {code}" for code in sorted(set(exits)))
     old = contract["records"]

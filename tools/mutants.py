@@ -9,28 +9,26 @@ in one of the loader's refusal rules, so the matrix judges the refusal tests
 too.  No mutant lets a size above the memory ceilings through to a run.
 For each mutant, every one or those named, the checkout is copied without
 ``.git`` and caches into a temporary directory and the mutant applied there.
-Two runs follow in the copy, with ``PYTHONPATH=<copy>/src``:
+One run follows in the copy, with ``PYTHONPATH=<copy>/src``: tier-1,
+``python -m pytest`` with the fixed ``--hypothesis-seed`` ``SEED``, since the
+suite's Hypothesis profile does not derandomize.  The failing test ids are read
+from ``--junitxml``; each contract case is its own test id there
+(``tests/test_cli_contract.py``), and those are counted by family, the case name
+up to ``[``.  ``tests/test_mutants.py`` is left out: it fails on every mutant,
+since it checks that each old text is in ``src/``.
 
-* tier-1, ``python -m pytest`` with the fixed ``--hypothesis-seed`` ``SEED``,
-  since the suite's Hypothesis profile does not derandomize; the failing test
-  ids are read from ``--junitxml``.  ``tests/test_mutants.py`` is left out: it
-  fails on every mutant, since it checks that each old text is in ``src/``;
-* ``cli_parity.compare``, whose DIFF lines and exit, stream and oracle problems
-  are counted by contract family, the case name up to ``[``.  The contract
-  test prints only its first diffs, so it cannot say which families kill.
-
-The copy is removed afterwards, so the checkout is left as it was.  Prints one
-row per mutant with its killing test ids and families, then the survivors.
-The harness is not part of tier-1: each mutant costs one tier-1 run and one
-contract pass, about 50 s on 2 vCPUs, so the whole list of 31 takes about 25
-minutes there.
+The copy is removed afterwards, so the checkout is left as it was; stopped by
+SIGTERM, the harness kills its tier-1 child and removes the copy on the way out.
+Prints one row per mutant with its killing test ids and families, then the
+survivors.  The harness is not part of tier-1: each mutant costs one tier-1 run,
+about 45 s on 2 vCPUs, so the whole list of 31 takes 25 to 30 minutes there.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -41,6 +39,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
+CONTRACT_CASE = "tests/test_cli_contract.py::test_case_keeps_its_contract["
 TIMEOUT_S = 1800
 COPY_IGNORES = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".bench_work",
@@ -148,27 +147,18 @@ def apply(mutant: Mutant, tree: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def failing_tests(report: Path) -> list[str]:
-    """The ids of the test cases that failed or errored in a junit report, each once."""
+def kills(report: Path) -> tuple[list[str], dict[str, int]]:
+    """The ids of the test cases that failed or errored in a junit report, each
+    once, but for the contract's cases: those are counted by family instead."""
     failed = {}
     for case in ET.parse(report).getroot().iter("testcase"):
         if case.find("failure") is not None or case.find("error") is not None:
             module, name = case.get("classname", ""), case.get("name", "")
             failed[f"{module.replace('.', '/')}.py::{name}" if module else name] = None
-    return list(failed)
-
-
-def print_contract_families() -> None:
-    """Run ``cli_parity.compare`` in the working directory and print, as JSON, the
-    number of cases of each contract family with a DIFF line or an exit, stream or
-    oracle problem."""
-    import cli_parity
-
-    contract = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
-    _, diffs, problems, _ = cli_parity.compare(contract)
-    # "DIFF name: ...", "EXIT name: ...", "STREAM name: ...", "ORACLE name: ..."
-    names = {line.split(":", 1)[0].split(" ", 1)[1] for line in diffs + problems}
-    print(json.dumps(Counter(name.split("[")[0] for name in names)))
+    # a contract case's id is CONTRACT_CASE, its name and "]"
+    cases = [test[len(CONTRACT_CASE):-1] for test in failed if test.startswith(CONTRACT_CASE)]
+    tests = [test for test in failed if not test.startswith(CONTRACT_CASE)]
+    return tests, dict(Counter(case.split("[")[0] for case in cases))
 
 
 def run(mutant: Mutant) -> tuple[list[str], dict[str, int]]:
@@ -178,31 +168,20 @@ def run(mutant: Mutant) -> tuple[list[str], dict[str, int]]:
         shutil.copytree(ROOT, tree, ignore=COPY_IGNORES)
         apply(mutant, tree)
         path = os.pathsep.join([str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
-        env = {**os.environ, "PYTHONPATH": path}
         report = Path(scratch) / "junit.xml"
         try:
             tier1 = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                  "--continue-on-collection-errors", f"--hypothesis-seed={SEED}",
                  f"--junitxml={report}", "--ignore=tests/test_mutants.py"],
-                cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=TIMEOUT_S,
+                cwd=tree, env={**os.environ, "PYTHONPATH": path},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
             )
-            tests = failing_tests(report) if report.exists() else []
-            if tier1.returncode != 0 and not tests:
-                tests = [f"<pytest exited {tier1.returncode} and reported no failing test>"]
         except subprocess.TimeoutExpired:
-            tests = [f"<tier-1 timed out after {TIMEOUT_S} s>"]
-        env["PYTHONPATH"] = os.pathsep.join([str(tree / "tools"), path])
-        try:
-            contract = subprocess.run(
-                [sys.executable, "-c", "import mutants; mutants.print_contract_families()"],
-                cwd=scratch, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-            )
-            families = (json.loads(contract.stdout) if contract.returncode == 0
-                        else {f"<compare exited {contract.returncode}>": 1})
-        except subprocess.TimeoutExpired:
-            families = {f"<compare timed out after {TIMEOUT_S} s>": 1}
+            return [f"<tier-1 timed out after {TIMEOUT_S} s>"], {}
+        tests, families = kills(report) if report.exists() else ([], {})
+    if tier1.returncode != 0 and not tests and not families:
+        tests = [f"<pytest exited {tier1.returncode} and reported no failing test>"]
     return tests, families
 
 
@@ -212,6 +191,8 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
+    # stopped, the run's child is killed and its copy removed on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     survivors = []
     for mutant in chosen:
         tests, families = run(mutant)
