@@ -11,6 +11,9 @@ call's time depends on the host, and no example database, so a run
 replays no earlier example; Hypothesis still writes its caches under the
 git-ignored ``.hypothesis/`` (``constants/``, ``unicode_data/``).  Each
 ``@settings`` names only its example count and health-check suppressions.
+``platesim-no-shrink`` is that profile without the shrink phase, for
+``tools/mutants.py``, which needs to know which tests fail, not their smallest
+failing example; tier-1 runs under ``platesim``.
 
 The repository's ``tools/`` and ``bench/`` are put on ``sys.path`` here, once,
 so tests import ``cli_parity``, ``mutants`` and ``scenario_gen`` by name.
@@ -31,11 +34,15 @@ from platesim.optics import BeamSplitter
 from platesim.packets import GaussianPacket, SpatialGrid
 
 try:
-    from hypothesis import settings
+    from hypothesis import Phase, settings
 except ImportError:  # the property modules skip themselves
     pass
 else:
     settings.register_profile("platesim", deadline=None, database=None)
+    settings.register_profile(
+        "platesim-no-shrink", settings.get_profile("platesim"),
+        phases=[phase for phase in Phase if phase is not Phase.shrink],
+    )
     settings.load_profile("platesim")
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -14,7 +14,8 @@ import pytest
 import cli_parity
 
 CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
 CASES = cli_parity.build_cases()
 
@@ -45,6 +46,9 @@ def test_records_reach_every_documented_exit_code_and_names_are_unique():
     names = [case["name"] for case in CASES]
     assert len(set(names)) == len(names)
     assert CONTRACT["records"].keys() == set(names)  # no record outlives its case
+    configs = {case["config"] for case in CASES}  # no committed scenario goes unpinned
+    for path in sorted((ROOT / "scenarios").iterdir()):
+        assert path.read_text(encoding="utf-8") in configs, path.name
     # the oracle's domain gap names only cases that declare exit 0
     assert cli_parity.UNCHECKED.keys() <= {case["name"] for case in CASES if case["exit"] == 0}
     documented = re.search(r"output for (\d+) cases", README.read_text(encoding="utf-8"))

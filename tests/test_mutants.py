@@ -1,7 +1,7 @@
 """``tools/mutants.py``'s list cannot rot: each mutant still names one place in
 ``src/`` and changes it.  Its reading of a tier-1 junit report counts killing
-contract cases by family.  The harness itself runs outside tier-1 (see its
-docstring)."""
+contract cases by family, and its Hypothesis profile is the suite's without
+shrinking.  The harness itself runs outside tier-1 (see its docstring)."""
 
 from __future__ import annotations
 
@@ -40,3 +40,11 @@ def test_a_killing_contract_case_counts_for_its_family_and_not_as_a_test_id(tmp_
     assert mutants.kills(report) == (
         ["tests/test_models.py::test_spread[3]"], {"gaussian_sweep_200": 2, "not_json": 1},
     )
+
+
+def test_the_harness_profile_is_the_suites_without_the_shrink_phase():
+    hypothesis = pytest.importorskip("hypothesis")
+    suite = hypothesis.settings.get_profile("platesim")
+    harness = hypothesis.settings.get_profile(mutants.PROFILE)
+    assert set(harness.phases) == set(suite.phases) - {hypothesis.Phase.shrink}
+    assert (harness.deadline, harness.database) == (suite.deadline, suite.database)

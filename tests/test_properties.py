@@ -1,9 +1,9 @@
 """Properties of the scalar sweep formulas, the sweep grid and the sweep CSV,
 over drawn inputs.
 
-``ScenarioConfig.l2_values`` must reproduce ``numpy.linspace`` bit for bit
-(the golden CSVs were written with it); the D1 and D2 rates of a lossless
-plate sum to 1, exact and under the shortcut at drawn (t1, t2); the
+``ScenarioConfig.l2_values`` must reproduce ``numpy.linspace`` bit for bit;
+the D1 and D2 rates of a lossless plate sum to 1, exact and under the
+shortcut at drawn (t1, t2); the
 plane-wave overlap repeats in t2 with period ``2*pi/|d_omega|``, and over a
 sweep of at least one period it swings
 within its closed-form bounds, by 2|t|^2 |eps| to rounding when the sweep

@@ -6,10 +6,12 @@ exit-0 output to the independent oracle.
 
 Runs every case through the imported ``platesim.cli.main`` in one process, in
 a temporary directory whose path it prints and which it removes afterwards,
-with warnings raised as errors.  The cases, over ``bench/scenario_gen.py``
-seeds, reach every exit code and every loader rule.  Each declares its exit
-code where it is built, a ``(sweep, invariance)`` pair per group of
-``_refusals``; ``exit_and_stream_problems`` states the stream rule.
+with warnings raised as errors.  The ``committed_*`` cases run the committed
+``scenarios/*.json``, each case's config its file's text: both sweeps, and the
+grid invariance at two lists of times.  The other cases, over
+``bench/scenario_gen.py`` seeds, reach every exit code and every loader rule.
+Each declares its exit code where it is built, a ``(sweep, invariance)`` pair
+per group of ``_refusals``; ``exit_and_stream_problems`` states the stream rule.
 ``bench/output_check.py`` re-derives each exit-0 output without platesim;
 ``UNCHECKED`` names the cases outside its domain, and an exception the oracle
 raises is a problem of its case.
@@ -50,6 +52,7 @@ GAUSSIAN_TIMES = "0,-0,1,1e3,1e6,1e9,1e12,75,75,3.5"
 WRAPAROUND_TIMES = "0,1e4,5"
 GRID_TIMES = 20
 BETA_EDGE_TIMES = "0,176,5"
+COMMITTED_LONG_TIMES = "0,-0," + ",".join(str(3 * k) for k in range(1, 51)) + ",75,0.5"
 
 GAUSSIAN = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -219,7 +222,19 @@ def _case(name: str, code: int, argv: list[str], scenario: dict | None = None,
 def build_cases() -> list[dict]:
     sweep = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
     invariance = ["invariance", "--config", "scenario.json", "--out", "out.csv", "--times"]
-    cases = []
+    # The committed scenarios, each case's config the file's text.  The
+    # sweeps' bytes were first written by the row-by-row sweep that the
+    # columnar one replaced, and the long invariance run's by the flight that
+    # transformed every arm afresh at each time, before the spectra and phases
+    # were cached; its times repeat one value, include -0 and leave time order.
+    default = (ROOT / "scenarios" / "default.json").read_text(encoding="utf-8")
+    grid = (ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8")
+    cases = [
+        _case("committed_default[sweep]", 0, sweep, text=default),
+        _case("committed_grid[sweep]", 0, sweep, text=grid),
+        _case("committed_grid[invariance]", 0, [*invariance, "0,30,60,120"], text=grid),
+        _case("committed_grid_long[invariance]", 0, [*invariance, COMMITTED_LONG_TIMES], text=grid),
+    ]
     for seed in GAUSSIAN_SEEDS:
         scn = scenario_gen.scenario(seed, 200)
         cases.append(_case(f"gaussian_sweep_200[{seed}]", 0, sweep, scn))
@@ -317,6 +332,8 @@ GRID_SWEEP = "a grid sweep: the oracle's sweep check is the Gaussian closed form
 UNCHECKED = {
     **{f"grid_sweep[{seed}]": GRID_SWEEP for seed in GRID_SEEDS},
     "grid_tolerance[sweep]": GRID_SWEEP,
+    "committed_grid[sweep]": GRID_SWEEP,
+    "committed_default[sweep]": "no geometry section: the oracle reads geometry.n_points",
     "carriers_equal_in_floating_point[sweep]": (
         "d_omega is 0: the oracle's default span 2 * 2 pi c / |d_omega| divides by zero"
     ),

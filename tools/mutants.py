@@ -11,7 +11,9 @@ For each mutant, every one or those named, the checkout is copied without
 ``.git`` and caches into a temporary directory and the mutant applied there.
 One run follows in the copy, with ``PYTHONPATH=<copy>/src``: tier-1,
 ``python -m pytest`` with the fixed ``--hypothesis-seed`` ``SEED``, since the
-suite's Hypothesis profile does not derandomize.  The failing test ids are read
+suite's Hypothesis profile does not derandomize, and under ``PROFILE``, that
+profile without the shrink phase (``tests/conftest.py``): a kill needs the
+failing test, not its smallest failing example.  The failing test ids are read
 from ``--junitxml``; each contract case is its own test id there
 (``tests/test_cli_contract.py``), and those are counted by family, the case name
 up to ``[``.  ``tests/test_mutants.py`` is left out: it fails on every mutant,
@@ -39,6 +41,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
+PROFILE = "platesim-no-shrink"
 CONTRACT_CASE = "tests/test_cli_contract.py::test_case_keeps_its_contract["
 TIMEOUT_S = 1800
 COPY_IGNORES = shutil.ignore_patterns(
@@ -173,6 +176,7 @@ def run(mutant: Mutant) -> tuple[list[str], dict[str, int]]:
             tier1 = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                  "--continue-on-collection-errors", f"--hypothesis-seed={SEED}",
+                 f"--hypothesis-profile={PROFILE}",
                  f"--junitxml={report}", "--ignore=tests/test_mutants.py"],
                 cwd=tree, env={**os.environ, "PYTHONPATH": path},
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
