@@ -113,19 +113,14 @@ class GaussianPacket(_Record, Packet):
         return self
 
     def __init__(self, x0: float, sigma: float, k0: float, phase: float = 0.0) -> None:
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
         # The closed forms divide by sigma^2.  `*` gives 0 or inf where
         # `**` would raise OverflowError, which is not a ValueError.
-        if not 0.0 < sigma * sigma < math.inf:
-            raise ValueError("sigma * sigma must be a positive finite number")
-        if not k0 > 0:  # NaN fails too
-            raise ValueError("k0 must be positive (right-moving packet)")
+        _require_positive(sigma=sigma, **{"sigma * sigma": sigma * sigma}, k0=k0)
         if k0 * sigma < 4.0:
             raise ValueError(
                 "k0 * sigma must be >= 4 so the negative-wavenumber tail is negligible"
             )
-        _require_finite(x0=x0, k0=k0, phase=phase)
+        _require_finite(x0=x0, phase=phase)
         self.__dict__.update(x0=x0, sigma=sigma, k0=k0, phase=phase)
 
 
@@ -146,8 +141,7 @@ class SpatialGrid(_Record):
 
     def __init__(self, x_min: float, dx: float, n: int) -> None:
         _require_finite(**{"grid origin x_min": x_min})
-        if not dx > 0:  # NaN fails too
-            raise ValueError("grid spacing dx must be positive")
+        _require_positive(**{"grid spacing dx": dx})
         try:
             index(n)
         except TypeError:
@@ -182,6 +176,7 @@ def norm2(p: Packet) -> float:
 
 def scale(p: Packet, coef: complex) -> Packet:
     """Multiply a packet by a complex coefficient."""
+    _require_finite(coef=coef)
     if isinstance(p, GaussianPacket):
         return ScaledGaussian(complex(coef), p)  # not coef * (1+0j): a zero part keeps its sign
     if isinstance(p, ScaledGaussian):

@@ -1,5 +1,6 @@
 """Shared randomized factories for the test suite, the pairwise swing of
-a complex sweep column, and the closed-form overlap in exact rationals.
+a complex sweep column, the closed-form overlap in exact rationals, and the
+one way the suite runs ``simulate`` in-process.
 
 All factories draw from a caller-supplied Generator so each test pins its
 own seed; parameter ranges keep packets well clear of the validation
@@ -17,11 +18,21 @@ failing example; tier-1 runs under ``platesim``.
 
 The repository's ``tools/`` and ``bench/`` are put on ``sys.path`` here, once,
 so tests import ``cli_parity``, ``mutants`` and ``scenario_gen`` by name.
+
+``contract_pass`` runs ``cli_parity.compare`` once a session: every contract
+case of ``tests/cli_contract.json``, each checked under its own test id in
+``tests/test_cli_contract.py``.  A test that checks a contract case's output
+reads its record and CSV bytes from that pass instead of running it again.
+Every other in-process run goes through ``run_case`` (the ``simulate`` fixture
+runs it in the test's ``tmp_path``): ``cli_parity.run_case``, whose record must
+keep the exit code its case declares, or any documented one where it declares
+None, and the stream rule of ``cli_parity.exit_and_stream_problems``.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import sys
 from fractions import Fraction
@@ -47,8 +58,40 @@ else:
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
+import cli_parity  # noqa: E402
 
 EPS = sys.float_info.epsilon
+CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
+CASES = {case["name"]: case for case in cli_parity.build_cases()}
+EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}  # README's
+
+
+@pytest.fixture(scope="session")
+def contract_pass(tmp_path_factory):
+    """``cli_parity.compare`` run once a session: records and findings by case,
+    the exit-0 cases outside the oracle's domain, and CSV bytes by case."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("cli_contract"))
+        return cli_parity.compare(CONTRACT)
+
+
+def run_case(case: dict) -> tuple[dict, bytes | None]:
+    """``case`` run in the working directory: its record and CSV bytes, once the
+    record keeps the case's exit code (a documented one where that is None) and
+    the stream rule."""
+    record = cli_parity.run_case(case)
+    declared = record["exit"] if case["exit"] is None else case["exit"]
+    problems = cli_parity.exit_and_stream_problems({**case, "exit": declared}, record)
+    assert declared in EXIT_CODES and not problems, (case["argv"], record, problems)
+    out = Path("out.csv")
+    return record, out.read_bytes() if out.exists() else None
+
+
+@pytest.fixture
+def simulate(tmp_path, monkeypatch):
+    """``run_case``, run in this test's ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    return run_case
 
 
 def random_gaussian(rng, centers=(-5.0, 5.0)) -> GaussianPacket:

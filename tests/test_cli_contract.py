@@ -1,31 +1,22 @@
-"""``simulate``'s bytes and numbers: one pass of ``tools/cli_parity.py``'s cases,
-each its own test id, against its record, its declared exit code and the stream
-rule, and each exit-0 output against the independent oracle; and how the pass
-reports a problem, under the name of its case only."""
+"""``simulate``'s bytes and numbers: the session's one pass of
+``tools/cli_parity.py``'s cases (``contract_pass`` in ``tests/conftest.py``),
+each case its own test id, against its record, its declared exit code and the
+stream rule, and each exit-0 output against the independent oracle; and how the
+pass reports a problem, under the name of its case only."""
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
 import pytest
 
 import cli_parity
+from conftest import CONTRACT, EXIT_CODES
 
-CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
-README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
 CASES = cli_parity.build_cases()
-
-
-@pytest.fixture(scope="module")
-def contract_pass(tmp_path_factory):
-    """``cli_parity.compare`` run once here: records, findings by case, unchecked."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.chdir(tmp_path_factory.mktemp("cli_contract"))
-        return cli_parity.compare(CONTRACT)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
@@ -41,7 +32,7 @@ def test_case_keeps_its_contract(contract_pass, case):
 
 def test_records_reach_every_documented_exit_code_and_names_are_unique():
     exits = {record["exit"] for record in CONTRACT["records"].values()}
-    assert README_EXIT_CODES <= exits
+    assert EXIT_CODES <= exits
     assert all(case["exit"] != 1 for case in CASES)  # an exception escaped main: a traceback
     names = [case["name"] for case in CASES]
     assert len(set(names)) == len(names)
@@ -69,28 +60,31 @@ def test_an_output_off_the_stream_rule_is_a_problem_of_its_case():
     ]
 
 
-def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cases = {case["name"]: case for case in cli_parity.build_cases()}
+def test_the_oracle_reports_a_corrupted_output_and_names_its_domain(
+    contract_pass, tmp_path, monkeypatch
+):
+    records, _, _, outputs = contract_pass
+    monkeypatch.chdir(tmp_path)  # the oracle reads out.csv here: a copy of the kept CSV
+    cases = {case["name"]: case for case in CASES}
     for name, column, value in [
         ("gaussian_sweep_200[0]", "eps_wss_re", lambda old: old * (1 + 1e-9)),
         ("grid_invariance[0]", "abs_dev_from_t0", lambda old: 1e-3),
     ]:
-        record = cli_parity.run_case(cases[name])
-        assert cli_parity.oracle(cases[name], record) == [], name
-        lines = Path("out.csv").read_text(encoding="utf-8").splitlines()
+        Path("out.csv").write_bytes(outputs[name])
+        assert cli_parity.oracle(cases[name], records[name]) == [], name
+        lines = outputs[name].decode().splitlines()
         row = lines[1].split(",")
         at = lines[0].split(",").index(column)
         row[at] = repr(value(float(row[at])))  # the first data row
         Path("out.csv").write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
-        assert cli_parity.oracle(cases[name], record), name
+        assert cli_parity.oracle(cases[name], records[name]), name
     for name in ("version", "grid_sweep[0]"):
-        assert cli_parity.oracle(cases[name], cli_parity.run_case(cases[name])) is None, name
+        assert cli_parity.oracle(cases[name], records[name]) is None, name
 
 
 def test_an_oracle_crash_or_a_moved_exit_is_a_problem_of_its_case(tmp_path, monkeypatch):
     # no geometry section: the oracle reads geometry.n_points and raises
-    sweep = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
+    sweep = cli_parity.SWEEP
     case = cli_parity._case("no_geometry", 0, sweep, cli_parity.WIDTH_RATIO_APART)
     moved = cli_parity._case("not_json", 4, sweep, text="{")  # the loader exits 3
     # The oracle expects the default span, so rows 2 and 3 of this one are off it.
@@ -106,7 +100,7 @@ def test_an_oracle_crash_or_a_moved_exit_is_a_problem_of_its_case(tmp_path, monk
     two_bad_rows = cli_parity._case("two_bad_rows", 0, sweep, short)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli_parity, "build_cases", lambda: [case, moved, two_bad_rows])
-    _, findings, unchecked = cli_parity.compare({"records": {"gone": {}}})
+    _, findings, unchecked, _ = cli_parity.compare({"records": {"gone": {}}})
     unpinned = {c["name"]: f"DIFF {c['name']}: {' '.join(c['argv'])}\n  no record"
                 for c in (case, moved, two_bad_rows)}
     assert (findings, unchecked) == ({

@@ -1,14 +1,13 @@
 """Loader and command-line fuzzing: whatever JSON value arrives,
 ``parse_config`` either returns a ScenarioConfig or raises ConfigError
 (exit 3 or 4 in the CLI), never another exception; and ``simulate`` run
-on a perturbed committed scenario exits with a documented code, writing
-only finite numbers when it exits 0."""
+on a perturbed committed scenario, through the ``simulate`` fixture, exits
+with a documented code, its streams following the rule for that code, and
+writes only finite numbers when it exits 0."""
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import io
 import json
 import math
 from pathlib import Path
@@ -19,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from platesim import ConfigError, cli, parse_config  # noqa: E402
+from cli_parity import INVARIANCE, SWEEP, _case  # noqa: E402
+from platesim import ConfigError, parse_config  # noqa: E402
 from platesim.config import ScenarioConfig  # noqa: E402
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -99,7 +99,7 @@ def test_perturbed_committed_scenarios_parse_or_are_refused(raw):
 # A run's cost grows with the sizes, so they are drawn small here: any
 # accepted size runs the same code.
 SMALL_SIZES = st.one_of(st.integers(-2, 40), st.sampled_from(EDGES))
-COMMANDS = (["sweep"], ["invariance", "--times", "0,5,25"])
+COMMANDS = (SWEEP, [*INVARIANCE, "0,5,25"])
 # The sampled carrier of a phase this large rounds away; the loader refuses it.
 HUGE_GRID_PHASE = copy.deepcopy(SCENARIOS["grid.json"])
 HUGE_GRID_PHASE["packet_beta"]["phase"] = -1.5e308
@@ -116,14 +116,9 @@ SAMPLED_PHASE_OVERFLOW["geometry"]["l2_max"] = 1.7976931348623157e308
 @given(perturbed_scenarios(sizes=SMALL_SIZES))
 @example(HUGE_GRID_PHASE)
 @example(SAMPLED_PHASE_OVERFLOW)
-def test_perturbed_committed_scenarios_run_or_exit_documented(tmp_path, raw):
-    config, out = tmp_path / "scenario.json", tmp_path / "out.csv"
-    config.write_text(json.dumps(raw), encoding="utf-8")
-    for command in COMMANDS:
-        out.unlink(missing_ok=True)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([command[0], "--config", str(config), "--out", str(out), *command[1:]])
-        assert code == 0 or 2 <= code <= 8, (command, code)
-        if code == 0:
-            rows = out.read_text(encoding="utf-8").splitlines()[1:]
-            assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), command
+def test_perturbed_committed_scenarios_run_or_exit_documented(simulate, raw):
+    for argv in COMMANDS:
+        record, out = simulate(_case("drawn", None, argv, raw))  # any documented exit
+        if record["exit"] == 0:
+            rows = out.decode().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), argv

@@ -113,8 +113,9 @@ def test_gaussian_refuses_non_finite_center_and_phase(kwargs, match):
         GaussianPacket(**kwargs)
 
 
-# an infinite spacing, or one whose n steps overflow the window's end
+# a spacing whose n steps overflow the window's end
 WINDOW_END = "^" + re.escape("grid window end x_min + n * dx must be finite") + "$"
+SPACING = "^grid spacing dx must be positive and finite$"
 
 
 @pytest.mark.parametrize(
@@ -124,7 +125,7 @@ WINDOW_END = "^" + re.escape("grid window end x_min + n * dx must be finite") + 
         (dict(x_min=math.inf, dx=0.1, n=8), ValueError, "^grid origin x_min must be finite$"),
         (dict(x_min=0.0, dx=0.1, n=8.5), TypeError, "^grid size n must be an integer, not float$"),
         (dict(x_min=0.0, dx=0.1, n="8"), TypeError, "^grid size n must be an integer, not str$"),
-        (dict(x_min=0.0, dx=math.inf, n=8), ValueError, WINDOW_END),
+        (dict(x_min=0.0, dx=math.inf, n=8), ValueError, SPACING),
         (dict(x_min=0.0, dx=1e308, n=8), ValueError, WINDOW_END),
     ],
 )

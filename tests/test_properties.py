@@ -15,9 +15,9 @@ committed sweeps and over drawn (t1, t2), and a drawn grid pair flown to
 a drawn time keeps its overlap or refuses the flight; on a plate at the
 unitarity edge both rates stay in [0, 1]; the closed-form overlap holds
 at width ratios up to 1e10;
-``run_sweep`` writes every value of ``sweep_d2`` with ``%.17g``, its
-constant columns included; the printed period and the loader's default
-span come from the rows' d_omega.
+``simulate sweep``, run through the ``simulate`` fixture, writes every value
+of ``sweep_d2`` with ``%.17g``, its constant columns included; the printed
+period and the loader's default span come from the rows' d_omega.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from platesim import (  # noqa: E402
     split,
     sweep_d2,
 )
-from platesim.cli import SWEEP_HEADER, run_sweep  # noqa: E402
+from platesim.cli import SWEEP_HEADER  # noqa: E402
 from platesim.models import PlaneWaveModel, counting_rate_d1, plane_wave_epsilon  # noqa: E402
 from platesim.config import FALLBACK_L2_SPAN, ScenarioConfig, load_config  # noqa: E402
 from platesim.optics import UNITARITY_TOL, BeamSplitter, overlap_post  # noqa: E402
@@ -443,7 +443,7 @@ FAR_APART = {  # writes eps_exact_re as -0
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(gaussian_scenarios())
 @example(FAR_APART)
-def test_sweep_csv_is_every_sweep_d2_value_in_percent_17g(tmp_path, capsys, raw):
+def test_sweep_csv_is_every_sweep_d2_value_in_percent_17g(simulate, raw):
     cfg = parse_config(raw)
     alpha, beta = cfg.packet_alpha, cfg.packet_beta
     geom = ExperimentGeometry(cfg.l1, cfg.l2_min, cfg.c)
@@ -463,10 +463,7 @@ def test_sweep_csv_is_every_sweep_d2_value_in_percent_17g(tmp_path, capsys, raw)
         + "\n"
         for l2, t2, e, p, r, rp in columns
     )
-    out = tmp_path / "sweep.csv"
-    assert run_sweep(cfg, out) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == expected.encode("utf-8")
+    assert simulate(cli_parity._case("drawn", 0, cli_parity.SWEEP, raw))[1] == expected.encode()
 
 
 def _near_carriers(raw: dict) -> dict:
@@ -478,18 +475,10 @@ def _near_carriers(raw: dict) -> dict:
     return {**raw, "packet_beta": beta}
 
 
-@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(gaussian_scenarios() | gaussian_scenarios().map(_near_carriers))
-# The k0 differ, c * k0 does not; c * (k0_alpha - k0_beta) is -8.6e-16.
-@example(cli_parity.CARRIERS_EQUAL)
-def test_printed_period_and_default_span_read_the_rows_d_omega(tmp_path, capsys, raw):
+def _period_and_span_read_the_rows_d_omega(raw: dict, stdout: str) -> None:
     cfg = parse_config(raw)
     alpha, beta, k_alpha, k_beta = cfg.realize_packets()
-    try:
-        assert run_sweep(cfg, tmp_path / "sweep.csv") == 0
-    except DegeneratePreparationError:
-        assume(False)
-    printed = capsys.readouterr().out.splitlines()[-1]
+    printed = stdout.splitlines()[-1]
     sa, sb = split(alpha, cfg.splitter), split(beta, cfg.splitter)
     d_omega = derive_plane_wave_model(sa, sb, k_alpha, k_beta, cfg.c).delta_omega  # the rows'
     default_span = "l2_max" not in raw.get("geometry", {})
@@ -501,3 +490,18 @@ def test_printed_period_and_default_span_read_the_rows_d_omega(tmp_path, capsys,
     else:
         assert d_omega == 0.0
         assert not default_span or cfg.l2_max == cfg.l2_min + FALLBACK_L2_SPAN
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gaussian_scenarios() | gaussian_scenarios().map(_near_carriers))
+def test_printed_period_and_default_span_read_the_rows_d_omega(simulate, raw):
+    record, _ = simulate(cli_parity._case("drawn", None, cli_parity.SWEEP, raw))
+    assume(record["exit"] != 6)  # a degenerate preparation
+    assert record["exit"] == 0
+    _period_and_span_read_the_rows_d_omega(raw, record["stdout"])
+
+
+def test_equal_carriers_print_an_infinite_period_and_take_the_fallback_span(contract_pass):
+    # The k0 differ, c * k0 does not; c * (k0_alpha - k0_beta) is -8.6e-16.
+    record = contract_pass[0]["carriers_equal_in_floating_point[sweep]"]
+    _period_and_span_read_the_rows_d_omega(cli_parity.CARRIERS_EQUAL, record["stdout"])

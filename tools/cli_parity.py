@@ -17,7 +17,11 @@ per group of ``_refusals``; ``exit_and_stream_problems`` states the stream rule.
 raises is a problem of its case.
 ``compare`` keys each finding, a DIFF or an exit, stream or oracle problem, by
 the name of its case, so ``tests/test_cli_contract.py`` checks every case under
-its own test id and ``tools/mutants.py`` counts killing cases by family.
+its own test id and ``tools/mutants.py`` counts killing cases by family.  It
+also keeps each case's CSV bytes: tier-1 runs it once a session
+(``tests/conftest.py``), and a test that checks a contract case's output reads
+it there.  ``run_case`` is tier-1's one way to run ``simulate`` in-process; each
+other run is held to ``exit_and_stream_problems`` too.
 Prints each case that differs from ``tests/cli_contract.json``, the exit tally,
 the number of records added, changed (with the count per changed field) and
 removed, and each exit, stream and oracle problem with their count; rewrites
@@ -219,9 +223,11 @@ def _case(name: str, code: int, argv: list[str], scenario: dict | None = None,
     return {"name": name, "argv": argv, "config": text, "exit": code}
 
 
+SWEEP = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
+INVARIANCE = ["invariance", "--config", "scenario.json", "--out", "out.csv", "--times"]
+
+
 def build_cases() -> list[dict]:
-    sweep = ["sweep", "--config", "scenario.json", "--out", "out.csv"]
-    invariance = ["invariance", "--config", "scenario.json", "--out", "out.csv", "--times"]
     # The committed scenarios, each case's config the file's text.  The
     # sweeps' bytes were first written by the row-by-row sweep that the
     # columnar one replaced, and the long invariance run's by the flight that
@@ -230,57 +236,58 @@ def build_cases() -> list[dict]:
     default = (ROOT / "scenarios" / "default.json").read_text(encoding="utf-8")
     grid = (ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8")
     cases = [
-        _case("committed_default[sweep]", 0, sweep, text=default),
-        _case("committed_grid[sweep]", 0, sweep, text=grid),
-        _case("committed_grid[invariance]", 0, [*invariance, "0,30,60,120"], text=grid),
-        _case("committed_grid_long[invariance]", 0, [*invariance, COMMITTED_LONG_TIMES], text=grid),
+        _case("committed_default[sweep]", 0, SWEEP, text=default),
+        _case("committed_grid[sweep]", 0, SWEEP, text=grid),
+        _case("committed_grid[invariance]", 0, [*INVARIANCE, "0,30,60,120"], text=grid),
+        _case("committed_grid_long[invariance]", 0, [*INVARIANCE, COMMITTED_LONG_TIMES],
+              text=grid),
     ]
     for seed in GAUSSIAN_SEEDS:
         scn = scenario_gen.scenario(seed, 200)
-        cases.append(_case(f"gaussian_sweep_200[{seed}]", 0, sweep, scn))
+        cases.append(_case(f"gaussian_sweep_200[{seed}]", 0, SWEEP, scn))
         scn = scenario_gen.scenario(seed)
-        cases.append(_case(f"gaussian_invariance[{seed}]", 0, [*invariance, GAUSSIAN_TIMES], scn))
+        cases.append(_case(f"gaussian_invariance[{seed}]", 0, [*INVARIANCE, GAUSSIAN_TIMES], scn))
     for seed in GRID_SEEDS:
         scn = scenario_gen.scenario(seed, grid=True)
         times = ",".join(repr(t) for t in scenario_gen.invariance_times(seed, scn, GRID_TIMES))
-        cases.append(_case(f"grid_sweep[{seed}]", 0, sweep, scn))
-        cases.append(_case(f"grid_invariance[{seed}]", 0, [*invariance, times], scn))
-        cases.append(_case(f"grid_wraparound[{seed}]", 8, [*invariance, WRAPAROUND_TIMES], scn))
+        cases.append(_case(f"grid_sweep[{seed}]", 0, SWEEP, scn))
+        cases.append(_case(f"grid_invariance[{seed}]", 0, [*INVARIANCE, times], scn))
+        cases.append(_case(f"grid_wraparound[{seed}]", 8, [*INVARIANCE, WRAPAROUND_TIMES], scn))
     # beta at x0 = 40 crosses the edge at 216 by t = 176; alpha, 40 behind it, does not
     beta_edge = _with(
         GAUSSIAN, representation="grid", grid=GRID,
         packet_beta={**GAUSSIAN["packet_beta"], "x0": 40.0},
     )
-    cases.append(_case("grid_wraparound_beta_only", 8, [*invariance, BETA_EDGE_TIMES], beta_edge))
+    cases.append(_case("grid_wraparound_beta_only", 8, [*INVARIANCE, BETA_EDGE_TIMES], beta_edge))
     # The k0 differ, but c * k0 is one double for both: the rows' d_omega is
     # 0, so the printed period is inf and the default span is the fallback.
-    cases.append(_case("carriers_equal_in_floating_point[sweep]", 0, sweep, CARRIERS_EQUAL))
-    cases.append(_case("width_ratio_1e10[invariance]", 0, [*invariance, "0,5"], WIDTH_RATIO))
-    cases.append(_case("width_ratio_1e10_apart[sweep]", 0, sweep, WIDTH_RATIO_APART))
+    cases.append(_case("carriers_equal_in_floating_point[sweep]", 0, SWEEP, CARRIERS_EQUAL))
+    cases.append(_case("width_ratio_1e10[invariance]", 0, [*INVARIANCE, "0,5"], WIDTH_RATIO))
+    cases.append(_case("width_ratio_1e10_apart[sweep]", 0, SWEEP, WIDTH_RATIO_APART))
     for sigma, alpha in NARROW_ALPHA.items():
         scn = _with(GAUSSIAN, packet_alpha=alpha, geometry={"l2_max": 2.0})
-        cases.append(_case(f"narrow_alpha_{sigma}[sweep]", 0, sweep, scn))
-        cases.append(_case(f"narrow_alpha_{sigma}[invariance]", 0, [*invariance, "0,5"], scn))
+        cases.append(_case(f"narrow_alpha_{sigma}[sweep]", 0, SWEEP, scn))
+        cases.append(_case(f"narrow_alpha_{sigma}[invariance]", 0, [*INVARIANCE, "0,5"], scn))
     # |r|^2 + |t|^2 is 1 + 4e-10, inside UNITARITY_TOL: both rates come out
     # above 1, and are written as 1 only because the rate is clamped to [0, 1].
     edge = _with(
         GAUSSIAN, splitter={"r_re": 1.0000000002, "r_im": 0.0, "t_re": 0.0, "t_im": 0.0},
         geometry={"l1": 1.0, "l2_min": 1.0, "n_points": 200, "c": 1.0}, preparation_phi=0.0,
     )
-    cases.append(_case("unitarity_edge_plate[sweep]", 0, sweep, edge))
-    cases.append(_case("unitarity_edge_plate[invariance]", 0, [*invariance, "0,5"], edge))
-    refused_at = [*invariance, "0,40,120"]
+    cases.append(_case("unitarity_edge_plate[sweep]", 0, SWEEP, edge))
+    cases.append(_case("unitarity_edge_plate[invariance]", 0, [*INVARIANCE, "0,5"], edge))
+    refused_at = [*INVARIANCE, "0,40,120"]
     for (sweep_exit, invariance_exit), refusals in _refusals().items():
         for name, scn in refusals.items():
-            cases.append(_case(f"{name}[sweep]", sweep_exit, sweep, scn))
+            cases.append(_case(f"{name}[sweep]", sweep_exit, SWEEP, scn))
             cases.append(_case(f"{name}[invariance]", invariance_exit, refused_at, scn))
     cases += [
         _case("missing_config", 2, ["sweep", "--config", "missing.json", "--out", "out.csv"]),
         _case("config_directory", 2, ["sweep", "--config", ".", "--out", "out.csv"]),
-        _case("not_json", 3, sweep, text="{"),
-        _case("unwritable_output", 5, [*sweep[:-1], "no/out.csv"], GAUSSIAN),
-        _case("negative_time", 2, [*invariance, "-1"], GAUSSIAN),
-        _case("junk_times", 2, [*invariance, "0,x"], GAUSSIAN),
+        _case("not_json", 3, SWEEP, text="{"),
+        _case("unwritable_output", 5, [*SWEEP[:-1], "no/out.csv"], GAUSSIAN),
+        _case("negative_time", 2, [*INVARIANCE, "-1"], GAUSSIAN),
+        _case("junk_times", 2, [*INVARIANCE, "0,x"], GAUSSIAN),
         _case("missing_subcommand", 2, []),
         _case("version", 0, ["--version"]),
     ]
@@ -382,17 +389,19 @@ def exit_and_stream_problems(case: dict, record: dict) -> list[str]:
     ]
 
 
-def compare(contract: dict) -> tuple[dict, dict[str, list[str]], list[str]]:
+def compare(contract: dict) -> tuple[dict, dict[str, list[str]], list[str], dict]:
     """Run every case here: the new records; the findings of each case, keyed by
     its name, a DIFF block if its record differs, then its exit, stream and oracle
     problems (one oracle line a case: its first problem and how many more), and a
-    DIFF line under the name of each record of no case; and the exit-0 cases
-    outside the oracle's domain."""
-    records, findings, unchecked = {}, {}, []
+    DIFF line under the name of each record of no case; the exit-0 cases outside
+    the oracle's domain; and each case's CSV bytes, None where it wrote none, so
+    a test that checks a case's output reads it here instead of running it again."""
+    records, findings, unchecked, outputs = {}, {}, [], {}
     for case in build_cases():
         name = case["name"]
         old = contract["records"].get(name)
         records[name] = new = run_case(case)
+        outputs[name] = Path("out.csv").read_bytes() if new["csv_sha256"] else None
         if old is None or old["input_sha256"] != new["input_sha256"]:
             fields = ["input changed, outputs not compared" if old else "no record"]
         else:
@@ -411,7 +420,7 @@ def compare(contract: dict) -> tuple[dict, dict[str, list[str]], list[str]]:
         findings[name] = lines
     for name in sorted(contract["records"].keys() - records):
         findings[name] = [f"DIFF {name}: no such case"]
-    return records, findings, unchecked
+    return records, findings, unchecked, outputs
 
 
 def main() -> int:
@@ -421,7 +430,7 @@ def main() -> int:
         os.chdir(scratch)
         print(f"running every case in {scratch}")
         try:
-            records, findings, unchecked = compare(contract)
+            records, findings, unchecked, _ = compare(contract)
         finally:
             os.chdir(previous)
     lines = [line for found in findings.values() for line in found]
