@@ -23,10 +23,10 @@ so tests import ``cli_parity``, ``mutants`` and ``scenario_gen`` by name.
 case of ``tests/cli_contract.json``, each checked under its own test id in
 ``tests/test_cli_contract.py``.  A test that checks a contract case's output
 reads its record and CSV bytes from that pass instead of running it again.
-Every other in-process run goes through ``run_case`` (the ``simulate`` fixture
-runs it in the test's ``tmp_path``): ``cli_parity.run_case``, whose record must
-keep the exit code its case declares, or any documented one where it declares
-None, and the stream rule of ``cli_parity.exit_and_stream_problems``.
+Every other in-process run goes through the ``simulate`` fixture, which calls
+``cli_parity.run_case`` in the test's ``tmp_path``; its record must keep the exit
+code its case declares, or any documented one where it declares None, and the
+stream rule of ``cli_parity.exit_and_stream_problems``.
 """
 
 from __future__ import annotations
@@ -75,23 +75,22 @@ def contract_pass(tmp_path_factory):
         return cli_parity.compare(CONTRACT)
 
 
-def run_case(case: dict) -> tuple[dict, bytes | None]:
-    """``case`` run in the working directory: its record and CSV bytes, once the
-    record keeps the case's exit code (a documented one where that is None) and
-    the stream rule."""
-    record = cli_parity.run_case(case)
-    declared = record["exit"] if case["exit"] is None else case["exit"]
-    problems = cli_parity.exit_and_stream_problems({**case, "exit": declared}, record)
-    assert declared in EXIT_CODES and not problems, (case["argv"], record, problems)
-    out = Path("out.csv")
-    return record, out.read_bytes() if out.exists() else None
-
-
 @pytest.fixture
 def simulate(tmp_path, monkeypatch):
-    """``run_case``, run in this test's ``tmp_path``."""
+    """A function that runs a case in this test's ``tmp_path`` and returns its
+    record and CSV bytes, once the record keeps the case's exit code (a
+    documented one where that is None) and the stream rule."""
     monkeypatch.chdir(tmp_path)
-    return run_case
+
+    def simulate(case: dict) -> tuple[dict, bytes | None]:
+        record = cli_parity.run_case(case)
+        declared = record["exit"] if case["exit"] is None else case["exit"]
+        problems = cli_parity.exit_and_stream_problems({**case, "exit": declared}, record)
+        assert declared in EXIT_CODES and not problems, (case["argv"], record, problems)
+        out = Path("out.csv")
+        return record, out.read_bytes() if out.exists() else None
+
+    return simulate
 
 
 def random_gaussian(rng, centers=(-5.0, 5.0)) -> GaussianPacket:

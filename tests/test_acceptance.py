@@ -1,8 +1,9 @@
 """Acceptance gate: seven end-to-end criteria, one printed verdict line each.
 
 Run with plain ``pytest`` (the verdict lines bypass capture) or
-``pytest -v tests/test_acceptance.py``.  Each criterion asserts both its
-numerical bounds and its runtime budget.
+``pytest -v tests/test_acceptance.py``.  Each criterion asserts its numerical
+bounds and, but for criterion 6, which reads the session's contract pass and
+times no run, its runtime budget.
 """
 
 from __future__ import annotations
@@ -226,23 +227,20 @@ def test_criterion_5_oracle_equivalence(capsys):
 
 def test_criterion_6_cli_contract(capsys, contract_pass):
     """Every documented exit code is declared by cases that keep their contract,
-    and this session's default sweep writes its pinned CSV bytes."""
-    start = time.perf_counter()
+    and this session's default sweep writes its pinned CSV bytes.  It reads the
+    session's contract pass and times no run: the pass runs in a fixture."""
     _, findings, _, outputs = contract_pass
     kept = {case["exit"] for name, case in CASES.items() if not findings[name]}
     default = "committed_default[sweep]"
     digest = hashlib.sha256(outputs[default] or b"").hexdigest()
     pinned = digest == CONTRACT["records"][default]["csv_sha256"]
-
-    elapsed = time.perf_counter() - start
-    ok = EXIT_CODES <= kept and pinned and elapsed < 5.0
+    ok = EXIT_CODES <= kept and pinned
     _report(
         capsys,
         "criterion 6 (CLI exit codes and deterministic CSV)",
         ok,
         f"documented exit codes {sorted(EXIT_CODES)} declared by kept cases "
-        f"{EXIT_CODES <= kept}, default sweep CSV has its pinned sha256 {pinned}, "
-        f"{elapsed:.2f}s < 5s",
+        f"{EXIT_CODES <= kept}, default sweep CSV has its pinned sha256 {pinned}",
     )
 
 

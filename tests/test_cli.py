@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import platesim
-from cli_parity import INVARIANCE, NARROW_ALPHA, SWEEP, _case
+from cli_parity import INVARIANCE, NARROW_ALPHA, SWEEP, make_case
 from conftest import CASES, assert_overlap_is_exact
 from platesim import cli
 from platesim.config import ConfigError, InvariantError, SchemaError
@@ -101,14 +101,14 @@ def test_unreadable_config_exits_2(simulate, monkeypatch):
         raise PermissionError(13, "Permission denied", str(self))
 
     monkeypatch.setattr(Path, "read_text", unreadable)
-    record, _ = simulate(_case("unreadable_config", 2, SWEEP, text="{}"))  # never read
+    record, _ = simulate(make_case("unreadable_config", 2, SWEEP, text="{}"))  # never read
     assert record["stderr"].startswith("error: cannot read config file: ")
 
 
 def test_grid_phase_of_two_to_the_twenty_runs(simulate):
     scenario = json.loads(CASES["committed_grid[sweep]"]["config"])
     scenario["packet_beta"]["phase"] = 2**20
-    _, out = simulate(_case("grid_phase_2_to_the_20", 0, SWEEP, scenario))
+    _, out = simulate(make_case("grid_phase_2_to_the_20", 0, SWEEP, scenario))
     rows = list(csv.reader(out.decode().splitlines()))[1:]
     assert len(rows) == 200
     assert all(math.isfinite(float(value)) for row in rows for value in row)
@@ -143,12 +143,12 @@ def test_every_error_class_the_package_defines_maps_to_an_exit_code(simulate, mo
             raise error
 
         monkeypatch.setattr(cli, "run_sweep", run_sweep)
-        record, _ = simulate(_case("injected_error", code, SWEEP, GAUSSIAN_SCENARIO))
+        record, _ = simulate(make_case("injected_error", code, SWEEP, GAUSSIAN_SCENARIO))
         assert "refused" in record["stderr"]
 
 
 def test_invariance_analytic_exits_zero(simulate):
-    case = _case("invariance", 0, [*INVARIANCE, "0,5,25,60,120"], GAUSSIAN_SCENARIO)
+    case = make_case("invariance", 0, [*INVARIANCE, "0,5,25,60,120"], GAUSSIAN_SCENARIO)
     record, out = simulate(case)
     lines = out.decode().splitlines()
     assert lines[0] == "t,eps_re,eps_im,abs_dev_from_t0"
@@ -164,7 +164,7 @@ def test_invariance_analytic_keeps_the_overlap_exactly_in_long_flights(simulate)
         "packet_beta": {"x0": 0.3, "sigma": 1.0, "k0": 12.8},
     }
     times = "0,100,1e4,1e6,1e9,1e12"
-    record, out = simulate(_case("long_flights", 0, [*INVARIANCE, times], scenario))
+    record, out = simulate(make_case("long_flights", 0, [*INVARIANCE, times], scenario))
     rows = _rows(out.decode())
     assert len(rows) == 6
     assert [float(row["abs_dev_from_t0"]) for row in rows] == [0.0] * 6
@@ -179,14 +179,14 @@ def test_invariance_analytic_at_overflowing_flights_repeats_the_t0_row(simulate)
         "geometry": {"c": 2},
     }
     times = "0,1e308,1.7e308"
-    record, out = simulate(_case("overflowing_flights", 0, [*INVARIANCE, times], scenario))
+    record, out = simulate(make_case("overflowing_flights", 0, [*INVARIANCE, times], scenario))
     rows = [line.partition(b",")[2] for line in out.split(b"\n")[1:-1]]
     assert rows == [rows[0]] * 3
     assert "invariance: ok" in record["stdout"]
 
 
 def test_invariance_grid_exits_zero(simulate):
-    _, out = simulate(_case("grid_invariance", 0, [*INVARIANCE, "0,40,120"], GRID_SCENARIO))
+    _, out = simulate(make_case("grid_invariance", 0, [*INVARIANCE, "0,40,120"], GRID_SCENARIO))
     assert all(float(r["abs_dev_from_t0"]) <= 1e-8 for r in _rows(out.decode()))
 
 
@@ -200,13 +200,13 @@ def test_nan_deviation_exits_7(simulate, monkeypatch, nan_at):
         return complex(math.nan, 0.0) if t == nan_at else real(sa, sb, t, c)
 
     monkeypatch.setattr(cli, "overlap_at_time", overlap_at_time)
-    record, _ = simulate(_case("nan_deviation", 7, [*INVARIANCE, "0,40,120"], GRID_SCENARIO))
+    record, _ = simulate(make_case("nan_deviation", 7, [*INVARIANCE, "0,40,120"], GRID_SCENARIO))
     assert "max |dev from t0|: nan" in record["stdout"]
     assert "FAIL" in record["stderr"]
 
 
 def test_help_lists_subcommands(simulate):
-    out = simulate(_case("help", 0, ["--help"]))[0]["stdout"]
+    out = simulate(make_case("help", 0, ["--help"]))[0]["stdout"]
     assert "sweep" in out and "invariance" in out
 
 
@@ -214,7 +214,8 @@ def test_help_lists_subcommands(simulate):
 @pytest.mark.parametrize("sigma", NARROW_ALPHA)
 def test_narrow_packet_writes_the_exact_overlap(contract_pass, command, column, sigma):
     name = f"narrow_alpha_{sigma}[{command}]"
-    row = _rows(contract_pass[3][name].decode())[0]
+    _, _, _, outputs = contract_pass
+    row = _rows(outputs[name].decode())[0]
     scn = json.loads(CASES[name]["config"])
     a, b = (GaussianPacket(**scn[key]) for key in ("packet_alpha", "packet_beta"))
     assert_overlap_is_exact(complex(float(row[f"{column}_re"]), float(row[f"{column}_im"])), a, b)

@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cli_parity import INVARIANCE, SWEEP, _case  # noqa: E402
+from cli_parity import INVARIANCE, SWEEP, make_case  # noqa: E402
 from platesim import ConfigError, parse_config  # noqa: E402
 from platesim.config import ScenarioConfig  # noqa: E402
 
@@ -118,7 +118,7 @@ SAMPLED_PHASE_OVERFLOW["geometry"]["l2_max"] = 1.7976931348623157e308
 @example(SAMPLED_PHASE_OVERFLOW)
 def test_perturbed_committed_scenarios_run_or_exit_documented(simulate, raw):
     for argv in COMMANDS:
-        record, out = simulate(_case("drawn", None, argv, raw))  # any documented exit
+        record, out = simulate(make_case("drawn", None, argv, raw))  # any documented exit
         if record["exit"] == 0:
             rows = out.decode().splitlines()[1:]
             assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), argv

@@ -463,7 +463,7 @@ def test_sweep_csv_is_every_sweep_d2_value_in_percent_17g(simulate, raw):
         + "\n"
         for l2, t2, e, p, r, rp in columns
     )
-    assert simulate(cli_parity._case("drawn", 0, cli_parity.SWEEP, raw))[1] == expected.encode()
+    assert simulate(cli_parity.make_case("drawn", 0, cli_parity.SWEEP, raw))[1] == expected.encode()
 
 
 def _near_carriers(raw: dict) -> dict:
@@ -495,7 +495,7 @@ def _period_and_span_read_the_rows_d_omega(raw: dict, stdout: str) -> None:
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(gaussian_scenarios() | gaussian_scenarios().map(_near_carriers))
 def test_printed_period_and_default_span_read_the_rows_d_omega(simulate, raw):
-    record, _ = simulate(cli_parity._case("drawn", None, cli_parity.SWEEP, raw))
+    record, _ = simulate(cli_parity.make_case("drawn", None, cli_parity.SWEEP, raw))
     assume(record["exit"] != 6)  # a degenerate preparation
     assert record["exit"] == 0
     _period_and_span_read_the_rows_d_omega(raw, record["stdout"])
@@ -503,5 +503,6 @@ def test_printed_period_and_default_span_read_the_rows_d_omega(simulate, raw):
 
 def test_equal_carriers_print_an_infinite_period_and_take_the_fallback_span(contract_pass):
     # The k0 differ, c * k0 does not; c * (k0_alpha - k0_beta) is -8.6e-16.
-    record = contract_pass[0]["carriers_equal_in_floating_point[sweep]"]
+    records, _, _, _ = contract_pass
+    record = records["carriers_equal_in_floating_point[sweep]"]
     _period_and_span_read_the_rows_d_omega(cli_parity.CARRIERS_EQUAL, record["stdout"])

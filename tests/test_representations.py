@@ -1,12 +1,14 @@
 """One scenario, two representations, one answer at the command line.
 
 A grid scenario means the same overlap as its Gaussian twin (the same file
-with ``"representation": "gaussian"``).  The grid runs are contract cases, read
-from the session's one pass (``contract_pass`` in ``tests/conftest.py``): the
-committed grid scenario's ``committed_grid[*]`` and the benchmark generator's
-grid seeds' ``grid_sweep[*]`` and ``grid_invariance[*]``.  Each twin runs
-through the ``simulate`` fixture with its grid case's argv, and declares the
-exit code that case ran.  The two sweeps agree column by column: the exact
+with ``"representation": "gaussian"``).  The grid sweeps and the generator's
+grid seeds' invariance runs are contract cases, read from the session's one
+pass (``contract_pass`` in ``tests/conftest.py``): ``committed_grid[sweep]``,
+``grid_sweep[*]`` and ``grid_invariance[*]``.  The committed grid scenario's
+invariance runs at the times the generator draws for seed 0, up to 0.9 of its
+wrap limit, later than any contract case of it; no case runs those times, so
+it runs here through the ``simulate`` fixture.  Each twin runs through that
+fixture with its grid run's argv, and declares the exit code that run had.  The two sweeps agree column by column: the exact
 columns within ``grid_tol``, the plane-wave columns within ``grid_tol`` plus the
 drift that the sampled carriers' ``d_omega`` error builds up over the flight to
 D2, ``|a2| |d_omega_grid - d_omega_nominal| t2``.  ``invariance`` at the same
@@ -27,14 +29,15 @@ import json
 import pytest
 
 import cli_parity
+import scenario_gen
 from conftest import CASES
 from platesim.config import parse_config
 from platesim.models import carrier_detuning, spatial_period
 from platesim.optics import split
 from platesim.packets import inner_product
 
-GRID_RUNS = {  # (sweep, invariance) contract cases
-    "grid.json": ("committed_grid[sweep]", "committed_grid[invariance]"),
+GRID_RUNS = {  # (sweep, invariance) contract cases; grid.json's invariance runs here
+    "grid.json": ("committed_grid[sweep]", None),
     **{f"seed{seed}": (f"grid_sweep[{seed}]", f"grid_invariance[{seed}]")
        for seed in cli_parity.GRID_SEEDS},
 }
@@ -51,7 +54,8 @@ def _columns(out: bytes) -> dict[str, list[float]]:
 @pytest.mark.parametrize("name", TWINS)
 def test_grid_and_gaussian_runs_of_one_scenario_agree(contract_pass, simulate, name):
     records, _, _, outputs = contract_pass
-    sweep, invariance = (CASES[case] for case in GRID_RUNS[name])
+    sweep_name, invariance = GRID_RUNS[name]
+    sweep = CASES[sweep_name]
     grid = json.loads(sweep["config"])
     cfg = parse_config(grid)
     _, _, k_alpha, k_beta = cfg.realize_packets()
@@ -64,13 +68,23 @@ def test_grid_and_gaussian_runs_of_one_scenario_agree(contract_pass, simulate, n
 
     gaussian = json.dumps({**grid, "representation": "gaussian"})
 
-    def twin(case: dict) -> tuple[dict, bytes | None]:
-        """The grid case's argv run on the Gaussian twin, declaring the exit it ran."""
+    def twin(case: dict, record: dict) -> tuple[dict, bytes | None]:
+        """The grid run's argv run on the Gaussian twin, declaring the exit it had."""
         return simulate({**case, "name": f"{case['name']} twin", "config": gaussian,
-                         "exit": records[case["name"]]["exit"]})
+                         "exit": record["exit"]})
 
-    twin(invariance)  # the same exit code at the same times
-    on_grid, closed_form = _columns(outputs[sweep["name"]]), _columns(twin(sweep)[1])
+    if invariance is None:
+        drawn = scenario_gen.invariance_times(0, grid, cli_parity.GRID_TIMES)
+        times = ",".join(repr(t) for t in drawn)
+        invariance = cli_parity.make_case(
+            f"{name} drawn times", None, [*cli_parity.INVARIANCE, times], text=sweep["config"]
+        )
+        record, _ = simulate(invariance)
+    else:
+        invariance, record = CASES[invariance], records[invariance]
+    twin(invariance, record)  # the same exit code at the same times
+    on_grid = _columns(outputs[sweep_name])
+    closed_form = _columns(twin(sweep, records[sweep_name])[1])
     assert on_grid["l2"] == closed_form["l2"] and on_grid["t2"] == closed_form["t2"]
     for key in EXACT:
         for a, b in zip(on_grid[key], closed_form[key]):
@@ -92,7 +106,8 @@ def test_grid_span_reads_the_nominal_period_and_the_summary_the_sampled_one(
     assert cfg.l2_max == cfg.l2_min + 2.0 * nominal
     _, _, k_alpha, k_beta = cfg.realize_packets()
     sampled = spatial_period(carrier_detuning(k_alpha, k_beta, cfg.c), cfg.c)
-    record = contract_pass[0][sweep]
+    records, _, _, _ = contract_pass
+    record = records[sweep]
     assert record["exit"] == 0
     assert record["stdout"].splitlines()[-1] == f"spatial period: {sampled:.6g}"
     assert abs(sampled - nominal) <= 1e-12 * nominal

@@ -215,9 +215,10 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
     }
 
 
-def _case(name: str, code: int, argv: list[str], scenario: dict | None = None,
-          text: str | None = None):
-    """A case: its name, the exit code it declares, its argv and its config text."""
+def make_case(name: str, code: int | None, argv: list[str], scenario: dict | None = None,
+              text: str | None = None):
+    """A case: its name, the exit code it declares, its argv and its config text.
+    A test's drawn scenario declares None: it may exit with any documented code."""
     if scenario is not None:
         text = json.dumps(scenario)
     return {"name": name, "argv": argv, "config": text, "exit": code}
@@ -236,60 +237,64 @@ def build_cases() -> list[dict]:
     default = (ROOT / "scenarios" / "default.json").read_text(encoding="utf-8")
     grid = (ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8")
     cases = [
-        _case("committed_default[sweep]", 0, SWEEP, text=default),
-        _case("committed_grid[sweep]", 0, SWEEP, text=grid),
-        _case("committed_grid[invariance]", 0, [*INVARIANCE, "0,30,60,120"], text=grid),
-        _case("committed_grid_long[invariance]", 0, [*INVARIANCE, COMMITTED_LONG_TIMES],
+        make_case("committed_default[sweep]", 0, SWEEP, text=default),
+        make_case("committed_grid[sweep]", 0, SWEEP, text=grid),
+        make_case("committed_grid[invariance]", 0, [*INVARIANCE, "0,30,60,120"], text=grid),
+        make_case("committed_grid_long[invariance]", 0, [*INVARIANCE, COMMITTED_LONG_TIMES],
               text=grid),
     ]
     for seed in GAUSSIAN_SEEDS:
         scn = scenario_gen.scenario(seed, 200)
-        cases.append(_case(f"gaussian_sweep_200[{seed}]", 0, SWEEP, scn))
+        cases.append(make_case(f"gaussian_sweep_200[{seed}]", 0, SWEEP, scn))
         scn = scenario_gen.scenario(seed)
-        cases.append(_case(f"gaussian_invariance[{seed}]", 0, [*INVARIANCE, GAUSSIAN_TIMES], scn))
+        cases.append(
+            make_case(f"gaussian_invariance[{seed}]", 0, [*INVARIANCE, GAUSSIAN_TIMES], scn)
+        )
     for seed in GRID_SEEDS:
         scn = scenario_gen.scenario(seed, grid=True)
         times = ",".join(repr(t) for t in scenario_gen.invariance_times(seed, scn, GRID_TIMES))
-        cases.append(_case(f"grid_sweep[{seed}]", 0, SWEEP, scn))
-        cases.append(_case(f"grid_invariance[{seed}]", 0, [*INVARIANCE, times], scn))
-        cases.append(_case(f"grid_wraparound[{seed}]", 8, [*INVARIANCE, WRAPAROUND_TIMES], scn))
+        cases.append(make_case(f"grid_sweep[{seed}]", 0, SWEEP, scn))
+        cases.append(make_case(f"grid_invariance[{seed}]", 0, [*INVARIANCE, times], scn))
+        cases.append(make_case(f"grid_wraparound[{seed}]", 8, [*INVARIANCE, WRAPAROUND_TIMES], scn))
     # beta at x0 = 40 crosses the edge at 216 by t = 176; alpha, 40 behind it, does not
     beta_edge = _with(
         GAUSSIAN, representation="grid", grid=GRID,
         packet_beta={**GAUSSIAN["packet_beta"], "x0": 40.0},
     )
-    cases.append(_case("grid_wraparound_beta_only", 8, [*INVARIANCE, BETA_EDGE_TIMES], beta_edge))
+    cases.append(
+        make_case("grid_wraparound_beta_only", 8, [*INVARIANCE, BETA_EDGE_TIMES], beta_edge)
+    )
     # The k0 differ, but c * k0 is one double for both: the rows' d_omega is
     # 0, so the printed period is inf and the default span is the fallback.
-    cases.append(_case("carriers_equal_in_floating_point[sweep]", 0, SWEEP, CARRIERS_EQUAL))
-    cases.append(_case("width_ratio_1e10[invariance]", 0, [*INVARIANCE, "0,5"], WIDTH_RATIO))
-    cases.append(_case("width_ratio_1e10_apart[sweep]", 0, SWEEP, WIDTH_RATIO_APART))
+    cases.append(make_case("carriers_equal_in_floating_point[sweep]", 0, SWEEP, CARRIERS_EQUAL))
+    cases.append(make_case("width_ratio_1e10[invariance]", 0, [*INVARIANCE, "0,5"], WIDTH_RATIO))
+    cases.append(make_case("width_ratio_1e10_apart[sweep]", 0, SWEEP, WIDTH_RATIO_APART))
     for sigma, alpha in NARROW_ALPHA.items():
         scn = _with(GAUSSIAN, packet_alpha=alpha, geometry={"l2_max": 2.0})
-        cases.append(_case(f"narrow_alpha_{sigma}[sweep]", 0, SWEEP, scn))
-        cases.append(_case(f"narrow_alpha_{sigma}[invariance]", 0, [*INVARIANCE, "0,5"], scn))
+        cases.append(make_case(f"narrow_alpha_{sigma}[sweep]", 0, SWEEP, scn))
+        cases.append(make_case(f"narrow_alpha_{sigma}[invariance]", 0, [*INVARIANCE, "0,5"], scn))
     # |r|^2 + |t|^2 is 1 + 4e-10, inside UNITARITY_TOL: both rates come out
     # above 1, and are written as 1 only because the rate is clamped to [0, 1].
     edge = _with(
         GAUSSIAN, splitter={"r_re": 1.0000000002, "r_im": 0.0, "t_re": 0.0, "t_im": 0.0},
         geometry={"l1": 1.0, "l2_min": 1.0, "n_points": 200, "c": 1.0}, preparation_phi=0.0,
     )
-    cases.append(_case("unitarity_edge_plate[sweep]", 0, SWEEP, edge))
-    cases.append(_case("unitarity_edge_plate[invariance]", 0, [*INVARIANCE, "0,5"], edge))
+    cases.append(make_case("unitarity_edge_plate[sweep]", 0, SWEEP, edge))
+    cases.append(make_case("unitarity_edge_plate[invariance]", 0, [*INVARIANCE, "0,5"], edge))
     refused_at = [*INVARIANCE, "0,40,120"]
     for (sweep_exit, invariance_exit), refusals in _refusals().items():
         for name, scn in refusals.items():
-            cases.append(_case(f"{name}[sweep]", sweep_exit, SWEEP, scn))
-            cases.append(_case(f"{name}[invariance]", invariance_exit, refused_at, scn))
+            cases.append(make_case(f"{name}[sweep]", sweep_exit, SWEEP, scn))
+            cases.append(make_case(f"{name}[invariance]", invariance_exit, refused_at, scn))
     cases += [
-        _case("missing_config", 2, ["sweep", "--config", "missing.json", "--out", "out.csv"]),
-        _case("config_directory", 2, ["sweep", "--config", ".", "--out", "out.csv"]),
-        _case("not_json", 3, SWEEP, text="{"),
-        _case("unwritable_output", 5, [*SWEEP[:-1], "no/out.csv"], GAUSSIAN),
-        _case("negative_time", 2, [*INVARIANCE, "-1"], GAUSSIAN),
-        _case("junk_times", 2, [*INVARIANCE, "0,x"], GAUSSIAN),
-        _case("missing_subcommand", 2, []),
-        _case("version", 0, ["--version"]),
+        make_case("missing_config", 2, ["sweep", "--config", "missing.json", "--out", "out.csv"]),
+        make_case("config_directory", 2, ["sweep", "--config", ".", "--out", "out.csv"]),
+        make_case("not_json", 3, SWEEP, text="{"),
+        make_case("unwritable_output", 5, [*SWEEP[:-1], "no/out.csv"], GAUSSIAN),
+        make_case("negative_time", 2, [*INVARIANCE, "-1"], GAUSSIAN),
+        make_case("junk_times", 2, [*INVARIANCE, "0,x"], GAUSSIAN),
+        make_case("missing_subcommand", 2, []),
+        make_case("version", 0, ["--version"]),
     ]
     return cases
 
