@@ -116,6 +116,7 @@ class ScenarioConfig(_Record):
             alpha = normalize(sample(alpha, self.grid))
             beta = normalize(sample(beta, self.grid))
             k_alpha, k_beta = spectral_centroid(alpha), spectral_centroid(beta)
+            _refuse_first(_carrier_rules(self.c, k_alpha, k_beta))
             _refuse_first(_flight_rules(self.c, self.l1, self.l2_min, self.l2_max, k_alpha, k_beta))
             return alpha, beta, k_alpha, k_beta
         return alpha, beta, alpha.k0, beta.k0
@@ -268,18 +269,26 @@ def _grid_rules(grid: SpatialGrid, packet: GaussianPacket) -> tuple:
     )
 
 
-def _flight_rules(
-    c: float, l1: float, l2_min: float, l2_max: float, k_alpha: float, k_beta: float
-) -> tuple:
-    """Rows refusing non-finite carrier frequencies c * k, flight times l / c and
-    plane-wave phases d_omega * l / c for l in [l1, l2_max].  For positive carriers, finite
-    c * k_alpha and c * k_beta bound d_omega.  Messages say k0 also for a sampled centroid."""
-    d_omega = carrier_detuning(k_alpha, k_beta, c)
-    t1, t2 = l1 / c, l2_max / c
+def _carrier_rules(c: float, k_alpha: float, k_beta: float) -> tuple:
+    """Rows refusing non-finite carrier frequencies c * k, checked before anything
+    derives from the carriers.  Messages say k0 also for a sampled centroid."""
     ok = math.isfinite
     return (
         ("geometry.c", "carrier frequency c * packet_alpha.k0 is not finite", ok(c * k_alpha)),
         ("geometry.c", "carrier frequency c * packet_beta.k0 is not finite", ok(c * k_beta)),
+    )
+
+
+def _flight_rules(
+    c: float, l1: float, l2_min: float, l2_max: float, k_alpha: float, k_beta: float
+) -> tuple:
+    """Rows refusing non-finite flight times l / c and plane-wave phases d_omega * l / c
+    for l in [l1, l2_max], once ``_carrier_rules`` hold.  For positive carriers, finite
+    c * k_alpha and c * k_beta bound d_omega."""
+    d_omega = carrier_detuning(k_alpha, k_beta, c)
+    t1, t2 = l1 / c, l2_max / c
+    ok = math.isfinite
+    return (
         ("geometry.c", "flight time l1 / c is not finite", ok(t1)),
         ("geometry.c", "flight time l2_min / c is not finite", ok(l2_min / c)),
         ("geometry.c", "flight time l2_max / c is not finite", ok(t2)),
@@ -295,18 +304,22 @@ def parse_config(raw: Any) -> ScenarioConfig:
     alpha, beta, geometry = top["packet_alpha"], top["packet_beta"], top["geometry"]
     c, l1, l2_min, l2_max = (geometry[key] for key in ("c", "l1", "l2_min", "l2_max"))
     default_l2_max = l2_max is None
+    # Rules across fields as (key path, message, holds), in check order.
+    # Every row is built before the first is checked, so none may raise;
+    # the carriers are checked before the default span derives from them.
+    _refuse_first((
+        ("geometry.l2_max", "must be >= l2_min", default_l2_max or not l2_min > l2_max),
+        *_carrier_rules(c, alpha.k0, beta.k0),
+    ))
     if default_l2_max:
         # Default sweep: two full periods of the plane-wave artifact.
         period = spatial_period(carrier_detuning(alpha.k0, beta.k0, c), c)
         span = FALLBACK_L2_SPAN if math.isinf(period) else 2.0 * period
         l2_max = geometry["l2_max"] = l2_min + span
-    # Rules across fields as (key path, message, holds), in check order.
-    # Every row is built before the first is checked, so none may raise.
     ok = cmath.isfinite
     narrower = "packet_alpha" if alpha.sigma <= beta.sigma else "packet_beta"
     gaussian = top["representation"] == "gaussian"
     _refuse_first((
-        ("geometry.l2_max", "must be >= l2_min", default_l2_max or not l2_min > l2_max),
         *_flight_rules(c, l1, l2_min, l2_max, alpha.k0, beta.k0),
         (
             "packet_beta.phase",

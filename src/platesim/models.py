@@ -84,7 +84,6 @@ def derive_plane_wave_model(
     """
     _require_finite(k_alpha=k_alpha, k_beta=k_beta)
     _require_positive(c=c)
-    _require_finite(**{"c * k_alpha": c * k_alpha, "c * k_beta": c * k_beta})
     return PlaneWaveModel(
         delta_omega=carrier_detuning(k_alpha, k_beta, c),
         a1=inner_product(sa.arm1, sb.arm1),
@@ -155,7 +154,9 @@ def counting_rate_d1(
 
 def carrier_detuning(k_alpha: float, k_beta: float, c: float) -> float:
     """The shortcut's d_omega = omega_alpha - omega_beta with omega = c * k, for every
-    caller; ``c * (k_alpha - k_beta)`` rounds otherwise and can be nonzero where this is 0."""
+    caller; ``c * (k_alpha - k_beta)`` rounds otherwise and can be nonzero where this is 0.
+    Both frequencies must be finite."""
+    _require_finite(**{"c * k_alpha": c * k_alpha, "c * k_beta": c * k_beta})
     return c * k_alpha - c * k_beta
 
 
@@ -163,8 +164,10 @@ def spatial_period(delta_omega: float, c: float = 1.0) -> float:
     """D2-distance period of the shortcut's t2 dependence, 2*pi*c/|d_omega|.
 
     Infinite when the carriers coincide: the shortcut then collapses onto
-    the exact prediction.
+    the exact prediction.  delta_omega must be finite, c positive and finite.
     """
+    _require_finite(delta_omega=delta_omega)
+    _require_positive(c=c)
     if delta_omega == 0.0:
         return math.inf
     return 2.0 * math.pi * c / abs(delta_omega)

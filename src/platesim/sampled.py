@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .packets import DEFAULT_WRAP_TOL, GaussianPacket, Packet, ScaledGaussian, SpatialGrid
-from .packets import WraparoundError, _Record, _require_flight
+from .packets import WraparoundError, _Record, _require_finite, _require_flight
 
 __all__ = [
     "GridPacket", "fits_after", "gaussian_amplitude", "negative_wavenumber_fraction",
@@ -47,7 +47,8 @@ def wavenumbers(grid: SpatialGrid) -> np.ndarray:
 class GridPacket(_Record, Packet):
     """A :class:`~platesim.packets.Packet` of complex amplitudes on a :class:`SpatialGrid`;
     its methods are the grid cases of ``packets.norm2``, ``scale``, ``inner_product`` and
-    ``propagate``.  Two grid packets are equal only if they are the same object."""
+    ``propagate``.  Its amplitudes must be finite.  Two grid packets are equal only if they
+    are the same object."""
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -56,6 +57,8 @@ class GridPacket(_Record, Packet):
         amps = np.array(amplitudes, dtype=complex)
         if amps.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} amplitudes, got shape {amps.shape}")
+        # the first amplitude that is not finite, or amps[0] when all are
+        _require_finite(amplitudes=amps[np.isfinite(amps).argmin()])
         self.__dict__.update(grid=grid, amplitudes=_read_only(amps))
 
     @cached_property

@@ -1,17 +1,20 @@
-"""The library's rule for numeric arguments, checked two ways.
+"""The library's rule for numeric arguments, and where each of its rules is spelled.
 
 A property: every library entry point that takes numbers, called with one
 of them replaced by a finite, infinite, NaN or ill-typed value, raises a
 ValueError that names that argument, raises a TypeError with a message, or
 returns finite numbers.  Two documented outcomes stand apart: the rate's
 DegeneratePreparationError, and a Gaussian flown to an infinite offset.
-A lint: outside the two helpers of
-:mod:`platesim.packets`, the library spells no ``must be finite`` or
-``must be positive`` refusal.
-Another: outside the body of ``carrier_detuning``, the library spells no
-carrier detuning, a difference of two carriers scaled by ``c`` or of two
-frequencies; ``c * (k_alpha - k_beta)`` rounds otherwise than the rows'
-``c * k_alpha - c * k_beta``.
+A lint: ``ONE_PLACE`` maps each rule the library spells in one place to a
+matcher of AST nodes and the (module, top-level function) pairs that may
+hold a match.  Over ``src/platesim/*.py``, the matches must sit in exactly
+those functions, each defined once.  The rules: a ``must be finite`` or
+``must be positive`` refusal, spelled only in the two helpers of
+:mod:`platesim.packets`; the carrier detuning, a difference of two carriers
+scaled by ``c`` or of two frequencies, spelled only in ``carrier_detuning``
+(``c * (k_alpha - k_beta)`` rounds otherwise than the rows'
+``c * k_alpha - c * k_beta``); and ``raise InvariantError``, spelled only in
+the loader's section reader and rule loop.  Allowing a new helper is one row.
 """
 
 from __future__ import annotations
@@ -143,98 +146,63 @@ def test_numeric_arguments_are_refused_by_name_or_give_finite_numbers(case, valu
     assert all(map(cmath.isfinite, _numbers(result))), (entry, arg, value, result)
 
 
-HELPERS = ("_require_finite", "_require_positive")
-RULE_WORDS = ("must be finite", "must be positive")
-
-
-def _text(node: ast.AST) -> str:
-    """The literal text of a message, ``{}`` for each formatted field."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        return "".join(
-            _text(part) if isinstance(part, ast.Constant) else "{}" for part in node.values
-        )
-    return ""
-
-
-def _spelled_checks(tree: ast.AST, function: str = ""):
-    """(function, message) of every ``raise ValueError(...)`` under ``tree``."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _spelled_checks(node, node.name)
-            continue
-        if (
-            isinstance(node, ast.Raise)
-            and isinstance(node.exc, ast.Call)
-            and isinstance(node.exc.func, ast.Name)
-            and node.exc.func.id == "ValueError"
-        ):
-            yield function, " ".join(_text(arg) for arg in node.exc.args)
-        yield from _spelled_checks(node, function)
-
-
-def test_finite_and_positive_refusals_are_spelled_only_in_the_helpers():
-    spelled, defined = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [
-            (path.name, node.name)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name in HELPERS
-        ]
-        spelled += [
-            (path.name, function, message)
-            for function, message in _spelled_checks(tree)
-            if any(word in message for word in RULE_WORDS)
-            and function not in HELPERS
-        ]
-    assert spelled == []
-    assert sorted(defined) == [("packets.py", name) for name in HELPERS]
-
-
 CARRIERS = {"k0", "k_alpha", "k_beta", "omega_alpha", "omega_beta"}
 FREQUENCY = {"c", "omega_alpha", "omega_beta"}
 
 
-def _names(node: ast.AST) -> set[str]:
-    """Every variable and attribute name read under ``node``."""
-    return {
-        sub.id if isinstance(sub, ast.Name) else sub.attr
+def _reads(node: ast.AST, names: set[str]) -> bool:
+    """Whether a variable or attribute in ``names`` is read under ``node``."""
+    return any(getattr(sub, "id", getattr(sub, "attr", None)) in names for sub in ast.walk(node))
+
+
+def _is_carrier_detuning(node: ast.AST) -> bool:
+    # c * (k_alpha - k_beta) and c * k_alpha - c * k_beta alike; the
+    # closed-form overlap's k0 difference carries no c.
+    return isinstance(node, ast.BinOp) and _reads(node, FREQUENCY) and any(
+        isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+        and _reads(sub.left, CARRIERS) and _reads(sub.right, CARRIERS)
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    }
-
-
-def _is_carrier_difference(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.Sub)
-        and bool(_names(node.left) & CARRIERS)
-        and bool(_names(node.right) & CARRIERS)
     )
 
 
-def test_the_carrier_detuning_is_spelled_only_in_its_helper():
-    spelled, defined = set(), []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        helpers = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "carrier_detuning"
-        ]
-        defined += [path.name for _ in helpers]
-        own = {id(sub) for helper in helpers for sub in ast.walk(helper)}
-        # c * (k_alpha - k_beta) and c * k_alpha - c * k_beta alike; the
-        # closed-form overlap's k0 difference carries no c.
-        spelled |= {
-            (path.name, node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.BinOp)
-            and id(node) not in own
-            and _names(node) & FREQUENCY
-            and any(map(_is_carrier_difference, ast.walk(node)))
-        }
-    assert sorted(spelled) == []
-    assert defined == ["models.py"]
+def _raises(pattern: str):
+    """Matcher of a ``raise`` statement whose source text matches ``pattern``."""
+    return lambda node: isinstance(node, ast.Raise) and bool(re.match(pattern, ast.unparse(node)))
+
+
+# rule: (matcher, the (module, top-level function) pairs where a match may sit)
+ONE_PLACE = {
+    "finite_and_positive_refusals": (
+        _raises(r"raise ValueError\(.*must be (finite|positive)"),
+        {("packets.py", "_require_finite"), ("packets.py", "_require_positive")},
+    ),
+    "carrier_detuning": (_is_carrier_detuning, {("models.py", "carrier_detuning")}),
+    "invariant_errors": (
+        # a record constructor's ValueError, converted by the section reader,
+        # and the first rule row that does not hold; every other refusal is a row
+        _raises(r"raise InvariantError\b"),
+        {("config.py", "_section"), ("config.py", "_refuse_first")},
+    ),
+}
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+@pytest.mark.parametrize("rule", ONE_PLACE)
+def test_each_rule_is_spelled_in_its_one_place(rule):
+    matches, allowed = ONE_PLACE[rule]
+    sites = {
+        (module, getattr(top, "name", "<module>"))
+        for module, tree in TREES.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if matches(node)
+    }
+    assert sites == allowed
+    names = {name for _, name in allowed}
+    defined = [
+        (module, node.name)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+    ]
+    assert sorted(defined) == sorted(allowed)

@@ -6,10 +6,8 @@ for byte is checked there alone, but for alpha's carrier frequency."""
 
 from __future__ import annotations
 
-import ast
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -23,8 +21,6 @@ from platesim import (
     parse_config,
 )
 from platesim.config import MAX_GRID_N, MAX_N_POINTS
-
-CONFIG_PY = Path(__file__).resolve().parents[1] / "src" / "platesim" / "config.py"
 
 MINIMAL = {
     "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
@@ -428,21 +424,3 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(MINIMAL), encoding="utf-8")
     assert load_config(path) == parse_config(MINIMAL)
-
-
-def _invariant_raise_sites(node: ast.AST, functions: tuple = ()):
-    """The top-level function around each ``raise InvariantError`` under ``node``."""
-    for child in ast.iter_child_nodes(node):
-        inner = (*functions, child.name) if isinstance(child, ast.FunctionDef) else functions
-        if isinstance(child, ast.Raise):
-            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-            if isinstance(exc, ast.Name) and exc.id == "InvariantError":
-                yield inner[0] if inner else "<module>"
-        yield from _invariant_raise_sites(child, inner)
-
-
-def test_invariant_errors_are_raised_in_two_places():
-    # A record constructor's ValueError, converted by the section reader,
-    # and the first rule row that does not hold; every other refusal is a row.
-    tree = ast.parse(CONFIG_PY.read_text(encoding="utf-8"))
-    assert sorted(_invariant_raise_sites(tree)) == ["_refuse_first", "_section"]

@@ -28,7 +28,9 @@ from platesim import (
     split,
     sweep_d2,
 )
-from platesim.models import PlaneWaveModel, SweepResult, counting_rate_d1, spatial_period
+from platesim.models import (
+    PlaneWaveModel, SweepResult, carrier_detuning, counting_rate_d1, spatial_period,
+)
 from platesim.optics import BeamSplitter
 from platesim.packets import norm2
 
@@ -393,10 +395,17 @@ def test_derive_plane_wave_model_refuses_bad_carriers_and_speed(k_alpha, k_beta,
             lambda: plane_wave_epsilon(PlaneWaveModel(9e307, 0.5, 0.5j), 1.0, 10.0),
             "plane-wave phase delta_omega * t2 must be finite",
         ),
+        (lambda: spatial_period(math.nan), "delta_omega must be finite"),
+        (lambda: spatial_period(1.0, -1.0), "c must be positive and finite"),
+        (lambda: carrier_detuning(math.nan, 1.0, 1.0), "c * k_alpha must be finite"),
     ],
-    ids=["nan-omega", "infinite-a2", "infinite-phi", "overflowing-phase", "overflowing-t2-phase"],
+    ids=[
+        "nan-omega", "infinite-a2", "infinite-phi", "overflowing-phase", "overflowing-t2-phase",
+        "period-nan-omega", "period-negative-speed", "detuning-nan-carrier",
+    ],
 )
 def test_shortcut_records_refuse_non_finite_numbers(call, message):
-    # Built or returned, each would make the shortcut's overlap nan+nanj.
+    # Built or returned, each would make the shortcut's overlap nan+nanj,
+    # or its period NaN or negative.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -177,6 +177,14 @@ def test_grid_packet_shape_check(wide_grid):
         GridPacket(wide_grid, np.zeros(wide_grid.n - 1, dtype=complex))
 
 
+def test_grid_packet_refuses_a_nan_amplitude_by_name():
+    # flown, one NaN amplitude would make every amplitude NaN
+    a = np.ones(128, dtype=complex)
+    a[40] = math.nan
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        GridPacket(SpatialGrid(-8.0, 0.125, 128), a)
+
+
 def test_sampled_norm_close_to_one(wide_grid):
     g = sample(GaussianPacket(x0=2.0, sigma=1.2, k0=11.0), wide_grid)
     assert norm2(g) == pytest.approx(1.0, abs=1e-12)
