@@ -80,10 +80,9 @@ def derive_plane_wave_model(
     """Read the shortcut's ingredients off two freshly split states.
 
     Frequencies follow the dispersionless rule omega = c * k; the term
-    amplitudes are the per-arm overlaps at the split time.
+    amplitudes are the per-arm overlaps at the split time; ``carrier_detuning``
+    refuses the carriers and c.
     """
-    _require_finite(k_alpha=k_alpha, k_beta=k_beta)
-    _require_positive(c=c)
     return PlaneWaveModel(
         delta_omega=carrier_detuning(k_alpha, k_beta, c),
         a1=inner_product(sa.arm1, sb.arm1),
@@ -155,7 +154,8 @@ def counting_rate_d1(
 def carrier_detuning(k_alpha: float, k_beta: float, c: float) -> float:
     """The shortcut's d_omega = omega_alpha - omega_beta with omega = c * k, for every
     caller; ``c * (k_alpha - k_beta)`` rounds otherwise and can be nonzero where this is 0.
-    Both frequencies must be finite."""
+    c must be positive and finite, and both frequencies finite."""
+    _require_positive(c=c)
     _require_finite(**{"c * k_alpha": c * k_alpha, "c * k_beta": c * k_beta})
     return c * k_alpha - c * k_beta
 

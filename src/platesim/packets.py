@@ -125,9 +125,14 @@ class GaussianPacket(_Record, Packet):
 
 
 class ScaledGaussian(_Record, Packet):
-    """A Gaussian packet times a complex coefficient, flown ``offset``; norm^2 = |coef|^2."""
+    """A Gaussian packet times a complex coefficient, flown ``offset``; norm^2 = |coef|^2.
+
+    ``offset`` is not checked: a flight that overflows makes it ``inf``."""
 
     def __init__(self, coef: complex, base: GaussianPacket, offset: float = 0.0) -> None:
+        _require_finite(coef=coef)
+        if not isinstance(base, GaussianPacket):
+            raise TypeError(f"base must be a GaussianPacket, not {type(base).__name__}")
         self.__dict__.update(coef=coef, base=base, offset=offset)
 
     @property

@@ -1,27 +1,24 @@
-"""Packet representations and their refusals, closed-form overlaps in exact
-rationals at width ratios up to 1e150, the inner product's symmetries, and
-free flight of Gaussian and grid packets, with its wraparound guard.  The
-closed form against quadrature and the grid inner product against the closed
-form are acceptance criterion 5; the overlap under a common flight is
-criterion 1."""
+"""Packet representations, closed-form overlaps in exact rationals at width
+ratios up to 1e150, the inner product's symmetries, and free flight of Gaussian
+and grid packets within their window.  The packets' refusals are rows of
+``REFUSALS`` in ``test_argument_checks.py``.  The closed form against quadrature
+and the grid inner product against the closed form are acceptance criterion 5;
+the overlap under a common flight is criterion 1."""
 
 from __future__ import annotations
 
 import cmath
 import math
-import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import assert_overlap_is_exact, random_close_pair, random_gaussian
-from platesim.optics import TwoArmState
 from platesim.packets import (
     GaussianPacket,
     ScaledGaussian,
     SpatialGrid,
-    WraparoundError,
     inner_product,
     norm2,
     propagate,
@@ -71,69 +68,6 @@ def test_scale_composes():
     assert twice.base == g
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(x0=0.0, sigma=0.0, k0=8.0),
-        dict(x0=0.0, sigma=-1.0, k0=8.0),
-        dict(x0=0.0, sigma=1.0, k0=0.0),
-        dict(x0=0.0, sigma=1.0, k0=-3.0),
-        dict(x0=0.0, sigma=1.0, k0=3.9),  # k0 * sigma < 4
-        dict(x0=0.0, sigma=1e-300, k0=1e301),  # sigma * sigma underflows to 0
-        dict(x0=0.0, sigma=1e200, k0=12.0),  # sigma * sigma overflows
-        dict(x0=0.0, sigma=1.0, k0=math.nan),
-    ],
-)
-def test_gaussian_rejects_bad_parameters(kwargs):
-    with pytest.raises(ValueError):
-        GaussianPacket(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [dict(x_min=0.0, dx=0.0, n=8), dict(x_min=0.0, dx=0.1, n=1), dict(x_min=-1.0, dx=math.nan, n=8)],
-)
-def test_grid_rejects_bad_parameters(kwargs):
-    with pytest.raises(ValueError):
-        SpatialGrid(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs, match",
-    [
-        (dict(x0=math.nan, sigma=1.0, k0=12.0), "^x0 must be finite$"),
-        (dict(x0=-math.inf, sigma=1.0, k0=12.0), "^x0 must be finite$"),
-        (dict(x0=0.0, sigma=1.0, k0=12.0, phase=math.inf), "^phase must be finite$"),
-        (dict(x0=0.0, sigma=1.0, k0=12.0, phase=math.nan), "^phase must be finite$"),
-    ],
-)
-def test_gaussian_refuses_non_finite_center_and_phase(kwargs, match):
-    # Built, they would overlap to nan+nanj.
-    with pytest.raises(ValueError, match=match):
-        GaussianPacket(**kwargs)
-
-
-# a spacing whose n steps overflow the window's end
-WINDOW_END = "^" + re.escape("grid window end x_min + n * dx must be finite") + "$"
-SPACING = "^grid spacing dx must be positive and finite$"
-
-
-@pytest.mark.parametrize(
-    "kwargs, error, match",
-    [
-        (dict(x_min=math.nan, dx=0.1, n=8), ValueError, "^grid origin x_min must be finite$"),
-        (dict(x_min=math.inf, dx=0.1, n=8), ValueError, "^grid origin x_min must be finite$"),
-        (dict(x_min=0.0, dx=0.1, n=8.5), TypeError, "^grid size n must be an integer, not float$"),
-        (dict(x_min=0.0, dx=0.1, n="8"), TypeError, "^grid size n must be an integer, not str$"),
-        (dict(x_min=0.0, dx=math.inf, n=8), ValueError, SPACING),
-        (dict(x_min=0.0, dx=1e308, n=8), ValueError, WINDOW_END),
-    ],
-)
-def test_grid_refuses_non_finite_origin_and_non_integer_size(kwargs, error, match):
-    with pytest.raises(error, match=match):
-        SpatialGrid(**kwargs)
-
-
 def test_grid_takes_a_numpy_integer_size():
     assert SpatialGrid(x_min=0.0, dx=0.1, n=np.int64(8)) == SpatialGrid(x_min=0.0, dx=0.1, n=8)
 
@@ -172,19 +106,6 @@ def test_replaced_grid_gets_its_own_arrays(wide_grid):
     )
 
 
-def test_grid_packet_shape_check(wide_grid):
-    with pytest.raises(ValueError):
-        GridPacket(wide_grid, np.zeros(wide_grid.n - 1, dtype=complex))
-
-
-def test_grid_packet_refuses_a_nan_amplitude_by_name():
-    # flown, one NaN amplitude would make every amplitude NaN
-    a = np.ones(128, dtype=complex)
-    a[40] = math.nan
-    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
-        GridPacket(SpatialGrid(-8.0, 0.125, 128), a)
-
-
 def test_sampled_norm_close_to_one(wide_grid):
     g = sample(GaussianPacket(x0=2.0, sigma=1.2, k0=11.0), wide_grid)
     assert norm2(g) == pytest.approx(1.0, abs=1e-12)
@@ -198,12 +119,6 @@ def test_grid_norm2_is_the_riemann_sum_of_the_sample_power(wide_grid):
     noise = GridPacket(wide_grid, amps[0] + 1j * amps[1])
     for p in (g, normalize(g), propagate(g, 40.0), scale(g, 0.3 - 0.2j), noise):
         assert norm2(p) == float(np.sum(np.abs(p.amplitudes) ** 2) * p.grid.dx)
-
-
-def test_normalize_rejects_zero(wide_grid):
-    zero = GridPacket(wide_grid, np.zeros(wide_grid.n, dtype=complex))
-    with pytest.raises(ValueError, match="degenerate packet"):
-        normalize(zero)
 
 
 def test_overlap_magnitude_for_separated_equal_widths():
@@ -307,44 +222,6 @@ def test_inner_product_sesquilinear():
     assert inner_product(a, scale(b, 0.5j)) == pytest.approx(0.5j * base, rel=1e-13)
 
 
-def test_mixed_representations_rejected(wide_grid):
-    g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
-    with pytest.raises(TypeError):
-        inner_product(g, sample(g, wide_grid))
-
-
-def test_incompatible_grids_rejected(wide_grid):
-    other = SpatialGrid(x_min=wide_grid.x_min, dx=wide_grid.dx, n=wide_grid.n // 2)
-    g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
-    with pytest.raises(ValueError, match="incompatible grids"):
-        inner_product(sample(g, wide_grid), sample(g, other))
-
-
-def test_inner_product_rejects_non_packets():
-    with pytest.raises(TypeError):
-        inner_product(1.0, GaussianPacket(x0=0.0, sigma=1.0, k0=10.0))
-
-
-G = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
-
-
-@pytest.mark.parametrize(
-    "thing", [1.0, 0.5 - 2j, TwoArmState(G, G)], ids=["float", "complex", "two-arm state"]
-)
-def test_packet_functions_refuse_non_packets(thing, wide_grid):
-    # a two-arm state is a record, but not a packet
-    grid_packet = sample(G, wide_grid)
-    calls = [norm2, lambda p: scale(p, 0.5j), lambda p: propagate(p, 1.0)]
-    for other in (G, grid_packet):
-        calls += [lambda p, q=other: inner_product(p, q), lambda p, q=other: inner_product(q, p)]
-    for call in calls:
-        with pytest.raises(TypeError, match="not a packet"):
-            call(thing)
-    for a, b in ((G, grid_packet), (grid_packet, G)):
-        with pytest.raises(TypeError, match="cannot mix"):
-            inner_product(a, b)
-
-
 def test_propagate_gaussian_moves_center_only():
     # The flight is kept as an offset beside the unchanged packet.
     g = GaussianPacket(x0=1.0, sigma=0.9, k0=8.0, phase=0.3)
@@ -371,59 +248,17 @@ def test_propagate_grid_conserves_norm(wide_grid):
     assert norm2(propagate(g, 60.0)) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_propagate_rejects_bad_arguments(wide_grid):
-    g = GaussianPacket(x0=0.0, sigma=1.0, k0=10.0)
-    # NaN fails the sign checks too, on either kind of packet
-    for p in (g, normalize(sample(g, wide_grid))):
-        for t in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="^t must be nonnegative$"):
-                propagate(p, t)
-        for c in (0.0, math.nan):
-            with pytest.raises(ValueError, match="^c must be positive and finite$"):
-                propagate(p, 1.0, c=c)
-
-
 def test_propagate_wraparound_guard():
     small = SpatialGrid(x_min=-12.0, dx=1.0 / 16.0, n=384)  # window [-12, 12]
     g = normalize(sample(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), small))
-    with pytest.raises(WraparoundError, match="wraparound"):
-        propagate(g, 30.0)
-    # same flight on a long enough window is fine
+    # a flight that stays inside the window passes; REFUSALS holds one that wraps
     assert norm2(propagate(g, 2.0)) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_propagate_wraparound_names_the_time():
-    small = SpatialGrid(x_min=-12.0, dx=1.0 / 16.0, n=384)  # window [-12, 12]
-    g = normalize(sample(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), small))
-    with pytest.raises(WraparoundError) as info:
-        propagate(g, 15.0, c=2.0)
-    assert str(info.value) == (
-        "t = 15: wraparound: translation by 30 pushes the packet past the window edge"
-    )
 
 
 def test_fits_after(wide_grid):
     g = normalize(sample(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), wide_grid))
     assert fits_after(g, 120.0, 1.0, 1e-6)
     assert not fits_after(g, 260.0, 1.0, 1e-6)  # past the window end at 216
-    with pytest.raises(ValueError):
-        fits_after(g, 1.0, 1.0, 0.0)
-
-
-@pytest.mark.parametrize(
-    "t, c, match",
-    [
-        (math.nan, 1.0, "^t must be nonnegative$"),
-        (-1.0, 1.0, "^t must be nonnegative$"),
-        (1.0, math.nan, "^c must be positive and finite$"),
-        (1.0, 0.0, "^c must be positive and finite$"),
-    ],
-)
-def test_fits_after_refuses_bad_flight(wide_grid, t, c, match):
-    # NaN fails every comparison, so an unguarded check would call the packet a fit.
-    g = normalize(sample(GaussianPacket(x0=0.0, sigma=1.0, k0=12.0), wide_grid))
-    with pytest.raises(ValueError, match=match):
-        fits_after(g, t, c, 1e-9)
 
 
 def test_spectral_centroid_recovers_carrier(wide_grid):
@@ -432,12 +267,6 @@ def test_spectral_centroid_recovers_carrier(wide_grid):
         g = random_gaussian(rng)
         sampled = normalize(sample(g, wide_grid))
         assert spectral_centroid(sampled) == pytest.approx(g.k0, abs=1e-8)
-
-
-def test_spectral_centroid_refuses_a_zero_packet(wide_grid):
-    zero = GridPacket(wide_grid, np.zeros(wide_grid.n, dtype=complex))
-    with pytest.raises(ValueError, match="degenerate packet"):
-        spectral_centroid(zero)
 
 
 def test_negative_wavenumber_weight_negligible(wide_grid):

@@ -97,7 +97,7 @@ def _with(base: dict, **sections) -> dict:
     return {**json.loads(json.dumps(base)), **sections}
 
 
-def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
+def _refusals() -> dict[tuple[int, int], dict[str, dict | list]]:
     """One scenario for each refusal the loader or a run documents, under the
     exit codes its ``sweep`` and its ``invariance`` run declare."""
     alpha, beta = GAUSSIAN["packet_alpha"], GAUSSIAN["packet_beta"]
@@ -107,11 +107,28 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
     return {
         (3, 3): {
             "unknown_key": _with(GAUSSIAN, extra=1),
+            "unknown_nested_key": _with(GAUSSIAN, geometry={"tilt": 0.4}),
+            "missing_packet": {"packet_alpha": alpha},
+            "missing_packet_field": _with(GAUSSIAN, packet_alpha={"x0": 0.0, "k0": 12.0}),
+            "non_object_config": [1, 2, 3],
+            "unknown_representation": _with(GAUSSIAN, representation="matrix"),
             "wrong_type": _with(GAUSSIAN, packet_alpha={**alpha, "sigma": "1"}),
+            "bool_is_not_a_number": _with(GAUSSIAN, packet_alpha={**alpha, "x0": True}),
+            "fractional_n_points": _with(GAUSSIAN, geometry={"n_points": 2.5}),
             "integer_beyond_double_range": _with(GAUSSIAN, packet_alpha={**alpha, "x0": 10**400}),
+            "integer_below_double_range": _with(GAUSSIAN, packet_alpha={**alpha, "x0": -(10**400)}),
+            "grid_n_beyond_double_range": _with(grid, grid={**GRID, "n": 10**400}),
+            "grid_n_below_double_range": _with(grid, grid={**GRID, "n": -(10**400)}),
             "missing_grid": _with(GAUSSIAN, representation="grid"),
         },
         (4, 4): {
+            "nonpositive_sigma": _with(GAUSSIAN, packet_alpha={**alpha, "sigma": -1.0}),
+            "slow_carrier": _with(GAUSSIAN, packet_alpha={**alpha, "k0": 2.0}),  # k0 * sigma < 4
+            "nonpositive_l1": _with(GAUSSIAN, geometry={"l1": 0.0}),
+            "nonpositive_l2_min": _with(GAUSSIAN, geometry={"l2_min": -1.0}),
+            "nonpositive_n_points": _with(GAUSSIAN, geometry={"n_points": 0}),
+            "nonpositive_grid_spacing": _with(grid, grid={**GRID, "dx": -1.0}),
+            "nonpositive_tolerance": _with(GAUSSIAN, tolerances={"grid_tol": 0.0}),
             "lossy_splitter": _with(
                 GAUSSIAN, splitter={"r_re": 0.7, "r_im": 0.0, "t_re": 0.6, "t_im": 0.0}
             ),
@@ -122,6 +139,7 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
             "nonpositive_speed": _with(GAUSSIAN, geometry={"c": 0.0}),
             # l1 / c overflows: writing rows would put inf and NaN under exit 0
             "flight_time": _with(GAUSSIAN, geometry={"c": 1e-320}),
+            "flight_time_long_l1": _with(GAUSSIAN, geometry={"c": 1e-300, "l1": 1e10}),
             "flight_time_l2_min": _with(
                 GAUSSIAN, geometry={"c": 1e-300, "l1": 1e-10, "l2_min": 1e10, "l2_max": 2e10}
             ),
@@ -139,14 +157,23 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
                 GAUSSIAN, packet_beta={**beta, "k0": 100.0}, geometry={"l2_max": 1e308}
             ),
             "sigma_square": _with(GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e-300, "k0": 1e301}),
+            "sigma_square_alpha": _with(
+                GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e-300, "k0": 1e301}
+            ),
             # its square overflows, where sigma_square's underflows
             "sigma_square_overflow": _with(
                 GAUSSIAN, packet_beta={"x0": 0.0, "sigma": 1e200, "k0": 12.0}
+            ),
+            "sigma_square_overflow_alpha": _with(
+                GAUSSIAN, packet_alpha={"x0": 0.0, "sigma": 1e200, "k0": 12.0}
             ),
             # |r|^2 + |t|^2 overflows
             "plate_amplitude_overflow": _with(
                 GAUSSIAN, packet_beta=centered_beta,
                 splitter={"r_re": 0.0, "r_im": 0.0, "t_re": 0.0, "t_im": 1e155},
+            ),
+            "plate_amplitude_overflow_r": _with(
+                GAUSSIAN, splitter={"r_re": 1e308, "r_im": 1e308, "t_re": 0.0, "t_im": 0.0}
             ),
             "phase_difference": _with(
                 GAUSSIAN,
@@ -168,6 +195,11 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
                 "packet_alpha": {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
                 "packet_beta": {**centered_beta, "x0": 1e308},
             },
+            # both 1 / (2 sigma^2) are 0
+            "closed_form_overlap_both_wide": {
+                "packet_alpha": {"x0": 0.0, "sigma": 1e154, "k0": 1.0},
+                "packet_beta": {"x0": 0.0, "sigma": 1e154, "k0": 1.1},
+            },
             # Without the loader's refusal, every row had l2 = 1 and the summary
             # printed "max |d rate_wss|: 0" under exit 0.
             "vanishing_default_span": _with(
@@ -178,7 +210,11 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
                 packet_beta=centered_beta,
             ),
             "n_points_ceiling": _with(GAUSSIAN, geometry={"n_points": 2**21 + 1}),
+            "n_points_1e12": _with(GAUSSIAN, geometry={"n_points": 10**12}),
+            "n_points_2_40": _with(GAUSSIAN, geometry={"n_points": 2**40}),
             "grid_n_ceiling": _with(grid, grid={**GRID, "n": 2**19 + 1}),
+            "grid_n_1e12": _with(grid, grid={**GRID, "n": 10**12}),
+            "grid_n_2_40": _with(grid, grid={**GRID, "n": 2**40}),
             "grid_window": _with(grid, grid={"x_min": -2.0, "dx": 0.0625, "n": 64}),
             "grid_nyquist": _with(grid, grid={"x_min": -40.0, "dx": 0.5, "n": 512}),
             # Without the loader's refusal, the sampled beta lost its carrier, the
@@ -186,6 +222,12 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict]]:
             # domain error" under exit 1.
             "grid_phase": _with(
                 grid, packet_beta={**beta, "phase": -1.5e308}, geometry={"l2_max": 1e308}
+            ),
+            "grid_phase_alpha": _with(grid, packet_alpha={**alpha, "phase": -1.5e308}),
+            # a grid keeps the carrier to 2**-32 rad up to |phase| 2**20
+            "grid_phase_above_2_20": _with(grid, packet_beta={**beta, "phase": 2.0**20 + 1.0}),
+            "grid_phase_above_2_20_alpha": _with(
+                grid, packet_alpha={**alpha, "phase": 2.0**20 + 1.0}
             ),
             # The nominal carriers pass the loader's plane-wave phase check at the
             # largest l2_max (d_omega = -1.0); the sampled centroids the run uses
@@ -290,6 +332,9 @@ def build_cases() -> list[dict]:
         make_case("missing_config", 2, ["sweep", "--config", "missing.json", "--out", "out.csv"]),
         make_case("config_directory", 2, ["sweep", "--config", ".", "--out", "out.csv"]),
         make_case("not_json", 3, SWEEP, text="{"),
+        # past int's digit limit, and nested past the recursion limit
+        make_case("long_integer", 3, SWEEP, text='{"packet_alpha": {"x0": 1' + "0" * 5000 + "}}"),
+        make_case("deep_nesting", 3, SWEEP, text="[" * 100_000),
         make_case("unwritable_output", 5, [*SWEEP[:-1], "no/out.csv"], GAUSSIAN),
         make_case("negative_time", 2, [*INVARIANCE, "-1"], GAUSSIAN),
         make_case("junk_times", 2, [*INVARIANCE, "0,x"], GAUSSIAN),

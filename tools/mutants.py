@@ -23,7 +23,7 @@ The copy is removed afterwards, so the checkout is left as it was; stopped by
 SIGTERM, the harness kills its tier-1 child and removes the copy on the way out.
 Prints one row per mutant with its killing test ids and families, then the
 survivors.  The harness is not part of tier-1: each mutant costs one tier-1 run,
-about 45 s on 2 vCPUs, so the whole list of 34 takes 25 to 30 minutes there.
+about 45 s on 2 vCPUs, so the whole list of 36 takes 25 to 30 minutes there.
 """
 
 from __future__ import annotations
@@ -138,9 +138,16 @@ MUTANTS = [
     Mutant("sampled_carriers_unchecked", "config.py",
            "_refuse_first(_flight_rules(self.c, self.l1, self.l2_min, self.l2_max, "
            "k_alpha, k_beta))", "pass"),
-    # the library's finite refusals: grid amplitudes, the detuning's frequencies, the period's
+    # the library's refusals: grid amplitudes, a scaled Gaussian's coefficient, the
+    # detuning's speed and frequencies, the period's
     Mutant("grid_amplitudes_unchecked", "sampled.py",
            "_require_finite(amplitudes=amps[np.isfinite(amps).argmin()])", "pass"),
+    Mutant("scaled_gaussian_coef_unchecked", "packets.py",
+           "_require_finite(coef=coef)\n        if not isinstance(base",
+           "if not isinstance(base"),
+    Mutant("detuning_speed_unchecked", "models.py",
+           '_require_positive(c=c)\n    _require_finite(**{"c * k_alpha"',
+           '_require_finite(**{"c * k_alpha"'),
     Mutant("detuning_frequencies_unchecked", "models.py",
            '_require_finite(**{"c * k_alpha": c * k_alpha, "c * k_beta": c * k_beta})', "pass"),
     Mutant("period_detuning_unchecked", "models.py",
