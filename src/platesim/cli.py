@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from array import array
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
 from .config import InvariantError, ScenarioConfig, SchemaError, load_config
@@ -84,15 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(
-    out: Path, header: Sequence[str], fixed: Mapping[str, float], rows: Iterable[tuple]
-) -> None:
-    """Write the header, then one LF-terminated line per row of floats.
-    Values carry 17 significant digits, so every double round-trips
-    exactly, and are locale independent.  The columns named in ``fixed``
-    hold one value on every line, formatted once into the line template;
-    ``rows`` carry the other columns, in header order."""
-    line = ",".join("%.17g" % fixed[name] if name in fixed else "%.17g" for name in header) + "\n"
+def _write_csv(out: Path, header: Sequence[str], columns: Sequence[array]) -> None:
+    """Write the header, then one LF-terminated line per row of the
+    ``array('d')`` columns, given in header order.  Values carry 17
+    significant digits, so every double round-trips exactly, and are locale
+    independent.  A column whose values all carry its first value's bits
+    is formatted once, into the line template; the others per row."""
+    # Compared as 64-bit integers, 0.0 and -0.0 differ and a NaN equals itself.
+    constant = [b[1:] == b[:-1] for b in (memoryview(c).cast("B").cast("Q") for c in columns)]
+    line = ",".join("%.17g" % c[0] if k else "%.17g" for c, k in zip(columns, constant)) + "\n"
+    varying = [c for c, k in zip(columns, constant) if not k]
+    # with every column constant there is nothing to zip, but still a row each
+    rows = zip(*varying) if varying else repeat((), len(columns[0]))
     with out.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line % row for row in rows)
@@ -104,19 +109,11 @@ def run_sweep(cfg: ScenarioConfig, out: Path) -> int:
     geom = ExperimentGeometry(l1=cfg.l1, l2=cfg.l2_min, c=cfg.c)
     prep = Preparation(phi=cfg.preparation_phi)
     result = sweep_d2(alpha, beta, cfg.splitter, geom, cfg.l2_values(), prep, k_alpha, k_beta)
-    eps = result.eps_exact[0]
-    fixed = {"eps_exact_re": eps.real, "eps_exact_im": eps.imag, "rate_exact": result.rate_exact[0]}
-    rows = (
-        (l2, t2, eps_pw.real, eps_pw.imag, rate_pw)
-        for l2, t2, eps_pw, rate_pw in zip(
-            result.l2, result.t2, result.eps_plane_wave, result.rate_plane_wave
-        )
-    )
-    _write_csv(out, SWEEP_HEADER, fixed, rows)
+    _write_csv(out, SWEEP_HEADER, [getattr(result, name) for name in result._fields])
 
     period = spatial_period(carrier_detuning(k_alpha, k_beta, cfg.c), cfg.c)
-    print(f"eps_exact_re: {eps.real:.6g}")
-    print(f"eps_exact_im: {eps.imag:.6g}")
+    print(f"eps_exact_re: {result.eps_exact_re[0]:.6g}")
+    print(f"eps_exact_im: {result.eps_exact_im[0]:.6g}")
     print(f"max |d rate_exact|: {result.spread('rate_exact'):.6g}")
     print(f"max |d rate_wss|: {result.spread('rate_plane_wave'):.6g}")
     print(f"spatial period: {period:.6g}")
@@ -131,9 +128,9 @@ def run_invariance_report(cfg: ScenarioConfig, times: Sequence[float], out: Path
     baseline = overlap_post(sa, sb)
 
     eps = [overlap_at_time(sa, sb, t, cfg.c) for t in times]
-    devs = [abs(eps_t - baseline) for eps_t in eps]
-    rows = ((t, e.real, e.imag, dev) for t, e, dev in zip(times, eps, devs))
-    _write_csv(out, INVARIANCE_HEADER, {}, rows)
+    devs = array("d", (abs(eps_t - baseline) for eps_t in eps))
+    parts = (array("d", (e.real for e in eps)), array("d", (e.imag for e in eps)))
+    _write_csv(out, INVARIANCE_HEADER, [array("d", times), *parts, devs])
 
     # The largest deviation, or NaN if any is NaN (max alone drops a NaN
     # that follows a finite value); the test is written so that NaN fails.

@@ -28,9 +28,9 @@ are each one product a * e^{i theta}, with the one d_omega of
 ``carrier_detuning``.  The sweep computes and checks what no row changes
 once (the arm-1 term at t1, e^{i phi}, the rate numerator, the largest
 row phase); each row then costs one cos/sin pair, one denominator, the
-degeneracy and range tests and the clamp.  Real columns are
-``array('d')``, complex ones lists of ``complex``; ``SweepResult.spread``
-reads only the real ones.  The value types are frozen records (see
+degeneracy and range tests and the clamp.  Every ``SweepResult`` column
+is an ``array('d')``, a complex value split into ``_re`` and ``_im``
+columns in the CSV's order.  The value types are frozen records (see
 :mod:`platesim.packets`).
 """
 
@@ -174,25 +174,23 @@ def spatial_period(delta_omega: float, c: float = 1.0) -> float:
 
 
 class SweepResult(_Record):
-    """Both predictions at each D2 position, one column per field, ordered
-    as the requested l2 values.  Real columns are ``array('d')``, complex
-    ones lists of ``complex``; ``spread`` takes only a real column."""
+    """Both predictions at each D2 position: eight ``array('d')`` columns in
+    the CSV's column order, each ordered as the requested l2 values."""
 
     def __init__(
-        self, l2: array, t2: array, eps_exact: list, eps_plane_wave: list,
-        rate_exact: array, rate_plane_wave: array,
+        self, l2: array, t2: array, eps_exact_re: array, eps_exact_im: array,
+        eps_plane_wave_re: array, eps_plane_wave_im: array, rate_exact: array,
+        rate_plane_wave: array,
     ) -> None:
         self.__dict__.update(
-            l2=l2, t2=t2, eps_exact=eps_exact, eps_plane_wave=eps_plane_wave,
+            l2=l2, t2=t2, eps_exact_re=eps_exact_re, eps_exact_im=eps_exact_im,
+            eps_plane_wave_re=eps_plane_wave_re, eps_plane_wave_im=eps_plane_wave_im,
             rate_exact=rate_exact, rate_plane_wave=rate_plane_wave,
         )
 
     def spread(self, field: str) -> float:
-        """Largest |difference| between any two rows of a real column;
-        ValueError for a complex one."""
+        """Largest |difference| between any two rows of a column."""
         values = getattr(self, field)
-        if not isinstance(values, array):
-            raise ValueError(f"spread takes a real column; {field} is complex")
         # Rounded subtraction is monotone, so max - min is the largest
         # pairwise difference bit for bit.
         return abs(max(values) - min(values))
@@ -249,5 +247,9 @@ def sweep_d2(
         raise DegeneratePreparationError(
             f"degenerate preparation under the plane-wave shortcut at l2 = {l2[len(rate_pw)]:g}"
         ) from None
-    n = len(l2)
-    return SweepResult(l2, t2, [eps] * n, eps_pw, array("d", [rate_exact]) * n, rate_pw)
+    eps_pw_re = array("d", (e.real for e in eps_pw))
+    eps_pw_im = array("d", (e.imag for e in eps_pw))
+    del eps_pw  # freed before the constant columns are built
+    exact = (array("d", [value]) * len(l2) for value in (eps.real, eps.imag, rate_exact))
+    exact_re, exact_im, exact_rate = exact
+    return SweepResult(l2, t2, exact_re, exact_im, eps_pw_re, eps_pw_im, exact_rate, rate_pw)

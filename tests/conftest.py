@@ -1,6 +1,6 @@
-"""Shared randomized factories for the test suite, the pairwise swing of
-a complex sweep column, the closed-form overlap in exact rationals, and the
-one way the suite runs ``simulate`` in-process.
+"""Shared randomized factories for the test suite, a sweep's complex column
+from its two parts and its pairwise swing, the closed-form overlap in exact
+rationals, and the one way the suite runs ``simulate`` in-process.
 
 All factories draw from a caller-supplied Generator so each test pins its
 own seed; parameter ranges keep packets well clear of the validation
@@ -130,6 +130,12 @@ def random_splitter(rng) -> BeamSplitter:
         r=complex(np.cos(theta) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))),
         t=complex(np.sin(theta) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))),
     )
+
+
+def complex_column(result, name: str) -> list[complex]:
+    """The complex values of a ``SweepResult``'s ``name_re`` and ``name_im`` columns."""
+    parts = getattr(result, name + "_re"), getattr(result, name + "_im")
+    return [complex(re, im) for re, im in zip(*parts)]
 
 
 def pairwise_max_abs(values, rows=256) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CASES, CONTRACT, EXIT_CODES, pairwise_max_abs, random_close_pair, random_gaussian,
-    random_splitter,
+    CASES, CONTRACT, EXIT_CODES, complex_column, pairwise_max_abs, random_close_pair,
+    random_gaussian, random_splitter,
 )
 from platesim import (
     SpatialGrid,
@@ -138,8 +138,8 @@ def test_criterion_3_spurious_dependence_of_plane_wave_overlap(capsys):
     _, result, model = _default_sweep()
 
     assert model.delta_omega != 0.0 and abs(model.a2) > 0.0
-    swing = pairwise_max_abs(result.eps_plane_wave)
-    exact_var = pairwise_max_abs(result.eps_exact)
+    swing = pairwise_max_abs(complex_column(result, "eps_plane_wave"))
+    exact_var = pairwise_max_abs(complex_column(result, "eps_exact"))
     period = 2.0 * math.pi / model.delta_omega
     period_dev = max(
         abs(
@@ -264,7 +264,7 @@ def test_criterion_7_artifact_needs_overlapping_spectra(capsys):
         )
         eps = inner_product(cfg.packet_alpha, cfg.packet_beta)
         closed = 2.0 * abs(cfg.splitter.t) ** 2 * abs(eps)
-        swing = pairwise_max_abs(result.eps_plane_wave)
+        swing = pairwise_max_abs(complex_column(result, "eps_plane_wave"))
         rel_dev = max(rel_dev, abs(swing - closed) / closed)
         swings.append((sigma * dk, swing))
     # |eps| = exp(-(sigma dk)^2 / 4) crosses 1e-12 at sigma dk = 10.51; of

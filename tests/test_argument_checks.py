@@ -1,11 +1,7 @@
-"""The library's rule for numeric arguments, each of its refusals, and where each
-of its rules is spelled.
+"""Each of the library's refusals, and where each of its rules is spelled.
+The library's rule for numeric arguments is a Hypothesis property in
+``test_properties.py``, so that this module runs without Hypothesis.
 
-A property: every library entry point that takes numbers, called with one
-of them replaced by a finite, infinite, NaN or ill-typed value, raises a
-ValueError that names that argument, raises a TypeError with a message, or
-returns finite numbers.  Two documented outcomes stand apart: the rate's
-DegeneratePreparationError, and a Gaussian flown to an infinite offset.
 A table: ``REFUSALS`` holds each documented refusal that only the library
 raises, one row an id, ``(call, exception class, whole message)``, and one
 test checks the exact class and the whole message of every row; a row's
@@ -26,20 +22,14 @@ the loader's section reader and rule loop.  Allowing a new helper is one row.
 from __future__ import annotations
 
 import ast
-import cmath
 import math
 import re
-from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from platesim import (  # noqa: E402
+from platesim import (
     DegeneratePreparationError,
     ExperimentGeometry,
     GaussianPacket,
@@ -47,119 +37,23 @@ from platesim import (  # noqa: E402
     SpatialGrid,
     balanced_splitter,
     derive_plane_wave_model,
-    overlap_at_time,
     plane_wave_epsilon,
     propagate,
     split,
     sweep_d2,
 )
-from platesim.models import (  # noqa: E402
-    PlaneWaveModel, carrier_detuning, counting_rate_d1, spatial_period,
-)
-from platesim.optics import BeamSplitter, TwoArmState  # noqa: E402
-from platesim.packets import (  # noqa: E402
-    ScaledGaussian, WraparoundError, _Record, inner_product, norm2, scale,
-)
-from platesim.sampled import (  # noqa: E402
-    GridPacket, fits_after, normalize, sample, spectral_centroid,
-)
+from platesim.models import PlaneWaveModel, carrier_detuning, counting_rate_d1, spatial_period
+from platesim.optics import BeamSplitter, TwoArmState
+from platesim.packets import ScaledGaussian, WraparoundError, inner_product, norm2, scale
+from platesim.sampled import GridPacket, fits_after, normalize, sample, spectral_centroid
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "platesim"
 
+# Packets, states, a model and a grid that the refusals below read.
 ALPHA = GaussianPacket(0.0, 1.0, 12.0)
 BETA = GaussianPacket(0.0, 1.0, 12.8)
 SA, SB = split(ALPHA, balanced_splitter()), split(BETA, balanced_splitter())
 MODEL = derive_plane_wave_model(SA, SB, ALPHA.k0, BETA.k0)
-
-# Each entry point with arguments that it accepts.  Numbers and the list
-# l2_values are the drawn arguments; a drawn l2 replaces the list's last value.
-ENTRY_POINTS = {
-    "GaussianPacket": (GaussianPacket, dict(x0=0.0, sigma=1.0, k0=12.0, phase=0.0)),
-    "SpatialGrid": (SpatialGrid, dict(x_min=-8.0, dx=0.125, n=128)),
-    "ExperimentGeometry": (ExperimentGeometry, dict(l1=1.0, l2=2.0, c=1.0)),
-    "Preparation": (Preparation, dict(phi=0.0)),
-    "PlaneWaveModel": (PlaneWaveModel, dict(delta_omega=-0.8, a1=0.4 + 0j, a2=0.45j)),
-    "propagate": (propagate, dict(p=ALPHA, t=1.0, c=1.0)),
-    "scale": (scale, dict(p=ALPHA, coef=0.5 + 0.5j)),
-    "fits_after": (
-        fits_after,
-        dict(
-            p=normalize(sample(ALPHA, SpatialGrid(-8.0, 0.125, 128))), t=1.0, c=1.0,
-            tail_tol=1e-9,
-        ),
-    ),
-    "overlap_at_time": (overlap_at_time, dict(sa=SA, sb=SB, t=1.0, c=1.0)),
-    "derive_plane_wave_model": (
-        derive_plane_wave_model, dict(sa=SA, sb=SB, k_alpha=12.0, k_beta=12.8, c=1.0)
-    ),
-    "plane_wave_epsilon": (plane_wave_epsilon, dict(m=MODEL, t1=1.0, t2=2.0)),
-    "counting_rate_d1": (
-        counting_rate_d1,
-        dict(eps=0.85 + 0j, n_a1=0.5, n_b1=0.5, x1=0.43 + 0j, prep=Preparation()),
-    ),
-    "sweep_d2": (
-        sweep_d2,
-        dict(
-            alpha=ALPHA, beta=BETA, bs=balanced_splitter(),
-            geom_base=ExperimentGeometry(1.0, 1.0), l2_values=[1.0, 2.0], prep=Preparation(),
-            k_alpha=12.0, k_beta=12.8,
-        ),
-    ),
-}
-CASES = [
-    (entry, arg)
-    for entry, (_, kwargs) in ENTRY_POINTS.items()
-    for arg, value in kwargs.items()
-    if isinstance(value, (int, float, complex, list))
-]
-
-values = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([math.inf, -math.inf, math.nan, "1.0", None]),
-    st.complex_numbers(allow_nan=True, allow_infinity=True),
-)
-
-
-def _numbers(value):
-    """Every number in a result, through records and sequences."""
-    if isinstance(value, _Record):
-        for name in value._fields:
-            yield from _numbers(getattr(value, name))
-    elif isinstance(value, (list, tuple, array, np.ndarray)):
-        for item in value:
-            yield from _numbers(item)
-    else:
-        yield value
-
-
-@settings(max_examples=1000)
-@given(st.sampled_from(CASES), values)
-def test_numeric_arguments_are_refused_by_name_or_give_finite_numbers(case, value):
-    entry, arg = case
-    call, kwargs = ENTRY_POINTS[entry]
-    kwargs = dict(kwargs, **{arg: [*kwargs[arg][:-1], value] if arg == "l2_values" else value})
-    try:
-        result = call(**kwargs)
-    except DegeneratePreparationError:
-        # A rate denominator 2 + 2 Re(e^{i phi} eps) at or below zero: the
-        # refusal the command line maps to exit 6, worded for it.
-        assert (entry, arg) == ("counting_rate_d1", "eps"), (value, kwargs)
-        return
-    except ValueError as exc:
-        assert re.search(rf"\b{re.escape(arg)}\b", str(exc)), (entry, arg, value, str(exc))
-        return
-    except TypeError as exc:
-        assert str(exc), (entry, arg, value)
-        return
-    if entry == "propagate" and math.isinf(kwargs["c"] * kwargs["t"]):
-        # The README's one exception: a Gaussian flown so far that its
-        # offset c * t overflows to inf; its coefficient and base stay finite.
-        assert result.offset == math.inf
-        result = (result.coef, result.base)
-    assert all(map(cmath.isfinite, _numbers(result))), (entry, arg, value, result)
-
-
-# Packets and a grid that the refusals below read.
 G = GaussianPacket(0.0, 1.0, 10.0)
 WIDE = SpatialGrid(-40.0, 1.0 / 16.0, 4096)  # room to fly c * t = 120
 GRID_G = sample(G, WIDE)
@@ -383,11 +277,6 @@ REFUSALS = {
     "sweep-l2-nan": (lambda: _sweep([math.nan]), ValueError, L2_VALUES),
     "sweep-l2-inf": (lambda: _sweep([math.inf]), ValueError, L2_VALUES),
     "sweep-l2-nan-inside": (lambda: _sweep([1.0, math.nan, 2.0]), ValueError, L2_VALUES),
-    # models.SweepResult.spread
-    "spread-eps-exact": (lambda: _sweep([1.0, 2.0]).spread("eps_exact"), ValueError,
-                         "spread takes a real column; eps_exact is complex"),
-    "spread-eps-plane-wave": (lambda: _sweep([1.0, 2.0]).spread("eps_plane_wave"), ValueError,
-                              "spread takes a real column; eps_plane_wave is complex"),
     # models.plane_wave_epsilon and the shortcut's records: built or returned,
     # each would make the shortcut's overlap nan+nanj, or its period NaN or negative
     "plane-wave-t2-nan": (lambda: plane_wave_epsilon(MODEL, 1.0, math.nan), ValueError,

@@ -1,4 +1,5 @@
-"""Command line: CSV shape, summaries, the narrow-packet overlap, and the paths
+"""Command line: CSV shape, the writer's constant columns, summaries, the
+narrow-packet overlap, and the paths
 that ``tests/cli_contract.json`` cannot reach (an unreadable file, an injected
 error or NaN).  Every refusal's bytes live in that file, and each case declares
 its exit code where ``tools/cli_parity.py`` builds it.  A check of a contract
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import importlib
+from array import array
 import json
 import math
 import os
@@ -74,6 +76,22 @@ def test_sweep_writes_csv_and_exits_zero(default_sweep):
     assert summary["max |d rate_exact|"] == 0.0
     assert summary["max |d rate_wss|"] > 1e-3
     assert summary["spatial period"] == pytest.approx(2.0 * math.pi / 0.8, rel=1e-5)
+
+
+@pytest.mark.parametrize("columns", [
+    [[0.1, 0.1, 0.1], [-0.0, -0.0, -0.0]],  # every column constant: still a row each
+    [[0.0, -0.0, 0.0], [0.1, 0.2, 0.3]],  # equal by value, not by bits
+    [[math.nan] * 2, [math.nan, -math.nan], [math.inf, -math.inf]],  # NaN of either sign
+    [[0.25], [-1e300], [5e-324]],  # one row
+], ids=["constant", "signed-zero", "nan", "single-row"])
+def test_csv_writer_writes_each_value_in_its_row(tmp_path, columns):
+    # A constant column is formatted once, into the line template; every
+    # value is still written in its own row, as "%.17g" formats it.
+    out = tmp_path / "columns.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(out, header, [array("d", column) for column in columns])
+    rows = "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
+    assert out.read_text(encoding="utf-8") == ",".join(header) + "\n" + rows
 
 
 def test_sweep_summary_recomputable_from_csv(default_sweep):

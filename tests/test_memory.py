@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +58,11 @@ def _invariance_peak(tmp_path: Path, count: int) -> float:
 
 def test_run_sweep_peak_at_200k_rows(tmp_path):
     # config.MAX_N_POINTS allows SWEEP_ROW_BYTES a row, twice this bound.
-    # Measured 17.1 MiB, 89.5 bytes a row (x86-64 Linux, Python 3.11.7):
-    # l2_values() and the sweep's array('d') and complex-list columns.  The
-    # CSV writer streams its rows and holds one formatted line, whatever
-    # the row count.
+    # Measured 17.2 MiB, 90.4 bytes a row (x86-64 Linux, Python 3.11.7):
+    # l2_values(), the sweep's eight array('d') columns, and the shortcut's
+    # complex values, freed before the three exact columns are built
+    # (kept alive, they measured 114.4 bytes a row).  The CSV writer
+    # streams its rows and holds one formatted line, whatever the row count.
     cfg = parse_config({**SCENARIO, "geometry": {"n_points": 200_000}})
     out = tmp_path / "sweep.csv"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -68,26 +70,40 @@ def test_run_sweep_peak_at_200k_rows(tmp_path):
     assert peak / cfg.n_points < SWEEP_ROW_BYTES / 2
 
 
+def _sweep_columns(n: int) -> list[array]:
+    """n rows shaped as run_sweep's: five varying columns, and the three exact ones constant."""
+    rows = range(n)
+    return [
+        array("d", (i / 3.0 for i in rows)), array("d", (i / 7.0 for i in rows)),
+        array("d", [0.5]) * n, array("d", [-0.25]) * n,
+        array("d", (1.0 / (i + 1) for i in rows)), array("d", (-1.0 / (i + 3) for i in rows)),
+        array("d", [0.75]) * n, array("d", (1.0 / (i + 7) for i in rows)),
+    ]
+
+
 def test_csv_writer_holds_one_line_at_a_time(tmp_path):
-    # Measured 26 KiB for 20,000 sweep-shaped rows from a generator, as
-    # run_sweep passes them (x86-64 Linux, Python 3.11.7): one formatted
-    # line and the file's buffer.  Formatting the rows in blocks of 4096
-    # before each write measured 2153 KiB.
-    fixed = {"eps_exact_re": 0.5, "eps_exact_im": -0.25, "rate_exact": 0.75}
-    rows = (
-        (i / 3.0, i / 7.0, 1.0 / (i + 1), -1.0 / (i + 3), 1.0 / (i + 7)) for i in range(20_000)
-    )
-    out = tmp_path / "rows.csv"
-    assert _traced_peak(lambda: _write_csv(out, SWEEP_HEADER, fixed, rows)) < 256 * KiB
-    assert out.read_bytes().count(b"\n") == 20_001
+    # Measured 26.8 KiB at both 2,000 and 20,000 sweep-shaped rows, the
+    # columns built before the traced call (x86-64 Linux, Python 3.11.7):
+    # one formatted line and the file's buffer.  Finding the constant
+    # columns compares each column's bits in place and allocates nothing a
+    # row.  Formatting the rows in blocks of 4096 before each write
+    # measured 2153 KiB.
+    peaks = {}
+    for n in (2_000, 20_000):
+        out, columns = tmp_path / f"rows{n}.csv", _sweep_columns(n)
+        peaks[n] = _traced_peak(lambda: _write_csv(out, SWEEP_HEADER, columns))
+        assert out.read_bytes().count(b"\n") == n + 1
+    assert peaks[20_000] < 256 * KiB
+    assert peaks[20_000] - peaks[2_000] < 8 * KiB
 
 
 def test_run_invariance_peak_grows_only_with_the_output(tmp_path):
-    # Measured 0.77 MiB at 200 times and 0.83 MiB at 2000 (x86-64 Linux,
-    # Python 3.11.7, numpy 2.4.6): the per-time lists and columns, about
-    # 40 bytes a time.  One cached 64 KB phase array per time would add
-    # 1800 x 64 KB = 113 MB.  Both runs load the scenario afresh, so each
-    # pays once for the grid's arrays and the arms' spectra.
+    # Measured 0.70 to 0.77 MiB at 200 times and 0.77 MiB at 2000 (x86-64
+    # Linux, Python 3.11.7, numpy 2.4.6): the flights' arrays set the peak,
+    # and the per-time overlaps and columns add about 40 bytes a time.  One
+    # cached 64 KB phase array per time would add 1800 x 64 KB = 113 MB.
+    # Both runs load the scenario afresh, so each pays once for the grid's
+    # arrays and the arms' spectra.
     assert _invariance_peak(tmp_path, 2000) - _invariance_peak(tmp_path, 200) < 2 * MB
 
 

@@ -1,5 +1,5 @@
-"""Properties of the scalar sweep formulas, the sweep grid and the sweep CSV,
-over drawn inputs.
+"""Properties of the scalar sweep formulas, the sweep grid, the sweep CSV and
+the library's numeric arguments, over drawn inputs.
 
 ``ScenarioConfig.l2_values`` must reproduce ``numpy.linspace`` bit for bit;
 the D1 and D2 rates of a lossless plate sum to 1, exact and under the
@@ -18,13 +18,20 @@ at width ratios up to 1e10;
 ``simulate sweep``, run through the ``simulate`` fixture, writes every value
 of ``sweep_d2`` with ``%.17g``, its constant columns included; the printed
 period and the loader's default span come from the rows' d_omega.
+Every library entry point that takes numbers, called with one of them
+replaced by a finite, infinite, NaN or ill-typed value, raises a ValueError
+that names that argument, raises a TypeError with a message, or returns
+finite numbers.  Two documented outcomes stand apart: the rate's
+DegeneratePreparationError, and a Gaussian flown to an infinite offset.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +42,7 @@ from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E4
 from hypothesis import strategies as st  # noqa: E402
 
 import cli_parity  # noqa: E402
-from conftest import exact_overlap, pairwise_max_abs, phase_error  # noqa: E402
+from conftest import complex_column, exact_overlap, pairwise_max_abs, phase_error  # noqa: E402
 from platesim import (  # noqa: E402
     DegeneratePreparationError,
     ExperimentGeometry,
@@ -44,6 +51,7 @@ from platesim import (  # noqa: E402
     balanced_splitter,
     derive_plane_wave_model,
     inner_product,
+    overlap_at_time,
     parse_config,
     split,
     sweep_d2,
@@ -52,8 +60,10 @@ from platesim.cli import SWEEP_HEADER  # noqa: E402
 from platesim.models import PlaneWaveModel, counting_rate_d1, plane_wave_epsilon  # noqa: E402
 from platesim.config import FALLBACK_L2_SPAN, ScenarioConfig, load_config  # noqa: E402
 from platesim.optics import UNITARITY_TOL, BeamSplitter, overlap_post  # noqa: E402
-from platesim.packets import SpatialGrid, WraparoundError, norm2, propagate  # noqa: E402
-from platesim.sampled import normalize, sample  # noqa: E402
+from platesim.packets import (  # noqa: E402
+    SpatialGrid, WraparoundError, _Record, norm2, propagate, scale,
+)
+from platesim.sampled import fits_after, normalize, sample  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS = sys.float_info.epsilon
@@ -337,7 +347,7 @@ def test_shortcut_swing_lies_within_its_closed_form(
     # Roundoff: the phases move each point by a relative 1e-9 at most, and
     # the sum x1 + a2 exp(...) by a few ulps of its terms.
     slack = 1e-9 * a2 + 8.0 * EPS * (abs(x1) + a2)
-    swing = pairwise_max_abs(result.eps_plane_wave)
+    swing = pairwise_max_abs(complex_column(result, "eps_plane_wave"))
     assert 2.0 * a2 * math.cos(delta / 4.0) - slack <= swing <= 2.0 * a2 + slack
 
     re_x1 = (cmath.exp(1j * phi) * x1).real
@@ -388,7 +398,8 @@ def test_shortcut_swing_is_the_plate_weighted_spectral_overlap(
     # swing's terms, |r|^2|eps| and |t|^2|eps|, a few ulps of |eps| (worst
     # of 20,000 random draws: 6.7 EPS (exponent + 4) |eps|).
     tol = 16.0 * EPS * (exponent + 4.0) * closed
-    assert abs(pairwise_max_abs(result.eps_plane_wave) - 2.0 * abs(bs.t) ** 2 * closed) <= tol
+    swing = pairwise_max_abs(complex_column(result, "eps_plane_wave"))
+    assert abs(swing - 2.0 * abs(bs.t) ** 2 * closed) <= tol
 
 
 # Phases where sums and products of the overlap terms land on exact
@@ -454,14 +465,9 @@ def test_sweep_csv_is_every_sweep_d2_value_in_percent_17g(simulate, raw):
         )
     except DegeneratePreparationError:
         assume(False)
-    columns = zip(
-        result.l2, result.t2, result.eps_exact, result.eps_plane_wave,
-        result.rate_exact, result.rate_plane_wave,
-    )
+    rows = zip(*(getattr(result, name) for name in result._fields))
     expected = ",".join(SWEEP_HEADER) + "\n" + "".join(
-        ",".join("%.17g" % value for value in (l2, t2, e.real, e.imag, p.real, p.imag, r, rp))
-        + "\n"
-        for l2, t2, e, p, r, rp in columns
+        ",".join("%.17g" % value for value in row) + "\n" for row in rows
     )
     assert simulate(cli_parity.make_case("drawn", 0, cli_parity.SWEEP, raw))[1] == expected.encode()
 
@@ -506,3 +512,95 @@ def test_equal_carriers_print_an_infinite_period_and_take_the_fallback_span(cont
     records, _, _, _ = contract_pass
     record = records["carriers_equal_in_floating_point[sweep]"]
     _period_and_span_read_the_rows_d_omega(cli_parity.CARRIERS_EQUAL, record["stdout"])
+
+
+# The library's rule for numeric arguments: each entry point with arguments
+# that it accepts.  Numbers and the list l2_values are the drawn arguments; a
+# drawn l2 replaces the list's last value.
+ALPHA, BETA = DEFAULT_PAIR
+SA, SB = split(ALPHA, balanced_splitter()), split(BETA, balanced_splitter())
+MODEL = derive_plane_wave_model(SA, SB, ALPHA.k0, BETA.k0)
+ENTRY_POINTS = {
+    "GaussianPacket": (GaussianPacket, dict(x0=0.0, sigma=1.0, k0=12.0, phase=0.0)),
+    "SpatialGrid": (SpatialGrid, dict(x_min=-8.0, dx=0.125, n=128)),
+    "ExperimentGeometry": (ExperimentGeometry, dict(l1=1.0, l2=2.0, c=1.0)),
+    "Preparation": (Preparation, dict(phi=0.0)),
+    "PlaneWaveModel": (PlaneWaveModel, dict(delta_omega=-0.8, a1=0.4 + 0j, a2=0.45j)),
+    "propagate": (propagate, dict(p=ALPHA, t=1.0, c=1.0)),
+    "scale": (scale, dict(p=ALPHA, coef=0.5 + 0.5j)),
+    "fits_after": (
+        fits_after,
+        dict(
+            p=normalize(sample(ALPHA, SpatialGrid(-8.0, 0.125, 128))), t=1.0, c=1.0,
+            tail_tol=1e-9,
+        ),
+    ),
+    "overlap_at_time": (overlap_at_time, dict(sa=SA, sb=SB, t=1.0, c=1.0)),
+    "derive_plane_wave_model": (
+        derive_plane_wave_model, dict(sa=SA, sb=SB, k_alpha=12.0, k_beta=12.8, c=1.0)
+    ),
+    "plane_wave_epsilon": (plane_wave_epsilon, dict(m=MODEL, t1=1.0, t2=2.0)),
+    "counting_rate_d1": (
+        counting_rate_d1,
+        dict(eps=0.85 + 0j, n_a1=0.5, n_b1=0.5, x1=0.43 + 0j, prep=Preparation()),
+    ),
+    "sweep_d2": (
+        sweep_d2,
+        dict(
+            alpha=ALPHA, beta=BETA, bs=balanced_splitter(),
+            geom_base=ExperimentGeometry(1.0, 1.0), l2_values=[1.0, 2.0], prep=Preparation(),
+            k_alpha=12.0, k_beta=12.8,
+        ),
+    ),
+}
+CASES = [
+    (entry, arg)
+    for entry, (_, kwargs) in ENTRY_POINTS.items()
+    for arg, value in kwargs.items()
+    if isinstance(value, (int, float, complex, list))
+]
+
+values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan, "1.0", None]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
+def _numbers(value):
+    """Every number in a result, through records and sequences."""
+    if isinstance(value, _Record):
+        for name in value._fields:
+            yield from _numbers(getattr(value, name))
+    elif isinstance(value, (list, tuple, array, np.ndarray)):
+        for item in value:
+            yield from _numbers(item)
+    else:
+        yield value
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(CASES), values)
+def test_numeric_arguments_are_refused_by_name_or_give_finite_numbers(case, value):
+    entry, arg = case
+    call, kwargs = ENTRY_POINTS[entry]
+    kwargs = dict(kwargs, **{arg: [*kwargs[arg][:-1], value] if arg == "l2_values" else value})
+    try:
+        result = call(**kwargs)
+    except DegeneratePreparationError:
+        # A rate denominator 2 + 2 Re(e^{i phi} eps) at or below zero: the
+        # refusal the command line maps to exit 6, worded for it.
+        assert (entry, arg) == ("counting_rate_d1", "eps"), (value, kwargs)
+        return
+    except ValueError as exc:
+        assert re.search(rf"\b{re.escape(arg)}\b", str(exc)), (entry, arg, value, str(exc))
+        return
+    except TypeError as exc:
+        assert str(exc), (entry, arg, value)
+        return
+    if entry == "propagate" and math.isinf(kwargs["c"] * kwargs["t"]):
+        # The README's one exception: a Gaussian flown so far that its
+        # offset c * t overflows to inf; its coefficient and base stay finite.
+        assert result.offset == math.inf
+        result = (result.coef, result.base)
+    assert all(map(cmath.isfinite, _numbers(result))), (entry, arg, value, result)

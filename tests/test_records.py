@@ -46,12 +46,16 @@ CASES = [
     (Preparation, ("phi",), (0.0,), 1, "Preparation(phi=0.0)"),
     (
         SweepResult,
-        ("l2", "t2", "eps_exact", "eps_plane_wave", "rate_exact", "rate_plane_wave"),
-        (_column(1.0), _column(1.0), [1 + 0j], [0.5j], _column(0.5), _column(0.25)),
+        (
+            "l2", "t2", "eps_exact_re", "eps_exact_im", "eps_plane_wave_re", "eps_plane_wave_im",
+            "rate_exact", "rate_plane_wave",
+        ),
+        tuple(_column(value) for value in (1.0, 2.0, 1.0, -0.0, 0.0, 0.5, 0.5, 0.25)),
         0,
-        "SweepResult(l2=array('d', [1.0]), t2=array('d', [1.0]), eps_exact=[(1+0j)], "
-        "eps_plane_wave=[0.5j], rate_exact=array('d', [0.5]), "
-        "rate_plane_wave=array('d', [0.25]))",
+        "SweepResult(l2=array('d', [1.0]), t2=array('d', [2.0]), "
+        "eps_exact_re=array('d', [1.0]), eps_exact_im=array('d', [-0.0]), "
+        "eps_plane_wave_re=array('d', [0.0]), eps_plane_wave_im=array('d', [0.5]), "
+        "rate_exact=array('d', [0.5]), rate_plane_wave=array('d', [0.25]))",
     ),
     (
         ScenarioConfig,

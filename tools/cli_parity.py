@@ -323,6 +323,18 @@ def build_cases() -> list[dict]:
     )
     cases.append(make_case("unitarity_edge_plate[sweep]", 0, SWEEP, edge))
     cases.append(make_case("unitarity_edge_plate[invariance]", 0, [*INVARIANCE, "0,5"], edge))
+    # Every column constant, so every value sits in the writer's line template:
+    # one row, and two equal times.  Then two times equal by value, not by bits.
+    # The one row's scenario spells out the loader's defaults the oracle reads.
+    single_row = _with(
+        GAUSSIAN, splitter={"r_re": 0.5**0.5, "r_im": 0.0, "t_re": 0.0, "t_im": 0.5**0.5},
+        geometry={"l1": 1.0, "l2_min": 1.0, "n_points": 1, "c": 1.0}, preparation_phi=0.0,
+    )
+    cases += [
+        make_case("single_row[sweep]", 0, SWEEP, single_row),
+        make_case("repeated_time[invariance]", 0, [*INVARIANCE, "5,5"], GAUSSIAN),
+        make_case("signed_zero_times[invariance]", 0, [*INVARIANCE, "0,-0"], GAUSSIAN),
+    ]
     refused_at = [*INVARIANCE, "0,40,120"]
     for (sweep_exit, invariance_exit), refusals in _refusals().items():
         for name, scn in refusals.items():

@@ -23,7 +23,7 @@ The copy is removed afterwards, so the checkout is left as it was; stopped by
 SIGTERM, the harness kills its tier-1 child and removes the copy on the way out.
 Prints one row per mutant with its killing test ids and families, then the
 survivors.  The harness is not part of tier-1: each mutant costs one tier-1 run,
-about 45 s on 2 vCPUs, so the whole list of 36 takes 25 to 30 minutes there.
+about 45 s on 2 vCPUs, so the whole list of 38 takes 25 to 30 minutes there.
 """
 
 from __future__ import annotations
@@ -103,11 +103,15 @@ MUTANTS = [
            "theta1 = d_omega * (geom_base.l1 / c)", "theta1 = d_omega * geom_base.l1"),
     Mutant("phase_bound_at_smallest_t2", "models.py",
            "d_omega * max(t2)", "d_omega * min(t2)"),
-    # cli._write_csv: the digits
+    # cli._write_csv: the digits, and the constant columns found from the data
     Mutant("csv_row_digits_16", "cli.py",  # re-anchor probe
-           'else "%.17g" for name in header', 'else "%.16g" for name in header'),
+           'else "%.17g" for c, k in', 'else "%.16g" for c, k in'),
     Mutant("csv_fixed_digits_16", "cli.py",
-           '"%.17g" % fixed[name]', '"%.16g" % fixed[name]'),
+           '"%.17g" % c[0]', '"%.16g" % c[0]'),
+    Mutant("csv_constant_by_value", "cli.py",  # 0.0 == -0.0
+           'memoryview(c).cast("B").cast("Q")', "memoryview(c)"),
+    Mutant("csv_no_rows_when_all_constant", "cli.py",
+           "zip(*varying) if varying else repeat((), len(columns[0]))", "zip(*varying)"),
     # models.SweepResult.spread
     Mutant("spread_from_first_row", "models.py",  # re-anchor probe
            "return abs(max(values) - min(values))", "return abs(max(values) - values[0])"),
