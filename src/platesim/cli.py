@@ -20,6 +20,7 @@ import math
 import sys
 from array import array
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -129,7 +130,7 @@ def run_invariance_report(cfg: ScenarioConfig, times: Sequence[float], out: Path
 
     eps = [overlap_at_time(sa, sb, t, cfg.c) for t in times]
     devs = array("d", (abs(eps_t - baseline) for eps_t in eps))
-    parts = (array("d", (e.real for e in eps)), array("d", (e.imag for e in eps)))
+    parts = (array("d", map(attrgetter("real"), eps)), array("d", map(attrgetter("imag"), eps)))
     _write_csv(out, INVARIANCE_HEADER, [array("d", times), *parts, devs])
 
     # The largest deviation, or NaN if any is NaN (max alone drops a NaN

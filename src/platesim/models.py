@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
+from operator import attrgetter
 
 from .optics import UNITARITY_TOL, BeamSplitter, ExperimentGeometry, TwoArmState, split
 from .packets import Packet, _Record, _require_finite, _require_positive, inner_product, norm2
@@ -247,8 +248,8 @@ def sweep_d2(
         raise DegeneratePreparationError(
             f"degenerate preparation under the plane-wave shortcut at l2 = {l2[len(rate_pw)]:g}"
         ) from None
-    eps_pw_re = array("d", (e.real for e in eps_pw))
-    eps_pw_im = array("d", (e.imag for e in eps_pw))
+    eps_pw_re = array("d", map(attrgetter("real"), eps_pw))
+    eps_pw_im = array("d", map(attrgetter("imag"), eps_pw))
     del eps_pw  # freed before the constant columns are built
     exact = (array("d", [value]) * len(l2) for value in (eps.real, eps.imag, rate_exact))
     exact_re, exact_im, exact_rate = exact

@@ -1,6 +1,8 @@
-"""Shared randomized factories for the test suite, a sweep's complex column
-from its two parts and its pairwise swing, the closed-form overlap in exact
-rationals, and the one way the suite runs ``simulate`` in-process.
+"""Shared randomized factories for the test suite, its default inputs (the
+committed ``scenarios/*.json``, which a test changes only in a deep copy, and
+the grid one's grid), a sweep's complex column from its two parts and its
+pairwise swing, the closed-form overlap in exact rationals, and the one way
+the suite runs ``simulate`` in-process.
 
 All factories draw from a caller-supplied Generator so each test pins its
 own seed; parameter ranges keep packets well clear of the validation
@@ -64,6 +66,9 @@ EPS = sys.float_info.epsilon
 CONTRACT = json.loads(cli_parity.CONTRACT.read_text(encoding="utf-8"))
 CASES = {case["name"]: case for case in cli_parity.build_cases()}
 EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}  # README's
+DEFAULT_SCENARIO = json.loads((ROOT / "scenarios" / "default.json").read_text(encoding="utf-8"))
+GRID_SCENARIO = json.loads((ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8"))
+WIDE_GRID = SpatialGrid(**GRID_SCENARIO["grid"])
 
 
 @pytest.fixture(scope="session")
@@ -191,9 +196,10 @@ def assert_overlap_is_exact(eps: complex, a: GaussianPacket, b: GaussianPacket) 
 
 @pytest.fixture
 def wide_grid() -> SpatialGrid:
-    """Room for packets centered in [-5, 5] to fly to c*t = 120.
+    """The committed grid scenario's grid: room for packets centered in
+    [-5, 5] to fly to c*t = 120.
 
     Nyquist wavenumber pi/dx = 50.27 comfortably clears the largest
     carrier the factories produce (k0 + 4/sigma <= 40).
     """
-    return SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)
+    return WIDE_GRID

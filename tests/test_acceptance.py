@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CASES, CONTRACT, EXIT_CODES, complex_column, pairwise_max_abs, random_close_pair,
-    random_gaussian, random_splitter,
+    CASES, CONTRACT, DEFAULT_SCENARIO, EXIT_CODES, WIDE_GRID, complex_column, pairwise_max_abs,
+    random_close_pair, random_gaussian, random_splitter,
 )
 from platesim import (
-    SpatialGrid,
     derive_plane_wave_model,
     inner_product,
     normalize,
@@ -35,13 +34,6 @@ from platesim import (
 )
 from platesim.optics import overlap_post
 from platesim.sampled import gaussian_amplitude
-
-WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)
-
-DEFAULT_SCENARIO = {
-    "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
-    "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 12.8},
-}
 
 
 def _report(capsys, name: str, ok: bool, detail: str) -> None:

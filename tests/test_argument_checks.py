@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import WIDE_GRID
 from platesim import (
     DegeneratePreparationError,
     ExperimentGeometry,
@@ -55,11 +56,10 @@ BETA = GaussianPacket(0.0, 1.0, 12.8)
 SA, SB = split(ALPHA, balanced_splitter()), split(BETA, balanced_splitter())
 MODEL = derive_plane_wave_model(SA, SB, ALPHA.k0, BETA.k0)
 G = GaussianPacket(0.0, 1.0, 10.0)
-WIDE = SpatialGrid(-40.0, 1.0 / 16.0, 4096)  # room to fly c * t = 120
-GRID_G = sample(G, WIDE)
+GRID_G = sample(G, WIDE_GRID)
 FLYING = normalize(GRID_G)
 SMALL = normalize(sample(ALPHA, SpatialGrid(-12.0, 1.0 / 16.0, 384)))  # window [-12, 12]
-ZERO = GridPacket(WIDE, np.zeros(WIDE.n, dtype=complex))
+ZERO = GridPacket(WIDE_GRID, np.zeros(WIDE_GRID.n, dtype=complex))
 FLIPPED = GaussianPacket(0.0, 1.0, 10.0, phase=math.pi)  # <G|FLIPPED> = -1
 SG, SF = split(G, balanced_splitter()), split(FLIPPED, balanced_splitter())
 GEOM = ExperimentGeometry(1.0, 1.0)
@@ -146,11 +146,11 @@ REFUSALS = {
     "grid-window-end": (lambda: SpatialGrid(0.0, 1e308, 8), ValueError,
                         "grid window end x_min + n * dx must be finite"),
     # sampled.GridPacket
-    "grid-packet-shape": (lambda: GridPacket(WIDE, np.zeros(WIDE.n - 1, dtype=complex)),
+    "grid-packet-shape": (lambda: GridPacket(WIDE_GRID, np.zeros(WIDE_GRID.n - 1, dtype=complex)),
                           ValueError, "expected 4096 amplitudes, got shape (4095,)"),
     # flown, one NaN amplitude would make every amplitude NaN
     "grid-packet-nan-amplitude": (
-        lambda: GridPacket(WIDE, np.where(np.arange(WIDE.n) == 40, math.nan, 1.0 + 0j)),
+        lambda: GridPacket(WIDE_GRID, np.where(np.arange(WIDE_GRID.n) == 40, math.nan, 1.0 + 0j)),
         ValueError, "amplitudes must be finite",
     ),
     "normalize-zero": (lambda: normalize(ZERO), ValueError, "degenerate packet"),

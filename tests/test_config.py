@@ -1,19 +1,19 @@
-"""Scenario parsing: defaults and what loads, and the refusals that
-``tests/cli_contract.json`` cannot pin through ``main``: a key path read off the
-exception (the order of the loader's rules, the re-check of the sampled
-carriers at realize, a Gaussian run's grid section) and a file that is not
-UTF-8.  Every other loader refusal is a contract case, a row of
-``tools/cli_parity.py::_refusals()``; alpha's carrier frequency is pinned here
-too, as a sole mutant killer outside the contract."""
+"""Scenario parsing: the defaults, and the loads that no run of ``simulate``
+shows (the size ceilings, the narrow packets, an explicit splitter's sign, a
+Gaussian run's phases and grid section).  Two refusals are read here: alpha's
+carrier frequency, the one killer of a mutant outside the contract, and a file
+that is not UTF-8, since a contract case's config is text.  Every other loader
+refusal is a contract case, a row of ``tools/cli_parity.py::_refusals()``."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
 import pytest
 
-from conftest import assert_overlap_is_exact
+from conftest import DEFAULT_SCENARIO, GRID_SCENARIO, assert_overlap_is_exact
 from platesim import (
     InvariantError,
     SchemaError,
@@ -24,20 +24,17 @@ from platesim import (
 )
 from platesim.config import MAX_GRID_N, MAX_N_POINTS
 
-MINIMAL = {
-    "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
-    "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 12.8},
-}
+GRID = GRID_SCENARIO["grid"]
 
 
 def _scenario(**overrides):
-    raw = json.loads(json.dumps(MINIMAL))
-    raw.update(overrides)
+    raw = copy.deepcopy(DEFAULT_SCENARIO)
+    raw.update(copy.deepcopy(overrides))
     return raw
 
 
 def test_minimal_config_gets_defaults():
-    cfg = parse_config(MINIMAL)
+    cfg = parse_config(DEFAULT_SCENARIO)
     assert cfg.c == 1.0
     assert cfg.preparation_phi == 0.0
     assert cfg.splitter == balanced_splitter()
@@ -50,13 +47,6 @@ def test_minimal_config_gets_defaults():
     assert len(cfg.l2_values()) == 200
     assert cfg.invariance_tol == 1e-12
     assert parse_config(_scenario(representation="grid", grid=GRID)).invariance_tol == 1e-8
-
-
-def test_degenerate_carriers_fall_back_to_fixed_span():
-    raw = _scenario()
-    raw["packet_beta"]["k0"] = 12.0
-    cfg = parse_config(raw)
-    assert cfg.l2_max == pytest.approx(cfg.l2_min + 10.0)
 
 
 # The contract's carrier_frequency[*] and carrier_frequency_beta[*] pin both
@@ -86,9 +76,6 @@ def test_narrow_packet_loads_with_the_exact_overlap(alpha, beta):
     assert_overlap_is_exact(inner_product(a, b), a, b)
 
 
-GRID = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
-
-
 # A grid samples k0 * (x - x0) + phase, so a huge phase rounds the carrier
 # away and the contract's grid_phase* cases are refused; the Gaussian closed
 # form takes any finite phase.
@@ -107,24 +94,8 @@ def test_grid_phase_of_two_to_the_twenty_loads(phase):
     assert parse_config(raw).packet_beta.phase == phase
 
 
-# The loader checks the nominal carriers (d_omega = -1.0); a grid run
-# uses the sampled spectral centroids, whose d_omega * l2_max / c overflows.
-def test_grid_realization_rechecks_the_sampled_carriers(tmp_path):
-    raw = _scenario(representation="grid", grid=GRID)
-    raw["packet_alpha"]["k0"] = 6.0
-    raw["packet_beta"]["k0"] = 7.0
-    raw["geometry"] = {"l2_max": 1.7976931348623157e308}
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    cfg = load_config(path)
-    with pytest.raises(InvariantError, match="plane-wave phase d_omega") as info:
-        cfg.realize_packets()
-    assert info.value.key_path == "geometry.l2_max"
-
-
 def _sized(section: str, key: str, value: int) -> dict:
-    grid = {"x_min": -40.0, "dx": 0.0625, "n": 4096}
-    raw = _scenario(representation="grid", grid=grid, geometry={})
+    raw = _scenario(representation="grid", grid=GRID, geometry={})
     raw[section][key] = value
     return raw
 
@@ -150,75 +121,6 @@ def test_explicit_single_point_range_loads_where_the_default_span_vanishes(alpha
     assert cfg.l2_max == cfg.l2_min
 
 
-# Scenarios that break two rules: the loader reports the earlier one, so
-# the order of the rules decides the stderr line and the key path.
-ORDER_BETA = {"x0": 0.5, "sigma": 1.2, "k0": 12.8}
-NYQUIST_GRID = {"x_min": -40.0, "dx": 0.5, "n": 512}  # resolves k up to 2 pi
-
-
-@pytest.mark.parametrize(
-    "overrides, key_path, message",
-    [
-        (
-            {"geometry": {"c": 1e-320, "l2_min": 5.0, "l2_max": 1.0}},
-            "geometry.l2_max",
-            "must be >= l2_min",
-        ),
-        (
-            {
-                # both 1 / (2 sigma^2) are 0: the closed form has no value
-                "packet_alpha": {"x0": 0.0, "sigma": 1e154, "k0": 1.0},
-                "packet_beta": {"x0": 0.0, "sigma": 1e154, "k0": 1.1},
-                "geometry": {"c": 1e-320},
-            },
-            "geometry.c",
-            "flight time l1 / c is not finite",
-        ),
-        (
-            {
-                "representation": "grid",
-                "grid": NYQUIST_GRID,
-                "packet_alpha": {"x0": -39.0, "sigma": 1.0, "k0": 12.0},
-            },
-            "grid",
-            "packet support [-47, -31] (x0 +/- 8 sigma) does not fit the grid window [-40, 216]",
-        ),
-        (
-            {
-                "representation": "grid",
-                "grid": NYQUIST_GRID,
-                "packet_beta": {"x0": 210.0, "sigma": 1.2, "k0": 12.8},
-            },
-            "grid",
-            "carrier needs wavenumbers up to 16 but the grid resolves only 6.28319; decrease dx",
-        ),
-    ],
-    ids=[
-        "inverted-range-before-flight-time",
-        "flight-time-before-closed-form",
-        "alpha-support-before-alpha-nyquist",
-        "alpha-nyquist-before-beta-support",
-    ],
-)
-def test_first_broken_rule_in_check_order_is_reported(overrides, key_path, message):
-    raw = _scenario(packet_beta=ORDER_BETA)
-    raw.update(overrides)
-    with pytest.raises(InvariantError) as info:
-        parse_config(raw)
-    assert (info.value.key_path, str(info.value)) == (key_path, f"{key_path}: {message}")
-
-
-def test_grid_representation_parses():
-    cfg = parse_config(
-        _scenario(
-            representation="grid", grid={"x_min": -40.0, "dx": 0.0625, "n": 4096}
-        )
-    )
-    assert cfg.grid is not None
-    assert cfg.grid.n == 4096
-    assert cfg.invariance_tol == 1e-8
-
-
 def test_tolerances_override():
     tolerances = {"analytic_tol": 1e-10, "grid_tol": 1e-6}
     assert parse_config(_scenario(tolerances=tolerances)).invariance_tol == 1e-10
@@ -226,21 +128,14 @@ def test_tolerances_override():
     assert grid.invariance_tol == 1e-6
 
 
-# A Gaussian run samples on no grid: its grid section is read field by field,
-# but the window and spacing rules, which hold only for a grid run, are not applied.
+# A Gaussian run samples on no grid: its grid section is read field by field
+# (the contract's nonpositive_grid_spacing_gaussian* cases are refused), but the
+# window and spacing rules, which hold only for a grid run, are not applied.
 def test_gaussian_scenario_reads_but_does_not_sample_its_grid_section():
     small = {"x_min": -2.0, "dx": 0.0625, "n": 64}  # clips both packets
     cfg = parse_config(_scenario(grid=small, tolerances={"analytic_tol": 1e-10}))
     assert cfg.grid is None
     assert cfg.invariance_tol == 1e-10
-    with pytest.raises(InvariantError) as info:
-        parse_config(_scenario(grid={**small, "dx": -1.0}))
-    assert info.value.key_path == "grid"
-
-
-def test_n_points_one_yields_single_value():
-    cfg = parse_config(_scenario(geometry={"n_points": 1}))
-    assert list(cfg.l2_values()) == [cfg.l2_min]
 
 
 def test_explicit_splitter_accepted():
@@ -263,5 +158,5 @@ def test_load_config_unreadable_json(tmp_path, data):
 
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(MINIMAL), encoding="utf-8")
-    assert load_config(path) == parse_config(MINIMAL)
+    path.write_text(json.dumps(DEFAULT_SCENARIO), encoding="utf-8")
+    assert load_config(path) == parse_config(DEFAULT_SCENARIO)

@@ -131,6 +131,7 @@ def test_half_spectrum_phases_equal_the_direct_exponential(grid, shift):
     st.floats(1e-12, 1.0 - 1e-12),
 )
 @example(SpatialGrid(x_min=0.0, dx=1.0, n=3), 4, 1.0, "above the mass", 0.5)  # mass 1 - ulp
+@example(SpatialGrid(x_min=0.0, dx=1.0, n=8), 0, 0.5, "at the mass", 0.5)  # mass 0.78
 def test_fits_after_sums_the_suffix_of_the_sample_power(grid, seed, cut_at, tol_kind, tol):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)

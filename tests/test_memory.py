@@ -19,17 +19,13 @@ import numpy as np
 import numpy.fft  # noqa: F401  loaded here, so that no traced peak counts loading it
 import platesim.sampled  # noqa: F401  likewise
 
+from conftest import DEFAULT_SCENARIO
 from platesim import load_config, parse_config
 from platesim.cli import SWEEP_HEADER, _write_csv, run_invariance_report, run_sweep
 from platesim.config import GRID_SAMPLE_BYTES, SWEEP_ROW_BYTES
 from platesim.optics import overlap_at_time, split
 
 GRID_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "grid.json"
-
-SCENARIO = {
-    "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
-    "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 12.8},
-}
 
 KiB = 2**10
 MB = 2**20
@@ -63,7 +59,7 @@ def test_run_sweep_peak_at_200k_rows(tmp_path):
     # complex values, freed before the three exact columns are built
     # (kept alive, they measured 114.4 bytes a row).  The CSV writer
     # streams its rows and holds one formatted line, whatever the row count.
-    cfg = parse_config({**SCENARIO, "geometry": {"n_points": 200_000}})
+    cfg = parse_config({**DEFAULT_SCENARIO, "geometry": {"n_points": 200_000}})
     out = tmp_path / "sweep.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         peak = _traced_peak(lambda: run_sweep(cfg, out))

@@ -42,7 +42,9 @@ from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E4
 from hypothesis import strategies as st  # noqa: E402
 
 import cli_parity  # noqa: E402
-from conftest import complex_column, exact_overlap, pairwise_max_abs, phase_error  # noqa: E402
+from conftest import (  # noqa: E402
+    DEFAULT_SCENARIO, WIDE_GRID, complex_column, exact_overlap, pairwise_max_abs, phase_error,
+)
 from platesim import (  # noqa: E402
     DegeneratePreparationError,
     ExperimentGeometry,
@@ -68,12 +70,7 @@ from platesim.sampled import fits_after, normalize, sample  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 EPS = sys.float_info.epsilon
 DEFAULT_GRID_TOL = 1e-8  # tolerances.grid_tol's default
-BASE = parse_config(
-    {
-        "packet_alpha": {"x0": 0.0, "sigma": 1.0, "k0": 12.0},
-        "packet_beta": {"x0": 0.0, "sigma": 1.0, "k0": 12.8},
-    }
-)
+BASE = parse_config(DEFAULT_SCENARIO)
 TINY = 5e-324  # the smallest subnormal
 
 positive = st.floats(min_value=TINY, max_value=1e300)
@@ -91,6 +88,8 @@ counts = st.one_of(st.just(1), st.integers(1, 5), st.integers(1, 3000))
 
 @settings(max_examples=500)
 @given(ranges, counts)
+@example((TINY, 4 * TINY), 7)  # the step underflows: numpy divides before multiplying
+@example((0.3, 0.9), 3)  # 0.3 + 2 * 0.3 rounds above 0.9: the stop is written as is
 def test_l2_values_equal_numpy_linspace_bit_for_bit(l2_range, n):
     l2_min, l2_max = l2_range
     cfg = ScenarioConfig(**{**vars(BASE), "l2_min": l2_min, "l2_max": l2_max, "n_points": n})
@@ -184,9 +183,6 @@ def test_closed_form_overlap_holds_at_any_width_ratio(
     # (worst of 100,000 random draws: 2.3 EPS (|re| + 1) and 2.6 EPS (scale + pi)).
     assert abs(math.log(abs(eps) / pref) - re) <= 16.0 * EPS * (abs(re) + 1.0)
     assert phase_error(eps, im) <= 8.0 * EPS * (scale + math.pi)
-
-
-WIDE_GRID = SpatialGrid(x_min=-40.0, dx=1.0 / 16.0, n=4096)  # acceptance criterion 2's window
 
 
 @settings(max_examples=30)

@@ -103,6 +103,12 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict | list]]:
     alpha, beta = GAUSSIAN["packet_alpha"], GAUSSIAN["packet_beta"]
     centered_beta = {"x0": 0.0, "sigma": 1.0, "k0": 12.8}
     grid = _with(GAUSSIAN, representation="grid", grid=GRID)
+    nyquist_grid = {"x_min": -40.0, "dx": 0.5, "n": 512}  # resolves k up to 2 pi
+    # both 1 / (2 sigma^2) are 0
+    both_wide = {
+        "packet_alpha": {"x0": 0.0, "sigma": 1e154, "k0": 1.0},
+        "packet_beta": {"x0": 0.0, "sigma": 1e154, "k0": 1.1},
+    }
     committed_grid = json.loads((ROOT / "scenarios" / "grid.json").read_text(encoding="utf-8"))
     return {
         (3, 3): {
@@ -128,13 +134,24 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict | list]]:
             "nonpositive_l2_min": _with(GAUSSIAN, geometry={"l2_min": -1.0}),
             "nonpositive_n_points": _with(GAUSSIAN, geometry={"n_points": 0}),
             "nonpositive_grid_spacing": _with(grid, grid={**GRID, "dx": -1.0}),
+            # a Gaussian run samples on no grid, but reads its grid section
+            "nonpositive_grid_spacing_gaussian": _with(GAUSSIAN, grid={**GRID, "dx": -1.0}),
             "nonpositive_tolerance": _with(GAUSSIAN, tolerances={"grid_tol": 0.0}),
             "lossy_splitter": _with(
                 GAUSSIAN, splitter={"r_re": 0.7, "r_im": 0.0, "t_re": 0.6, "t_im": 0.0}
             ),
             "inverted_range": _with(GAUSSIAN, geometry={"l2_min": 5.0, "l2_max": 1.0}),
+            # Each breaks two rules: the loader reports the earlier one, so the
+            # order of the rules decides the stderr line and the key path.
             "inverted_range_and_flight_time": _with(
                 GAUSSIAN, geometry={"c": 1e-320, "l2_min": 5.0, "l2_max": 1.0}
+            ),
+            "flight_time_before_closed_form": _with(both_wide, geometry={"c": 1e-320}),
+            "alpha_support_before_alpha_nyquist": _with(
+                grid, grid=nyquist_grid, packet_alpha={**alpha, "x0": -39.0}
+            ),
+            "alpha_nyquist_before_beta_support": _with(
+                grid, grid=nyquist_grid, packet_beta={**beta, "x0": 210.0}
             ),
             "nonpositive_speed": _with(GAUSSIAN, geometry={"c": 0.0}),
             # l1 / c overflows: writing rows would put inf and NaN under exit 0
@@ -195,11 +212,7 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict | list]]:
                 "packet_alpha": {"x0": -1e308, "sigma": 1.0, "k0": 12.0},
                 "packet_beta": {**centered_beta, "x0": 1e308},
             },
-            # both 1 / (2 sigma^2) are 0
-            "closed_form_overlap_both_wide": {
-                "packet_alpha": {"x0": 0.0, "sigma": 1e154, "k0": 1.0},
-                "packet_beta": {"x0": 0.0, "sigma": 1e154, "k0": 1.1},
-            },
+            "closed_form_overlap_both_wide": both_wide,
             # Without the loader's refusal, every row had l2 = 1 and the summary
             # printed "max |d rate_wss|: 0" under exit 0.
             "vanishing_default_span": _with(
@@ -216,7 +229,7 @@ def _refusals() -> dict[tuple[int, int], dict[str, dict | list]]:
             "grid_n_1e12": _with(grid, grid={**GRID, "n": 10**12}),
             "grid_n_2_40": _with(grid, grid={**GRID, "n": 2**40}),
             "grid_window": _with(grid, grid={"x_min": -2.0, "dx": 0.0625, "n": 64}),
-            "grid_nyquist": _with(grid, grid={"x_min": -40.0, "dx": 0.5, "n": 512}),
+            "grid_nyquist": _with(grid, grid=nyquist_grid),
             # Without the loader's refusal, the sampled beta lost its carrier, the
             # spectral centroid moved, and sweep stopped with "ValueError: math
             # domain error" under exit 1.
